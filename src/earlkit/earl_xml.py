@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Union
 from xml.etree import ElementTree
 from xml.parsers import expat
-from xml.sax.saxutils import escape
 
 from .errors import ParseError, ScopeError
 from .model import (
@@ -355,14 +354,21 @@ def format_number(value: float) -> str:
     return repr(value)
 
 
+_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
+# \r would be normalized to \n on re-parse, and tab and newline in an
+# attribute value to spaces; keep them as character references.
+_TEXT_TABLE = str.maketrans(_TEXT_ESCAPES)
+_ATTR_TABLE = str.maketrans(
+    {**_TEXT_ESCAPES, '"': "&quot;", "\t": "&#9;", "\n": "&#10;"}
+)
+
+
 def _attr(name: str, value: str) -> str:
-    quoted = escape(value, {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
-    return f' {name}="{quoted}"'
+    return f' {name}="{value.translate(_ATTR_TABLE)}"'
 
 
 def _text(value: str) -> str:
-    # \r would be normalized to \n on re-parse; keep it as a char reference.
-    return escape(value, {"\r": "&#13;"})
+    return value.translate(_TEXT_TABLE)
 
 
 def _scope_attrs(scope: Scope) -> str:

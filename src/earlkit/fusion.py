@@ -11,7 +11,7 @@ predicted so reports can tell observation from inference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import FusionError
 from .model import (
@@ -226,16 +226,29 @@ def fill_missing(
     synthetic = []
     for source in sorted(state.last_evidence):
         item = state.last_evidence[source]
+        a = item.annotation
         elapsed = now - item.timestamp
-        decayed = effective_probability(item.annotation) * math.exp(
-            -cfg.decay_lambda * elapsed
-        )
+        decayed = effective_probability(a) * math.exp(-cfg.decay_lambda * elapsed)
         if decayed < cfg.drop_floor:
             continue
+        # Direct construction costs far less than dataclasses.replace and
+        # still runs every __post_init__ check.
+        annotation = EmotionAnnotation(
+            category=a.category,
+            dimensions=a.dimensions,
+            appraisals=a.appraisals,
+            intensity=a.intensity,
+            probability=decayed,
+            regulation=a.regulation,
+            modality=a.modality,
+            scope=a.scope,
+        )
         synthetic.append(
-            replace(
-                item,
-                annotation=replace(item.annotation, probability=decayed),
+            MarkerEvidence(
+                annotation=annotation,
+                source=item.source,
+                timestamp=item.timestamp,
+                available=item.available,
                 predicted=True,
             )
         )

@@ -9,9 +9,12 @@ any magnitude would be invented.
 
 from __future__ import annotations
 
+import functools
 import re
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from importlib import resources
+from operator import attrgetter
+from types import MappingProxyType
 
 from .errors import LexiconError, MarkerError
 from .model import EmotionAnnotation, InlineText
@@ -61,10 +64,36 @@ class Lexicon:
 
     Markers are stored tokenized (lowercase, space-joined); most are single
     words but multiword phrases such as "goose bumps" are kept whole and
-    matched as contiguous token runs.
+    matched as contiguous token runs.  ``entries`` is a read-only view, so a
+    lexicon can be shared and its marker index, built once at construction,
+    never goes stale.
     """
 
-    entries: dict[str, frozenset[str]]
+    entries: Mapping[str, frozenset[str]]
+    # Single-word marker -> emotion; (tokens, emotion) per phrase in
+    # matching precedence: emotions in entry order; within one, longer
+    # phrases first, then alphabetical, so no set order leaks in; and the
+    # phrases' first tokens.
+    _single: dict[str, str] = field(init=False, repr=False, compare=False)
+    _phrases: tuple[tuple[list[str], str], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _phrase_heads: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        entries = {emotion: frozenset(markers) for emotion, markers in self.entries.items()}
+        single = {}
+        phrases = []
+        for emotion, markers in entries.items():
+            for marker in sorted(markers, key=lambda m: (-m.count(" "), m)):
+                if " " in marker:
+                    phrases.append((marker.split(" "), emotion))
+                else:
+                    single[marker] = emotion
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+        object.__setattr__(self, "_single", single)
+        object.__setattr__(self, "_phrases", tuple(phrases))
+        object.__setattr__(self, "_phrase_heads", frozenset(p[0] for p, _ in phrases))
 
     def marker_emotion(self) -> dict[str, str]:
         """Flat marker -> emotion view (markers are unique per lexicon)."""
@@ -114,8 +143,15 @@ def load_lexicon(data: bytes | str) -> Lexicon:
     return Lexicon(entries=entries)
 
 
+@functools.cache
 def default_lexicon() -> Lexicon:
-    """The bundled word-list lexicon (seven emotions)."""
+    """The bundled word-list lexicon (seven emotions).
+
+    Read on the first call and shared by every later one; a lexicon is
+    read-only, so sharing it is safe.
+    """
+    from importlib import resources  # deferred: slow to import, needed once
+
     data = resources.files("earlkit.data").joinpath("table2.lex").read_bytes()
     return load_lexicon(data)
 
@@ -127,26 +163,30 @@ def tag_lexical(text: str, lexicon: Lexicon | None = None) -> list[tuple[Emotion
     least one marker hit, ordered alphabetically by emotion.  Intensity
     saturates at three hits; probability is the emotion's share of all
     matched tokens.
+
+    Phrases are matched before single words, one phrase at a time in the
+    lexicon's precedence order, each at every free position left to right;
+    a token consumed by a phrase is not matched again.
     """
     if lexicon is None:
         lexicon = default_lexicon()
     tokens = tokenize(text)
     hits: dict[str, list[str]] = {}
-
-    phrase_markers = [
-        (marker.split(" "), emotion)
-        for marker, emotion in lexicon.marker_emotion().items()
-        if " " in marker
-    ]
-    single = {m: e for m, e in lexicon.marker_emotion().items() if " " not in m}
-
     consumed = [False] * len(tokens)
-    for parts, emotion in phrase_markers:
-        n = len(parts)
-        for i in range(len(tokens) - n + 1):
-            if tokens[i : i + n] == parts and not any(consumed[i : i + n]):
-                hits.setdefault(emotion, []).extend(parts)
-                consumed[i : i + n] = [True] * n
+
+    heads = lexicon._phrase_heads
+    starts: dict[str, list[int]] = {}
+    for i, token in enumerate(tokens):
+        if token in heads:
+            starts.setdefault(token, []).append(i)
+    if starts:
+        for parts, emotion in lexicon._phrases:
+            n = len(parts)
+            for i in starts.get(parts[0], ()):
+                if tokens[i : i + n] == parts and not any(consumed[i : i + n]):
+                    hits.setdefault(emotion, []).extend(parts)
+                    consumed[i : i + n] = [True] * n
+    single = lexicon._single
     for i, token in enumerate(tokens):
         if consumed[i]:
             continue
@@ -256,26 +296,43 @@ class RankedEmotion:
 RankedEmotions = list[RankedEmotion]
 
 
-def _score_pattern(observed: dict[str, str], pattern: dict[str, str],
-                   contradicts) -> tuple[float, tuple[str, ...]]:
-    if not pattern:
-        return 0.0, ()
-    matched = []
-    contradicted = 0
-    for name, expected in pattern.items():
-        value = observed[name]
-        if value == expected:
-            matched.append(name)
-        elif contradicts(name, value, expected):
-            contradicted += 1
-    score = (len(matched) - contradicted) / len(pattern)
-    return min(1.0, max(0.0, score)), tuple(matched)
+def _compile(patterns: dict[str, dict[str, str]], fields: tuple[str, ...],
+             opposed: Callable[[str, str], set[str]]) -> tuple:
+    """Scoring table: per emotion, its label, pattern size and one rule
+    ``(field index, field name, expected value, opposed values)`` per
+    pattern field, in pattern order."""
+    return tuple(
+        (emotion, len(pattern), tuple(
+            (fields.index(name), name, expected, frozenset(opposed(name, expected)))
+            for name, expected in pattern.items()
+        ))
+        for emotion, pattern in patterns.items()
+    )
 
 
-def _rank(scored: dict[str, tuple[float, tuple[str, ...]]]) -> RankedEmotions:
+def _classify(values: tuple[str, ...], table: tuple) -> RankedEmotions:
+    scored = []
+    for emotion, size, rules in table:
+        matched = []
+        net = 0
+        for index, name, expected, opposed in rules:
+            value = values[index]
+            if value == expected:
+                matched.append(name)
+                net += 1
+            elif value in opposed:
+                net -= 1
+        score = min(1.0, max(0.0, net / size)) if size else 0.0
+        scored.append(RankedEmotion(emotion, score, tuple(matched)))
     # Descending score, alphabetical among ties.
-    order = sorted(scored, key=lambda label: (-scored[label][0], label))
-    return [RankedEmotion(label, scored[label][0], scored[label][1]) for label in order]
+    return sorted(scored, key=lambda r: (-r.score, r.label))
+
+
+_VOICE_TABLE = _compile(
+    VOICE_PATTERNS, VOICE_FIELDS,
+    lambda _name, expected: {_OPPOSITE_DIRECTION[expected]},
+)
+_voice_values = attrgetter(*VOICE_FIELDS)
 
 
 def classify_voice(v: VoiceFeatureDelta) -> RankedEmotions:
@@ -286,16 +343,7 @@ def classify_voice(v: VoiceFeatureDelta) -> RankedEmotions:
     counts -1, flat counts nothing, and the sum is divided by pattern size
     and clamped to [0, 1].
     """
-    observed = {name: getattr(v, name) for name in VOICE_FIELDS}
-
-    def contradicts(_name: str, value: str, expected: str) -> bool:
-        return value == _OPPOSITE_DIRECTION.get(expected)
-
-    scored = {
-        emotion: _score_pattern(observed, pattern, contradicts)
-        for emotion, pattern in VOICE_PATTERNS.items()
-    }
-    return _rank(scored)
+    return _classify(_voice_values(v), _VOICE_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +434,23 @@ _MOVEMENT_OPPOSITES = {
 }
 
 
+def _movement_opposed(name: str, expected: str) -> set[str]:
+    # Opposition is symmetric: low tension is contradicted by either
+    # high-tension flavor.
+    return {
+        b if a == expected else a
+        for (field_name, a), b in _MOVEMENT_OPPOSITES.items()
+        if field_name == name and expected in (a, b)
+    }
+
+
+_MOVEMENT_TABLE = _compile(MOVEMENT_PATTERNS, MOVEMENT_FIELDS, _movement_opposed)
+_movement_values = attrgetter(*MOVEMENT_FIELDS)
+
+
 def classify_movement(m: MovementDescriptor) -> RankedEmotions:
     """Rank the four movement-signed emotions; scoring as in classify_voice."""
-    observed = {name: getattr(m, name) for name in MOVEMENT_FIELDS}
-
-    def contradicts(name: str, value: str, expected: str) -> bool:
-        opposite = _MOVEMENT_OPPOSITES.get((name, expected))
-        if opposite is not None and value == opposite:
-            return True
-        # Opposition is symmetric: low tension is contradicted by either
-        # high-tension flavor.
-        return _MOVEMENT_OPPOSITES.get((name, value)) == expected
-
-    scored = {
-        emotion: _score_pattern(observed, pattern, contradicts)
-        for emotion, pattern in MOVEMENT_PATTERNS.items()
-    }
-    return _rank(scored)
+    return _classify(_movement_values(m), _MOVEMENT_TABLE)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,20 @@ class TestUsage:
         assert result.returncode == 0
         assert 'category="joy"' in result.stdout
 
+    def test_import_skips_heavy_stdlib_modules(self):
+        # xml.sax.saxutils would pull in urllib, http.client and email.
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import earlkit.cli\n"
+            "added = set(sys.modules) - before\n"
+            "print([m for m in ('xml.sax', 'http.client', 'email') if m in added])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
+
 
 class TestCliEdges:
     def test_validate_recurses_and_sorts(self, tmp_path):

@@ -1,10 +1,15 @@
 """Parser, serializer, scope resolution, and profile file tests."""
 
 import random
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from earlkit.earl_xml import (
+    _attr,
+    _text,
     AnnotationDocument,
     ClipSegment,
     MediaObject,
@@ -188,6 +193,12 @@ class TestSerialize:
         a = EmotionAnnotation(category="x", scope=InlineText('a <b> & "c" \' d'))
         again = parse_document(serialize_document(AnnotationDocument(items=(a,))))
         assert again.items[0].scope == a.scope
+
+    @given(st.text())
+    def test_escaping_matches_saxutils(self, value):
+        attr_entities = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+        assert _attr("a", value) == f' a="{escape(value, attr_entities)}"'
+        assert _text(value) == escape(value, {"\r": "&#13;"})
 
     def test_format_number(self):
         assert format_number(1.0) == "1"

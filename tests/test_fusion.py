@@ -24,6 +24,7 @@ from earlkit.model import (
     ComplexEmotion,
     EmotionAnnotation,
     InlineText,
+    TimeSpan,
     validate_annotation,
 )
 
@@ -259,6 +260,43 @@ class TestTemporal:
         (synthetic,) = fill_missing(state, 5.0, FusionConfig(decay_lambda=0.2))
         assert synthetic.annotation.probability == pytest.approx(
             0.8 * math.exp(-1.0), abs=1e-12
+        )
+
+    def test_everything_but_probability_carried_over(self):
+        item = MarkerEvidence(
+            annotation=EmotionAnnotation(
+                category="anger",
+                dimensions={"arousal": 0.7},
+                appraisals={"suddenness": 0.4},
+                intensity=0.6,
+                probability=0.9,
+                regulation={"suppress": 0.3},
+                modality="voice",
+                scope=TimeSpan(1.0, 2.0),
+            ),
+            source="language_voice",
+            timestamp=1.5,
+            available=False,
+        )
+        state = update_temporal(TemporalState(), item)
+        (synthetic,) = fill_missing(state, 3.5, FusionConfig(decay_lambda=0.2))
+        decayed = synthetic.annotation.probability
+        assert decayed == pytest.approx(0.9 * math.exp(-0.4), abs=1e-12)
+        assert synthetic == MarkerEvidence(
+            annotation=EmotionAnnotation(
+                category="anger",
+                dimensions={"arousal": 0.7},
+                appraisals={"suddenness": 0.4},
+                intensity=0.6,
+                probability=decayed,
+                regulation={"suppress": 0.3},
+                modality="voice",
+                scope=TimeSpan(1.0, 2.0),
+            ),
+            source="language_voice",
+            timestamp=1.5,
+            available=False,
+            predicted=True,
         )
 
     def test_decayed_below_floor_dropped(self):

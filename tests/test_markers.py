@@ -1,14 +1,21 @@
 """Knowledge-base fidelity: word lists, voice and movement signatures, weights."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from earlkit.errors import LexiconError, MarkerError
 from earlkit.markers import (
     MOVEMENT_PATTERNS,
     VOICE_PATTERNS,
+    Lexicon,
     MovementDescriptor,
+    RankedEmotion,
     VoiceFeatureDelta,
     base_weight_for_source,
     behavior_for_emotion,
@@ -38,6 +45,49 @@ def all_voice_inputs():
     )
     for mean_f0, f0_range, f0_var, energy, hf, contour, rate in fields:
         yield VoiceFeatureDelta(mean_f0, f0_range, f0_var, energy, hf, contour, rate)
+
+
+def all_movement_inputs():
+    lengths = ("short", "mid", "long")
+    fields = itertools.product(
+        lengths,
+        ("frequent", "few", "neutral"),
+        lengths,
+        ("outward_from_centre", "close_to_centre", "neutral"),
+        ("dynamic_high", "sustained_high", "continuously_low", "dynamic_varying", "neutral"),
+    )
+    for values in fields:
+        yield MovementDescriptor(*values)
+
+
+# The documented scoring rule, restated independently of the classifiers:
+# +1 per pattern field matched, -1 per field pointing the opposite way,
+# divided by pattern size, clamped to [0, 1]; descending score, then label.
+VOICE_OPPOSITES = {("up", "down"), ("downward", "upward")}
+MOVEMENT_OPPOSITES = {
+    "duration": {("short", "long")},
+    "tempo_changes": {("frequent", "few")},
+    "stop_length": {("short", "long")},
+    "spatial_extent": {("outward_from_centre", "close_to_centre")},
+    "tension": {("dynamic_high", "continuously_low"), ("sustained_high", "continuously_low")},
+}
+
+
+def reference_rank(descriptor, patterns, opposites) -> list[RankedEmotion]:
+    ranked = []
+    for label, pattern in patterns.items():
+        net, matched = 0, []
+        for name, expected in pattern.items():
+            value = getattr(descriptor, name)
+            pairs = opposites(name)
+            if value == expected:
+                net += 1
+                matched.append(name)
+            elif (value, expected) in pairs or (expected, value) in pairs:
+                net -= 1
+        score = min(1.0, max(0.0, net / len(pattern))) if pattern else 0.0
+        ranked.append(RankedEmotion(label, score, tuple(matched)))
+    return sorted(ranked, key=lambda r: (-r.score, r.label))
 
 
 class TestBehaviorMap:
@@ -84,6 +134,64 @@ class TestLexicon:
                 results = tag_lexical(marker, lex)
                 assert [a.category for a, _ in results] == [emotion], marker
 
+    def test_default_lexicon_is_shared_and_read_only(self):
+        lex = default_lexicon()
+        assert default_lexicon() is lex
+        with pytest.raises(TypeError):
+            lex.entries["joy"] = frozenset({"glad"})
+        with pytest.raises(AttributeError):
+            lex.entries["joy"].add("glad")
+        assert tag_lexical("glad") == []
+
+    def test_entries_are_copied_at_construction(self):
+        markers = {"glad"}
+        entries = {"joy": markers}
+        lex = Lexicon(entries)
+        assert lex.entries == entries
+        markers.add("merry")
+        entries["sadness"] = {"blue"}
+        assert tag_lexical("merry blue", lex) == []
+        assert [a.category for a, _ in tag_lexical("glad", lex)] == ["joy"]
+
+    def test_phrase_precedence(self):
+        # Emotions in file order; within one, longer phrases first, then
+        # alphabetical.
+        def matched(text, lexicon_text):
+            return [tokens for _, tokens in tag_lexical(text, load_lexicon(lexicon_text))]
+
+        assert matched("goose bumps ahead", "a: goose bumps, bumps ahead") == [
+            ["bumps", "ahead"]
+        ]
+        assert matched("goose bumps ahead", "a: goose bumps, goose bumps ahead") == [
+            ["goose", "bumps", "ahead"]
+        ]
+        assert matched("goose bumps ahead", "b: goose bumps\na: bumps ahead") == [
+            ["goose", "bumps"]
+        ]
+        assert matched("goose bumps ahead", "a: bumps ahead\nb: goose bumps") == [
+            ["bumps", "ahead"]
+        ]
+
+    def test_phrase_precedence_ignores_hash_seed(self):
+        # Seeds 0 and 2 iterate a frozenset of these two phrases in opposite
+        # orders.
+        script = (
+            "from earlkit.markers import load_lexicon, tag_lexical\n"
+            "lex = load_lexicon('a: goose bumps, bumps ahead')\n"
+            "print([tokens for _, tokens in tag_lexical('goose bumps ahead', lex)])\n"
+        )
+        outputs = []
+        for seed in ("0", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.append(result.stdout.strip())
+        assert outputs == ["[['bumps', 'ahead']]"] * 2
+
 
 class TestTagLexical:
     def test_joy_words(self):
@@ -113,6 +221,19 @@ class TestTagLexical:
         ((a, tokens),) = tag_lexical("That gave me goose bumps!")
         assert a.category == "amazement"
         assert tokens == ["goose", "bumps"]
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                sorted(m for ms in default_lexicon().entries.values() for m in ms)
+                + ["goose", "bumps", "the", "not", "Happy!", ","]
+            ),
+            max_size=30,
+        )
+    )
+    def test_default_lexicon_argument_is_implied(self, words):
+        text = " ".join(words)
+        assert tag_lexical(text) == tag_lexical(text, default_lexicon())
 
     def test_tokenizer_strips_punctuation_and_case(self):
         assert tokenize("Joyful, HAPPY!! radiant...") == ["joyful", "happy", "radiant"]
@@ -169,6 +290,12 @@ class TestClassifyVoice:
         with pytest.raises(ValueError):
             VoiceFeatureDelta(mean_f0="sideways")
 
+    def test_matches_documented_rule_on_every_input(self):
+        for v in all_voice_inputs():
+            assert classify_voice(v) == reference_rank(
+                v, VOICE_PATTERNS, lambda _name: VOICE_OPPOSITES
+            ), v
+
 
 class TestClassifyMovement:
     def test_grief_example(self):
@@ -198,6 +325,12 @@ class TestClassifyMovement:
     def test_invalid_value_rejected(self):
         with pytest.raises(ValueError):
             MovementDescriptor(tension="rigid")
+
+    def test_matches_documented_rule_on_every_input(self):
+        for m in all_movement_inputs():
+            assert classify_movement(m) == reference_rank(
+                m, MOVEMENT_PATTERNS, MOVEMENT_OPPOSITES.__getitem__
+            ), m
 
 
 class TestSourceWeights:
