@@ -107,9 +107,8 @@ def _cmd_validate(args) -> int:
             continue
         findings = list(doc.warnings)
         for item in doc.items:
-            findings.extend(
-                validate_annotation(item, profile, strict=args.strict).findings
-            )
+            findings.extend(validate_annotation(item, profile).findings)
+        # Parser warnings bypass validate_annotation: escalate both here, once.
         for f in findings:
             severity = "error" if args.strict and f.severity == "warning" else f.severity
             print(f"{path}: {severity} {f.code} {f.message} [{f.location}]", file=sys.stderr)

@@ -13,11 +13,10 @@ digits, two-space indent, UTF-8) so byte-level golden tests are possible;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Union
-from xml.etree import ElementTree
 from xml.parsers import expat
 
 from .errors import ParseError, ScopeError
@@ -99,56 +98,66 @@ ScopeTarget = Union[TextSegment, MediaObject, ClipSegment]
 class _Frame:
     __slots__ = ("kind", "attrs", "text_parts", "children", "location")
 
-    def __init__(self, kind: str, attrs: list[tuple[str, str]], location: str):
+    def __init__(self, kind: str, attrs: list[str], location: str):
         self.kind = kind  # "container", "emotion", "complex", "ignored"
-        self.attrs = attrs
+        self.attrs = attrs  # flat [name, value, ...]
         self.text_parts: list[str] = []
         self.children: list[EmotionAnnotation] = []
         self.location = location
 
 
+@lru_cache(maxsize=8)
+def _attribute_kinds(profile: VocabularyProfile) -> dict[str, str]:
+    # Known emotion attribute -> role; later updates win over earlier ones.
+    kinds = dict.fromkeys(CLASSIC_APPRAISAL_NAMES, "appraisal")
+    kinds.update(dict.fromkeys(CLASSIC_DIMENSION_NAMES, "dimension"))
+    kinds.update(dict.fromkeys(profile.appraisal_names, "appraisal"))
+    kinds.update(dict.fromkeys(profile.dimension_names, "dimension"))
+    kinds.update(dict.fromkeys(_REGULATION_ALIASES, "alias"))
+    kinds.update(dict.fromkeys(REGULATION_TYPES, "regulation"))
+    kinds.update(dict.fromkeys(_HREF_ATTRS, "uri"))
+    fixed = ("category", "modality", "intensity", "probability", "start", "end")
+    kinds.update(zip(fixed, fixed))
+    return kinds
+
+
+def _number(name: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        message = f"attribute {name}={raw!r} is not a number"
+        raise ParseError("UNPARSEABLE_NUMBER", message) from None
+
+
 class _DocumentBuilder:
     def __init__(self, profile: VocabularyProfile):
-        self.profile = profile
+        self.kinds = _attribute_kinds(profile)
         self.items: list[AnnotationItem] = []
         self.warnings: list[Finding] = []
         self.stack: list[_Frame] = []
 
     # -- expat handlers -----------------------------------------------------
 
-    def start_element(self, name: str, attr_list: list[str]) -> None:
-        attrs = list(zip(attr_list[0::2], attr_list[1::2]))
-        parent = self.stack[-1] if self.stack else None
-
-        if parent is None:
-            if name == EMOTION_TAG:
-                self.stack.append(_Frame("emotion", attrs, "item[0]"))
-            elif name == COMPLEX_TAG:
-                self.stack.append(_Frame("complex", attrs, "item[0]"))
-            else:
-                # Any root element may serve as the document container.
-                self.stack.append(_Frame("container", attrs, ""))
-            return
-
-        if name == COMPLEX_TAG and any(f.kind == "complex" for f in self.stack):
+    def start_element(self, name: str, attrs: list[str]) -> None:
+        stack = self.stack
+        parent = stack[-1] if stack else None
+        if name == COMPLEX_TAG and any(f.kind == "complex" for f in stack):
             raise ParseError(
                 "NESTED_COMPLEX", "complex-emotion may not contain another complex-emotion"
             )
-
-        if parent.kind == "container" and name == EMOTION_TAG:
-            self.stack.append(_Frame("emotion", attrs, f"item[{len(self.items)}]"))
-        elif parent.kind == "container" and name == COMPLEX_TAG:
-            self.stack.append(_Frame("complex", attrs, f"item[{len(self.items)}]"))
+        if (parent is None or parent.kind == "container") and name in (EMOTION_TAG, COMPLEX_TAG):
+            kind = "emotion" if name == EMOTION_TAG else "complex"
+            stack.append(_Frame(kind, attrs, f"item[{len(self.items)}]"))
+        elif parent is None:
+            # Any other root element serves as the document container.
+            stack.append(_Frame("container", attrs, ""))
         elif parent.kind == "complex" and name == EMOTION_TAG:
             loc = f"{parent.location}.constituent[{len(parent.children)}]"
-            self.stack.append(_Frame("emotion", attrs, loc))
+            stack.append(_Frame("emotion", attrs, loc))
         else:
-            self.warn(
-                "UNRECOGNIZED_ELEMENT",
-                f"element <{name}> is not part of the annotation vocabulary here",
-                parent.location or "document",
-            )
-            self.stack.append(_Frame("ignored", attrs, parent.location))
+            message = f"element <{name}> is not part of the annotation vocabulary here"
+            self.warn("UNRECOGNIZED_ELEMENT", message, parent.location or "document")
+            stack.append(_Frame("ignored", attrs, parent.location))
 
     def character_data(self, data: str) -> None:
         if self.stack:
@@ -179,21 +188,8 @@ class _DocumentBuilder:
     def warn(self, code: str, message: str, location: str) -> None:
         self.warnings.append(Finding("warning", code, message, location))
 
-    def _number(self, name: str, raw: str) -> float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ParseError(
-                "UNPARSEABLE_NUMBER", f"attribute {name}={raw!r} is not a number"
-            ) from None
-
     def _scope(
-        self,
-        uri: str | None,
-        start: float | None,
-        end: float | None,
-        text: str,
-        loc: str,
+        self, uri: str | None, start: float | None, end: float | None, text: str, loc: str
     ) -> Scope:
         if (start is None) != (end is None):
             self.warn(
@@ -227,58 +223,45 @@ class _DocumentBuilder:
         dimensions: dict[str, float] = {}
         appraisals: dict[str, float] = {}
         regulation: dict[str, float] = {}
-
-        for name, raw in frame.attrs:
-            if name == "category":
-                category = raw
-            elif name == "modality":
-                modality = raw
-            elif name == "intensity":
-                intensity = self._number(name, raw)
-            elif name == "probability":
-                probability = self._number(name, raw)
-            elif name == "start":
-                start = self._number(name, raw)
-            elif name == "end":
-                end = self._number(name, raw)
-            elif name in _HREF_ATTRS:
-                uri = raw
-            elif name in REGULATION_TYPES:
-                regulation[name] = self._number(name, raw)
-            elif name in _REGULATION_ALIASES:
-                canonical = _REGULATION_ALIASES[name]
-                regulation[canonical] = self._number(name, raw)
-                self.warn(
-                    "REGULATION_ALIAS",
-                    f"regulation {name!r} read as {canonical!r}",
-                    frame.location,
-                )
-            elif name in self.profile.dimension_names:
-                dimensions[name] = self._number(name, raw)
-            elif name in self.profile.appraisal_names:
-                appraisals[name] = self._number(name, raw)
-            elif name in CLASSIC_DIMENSION_NAMES:
-                dimensions[name] = self._number(name, raw)
-            elif name in CLASSIC_APPRAISAL_NAMES:
-                appraisals[name] = self._number(name, raw)
-            else:
+        kinds = self.kinds
+        it = iter(frame.attrs)
+        for name, raw in zip(it, it):
+            kind = kinds.get(name)
+            if kind is None:
                 try:
-                    value = float(raw)
+                    appraisals[name] = float(raw)
                 except ValueError:
-                    self.warn(
-                        "UNKNOWN_ATTRIBUTE",
-                        f"attribute {name}={raw!r} not recognized; dropped",
-                        frame.location,
-                    )
+                    message = f"attribute {name}={raw!r} not recognized; dropped"
                 else:
+                    message = f"attribute {name!r} not in profile; kept as appraisal"
+                self.warn("UNKNOWN_ATTRIBUTE", message, frame.location)
+            elif kind == "category":
+                category = raw
+            elif kind == "modality":
+                modality = raw
+            elif kind == "uri":
+                uri = raw
+            else:
+                value = _number(name, raw)
+                if kind == "dimension":
+                    dimensions[name] = value
+                elif kind == "appraisal":
                     appraisals[name] = value
-                    self.warn(
-                        "UNKNOWN_ATTRIBUTE",
-                        f"attribute {name!r} not in profile; kept as appraisal",
-                        frame.location,
-                    )
-
-        scope = self._scope(uri, start, end, text, frame.location)
+                elif kind == "regulation":
+                    regulation[name] = value
+                elif kind == "intensity":
+                    intensity = value
+                elif kind == "probability":
+                    probability = value
+                elif kind == "start":
+                    start = value
+                elif kind == "end":
+                    end = value
+                else:
+                    canonical = _REGULATION_ALIASES[name]
+                    regulation[canonical] = value
+                    message = f"regulation {name!r} read as {canonical!r}"
+                    self.warn("REGULATION_ALIAS", message, frame.location)
         return EmotionAnnotation(
             category=category,
             dimensions=dimensions,
@@ -287,26 +270,40 @@ class _DocumentBuilder:
             probability=probability,
             regulation=regulation,
             modality=modality,
-            scope=scope,
+            scope=self._scope(uri, start, end, text, frame.location),
         )
 
     def _build_complex(self, frame: _Frame, text: str) -> ComplexEmotion:
         uri = start = end = None
-        for name, raw in frame.attrs:
+        it = iter(frame.attrs)
+        for name, raw in zip(it, it):
             if name in _HREF_ATTRS:
                 uri = raw
             elif name == "start":
-                start = self._number(name, raw)
+                start = _number(name, raw)
             elif name == "end":
-                end = self._number(name, raw)
+                end = _number(name, raw)
             else:
-                self.warn(
-                    "UNKNOWN_ATTRIBUTE",
-                    f"attribute {name}={raw!r} not recognized on {COMPLEX_TAG}; dropped",
-                    frame.location,
-                )
+                message = f"attribute {name}={raw!r} not recognized on {COMPLEX_TAG}; dropped"
+                self.warn("UNKNOWN_ATTRIBUTE", message, frame.location)
         scope = self._scope(uri, start, end, text, frame.location)
         return ComplexEmotion(constituents=tuple(frame.children), scope=scope)
+
+
+def _expat_parse(data: bytes | str, start, end, text, context: str = "") -> None:
+    # No namespace processing; attributes reach ``start`` as a flat list.
+    parser = expat.ParserCreate()
+    parser.ordered_attributes = True
+    parser.buffer_text = True
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = text
+    try:
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        raise ParseError("MALFORMED_XML", f"{context}{exc}") from None
 
 
 def parse_document(
@@ -323,18 +320,7 @@ def parse_document(
     warning, so no input attribute is ever dropped silently.
     """
     builder = _DocumentBuilder(profile)
-    parser = expat.ParserCreate(namespace_separator=None)
-    parser.ordered_attributes = True
-    parser.buffer_text = True
-    parser.StartElementHandler = builder.start_element
-    parser.EndElementHandler = builder.end_element
-    parser.CharacterDataHandler = builder.character_data
-    try:
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        parser.Parse(data, True)
-    except expat.ExpatError as exc:
-        raise ParseError("MALFORMED_XML", str(exc)) from None
+    _expat_parse(data, builder.start_element, builder.end_element, builder.character_data)
     return AnnotationDocument(
         items=tuple(builder.items),
         source_uri=source_uri,
@@ -348,10 +334,12 @@ def parse_document(
 
 def format_number(value: float) -> str:
     """Render a float with minimal digits: drop trailing zeros, keep exactness."""
-    value = float(value)
-    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
+    # Below 1e16 the repr of an integral float ends in ".0"; above, it has
+    # an exponent.
+    text = repr(float(value))
+    if text[-2:] == ".0":
+        return "0" if text == "-0.0" else text[:-2]
+    return text
 
 
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
@@ -372,38 +360,38 @@ def _text(value: str) -> str:
 
 
 def _scope_attrs(scope: Scope) -> str:
-    if isinstance(scope, Reference):
-        return _attr("xlink:href", scope.uri)
-    if isinstance(scope, TimeSpan):
-        return _attr("start", format_number(scope.start)) + _attr("end", format_number(scope.end))
-    if isinstance(scope, ReferencedTimeSpan):
-        return (
-            _attr("xlink:href", scope.uri)
-            + _attr("start", format_number(scope.start))
-            + _attr("end", format_number(scope.end))
-        )
-    return ""
+    # Numbers never need escaping; only the URI goes through the table.
+    out = ""
+    if isinstance(scope, (Reference, ReferencedTimeSpan)):
+        out = _attr("xlink:href", scope.uri)
+    if isinstance(scope, (TimeSpan, ReferencedTimeSpan)):
+        out += f' start="{format_number(scope.start)}" end="{format_number(scope.end)}"'
+    return out
 
 
 def _emotion_markup(a: EmotionAnnotation) -> str:
     parts = [f"<{EMOTION_TAG}"]
     if a.category is not None:
-        parts.append(_attr("category", a.category))
-    descriptors = {**a.dimensions, **a.appraisals}
+        parts.append(f' category="{a.category.translate(_ATTR_TABLE)}"')
+    descriptors = a.dimensions
+    if a.appraisals:
+        descriptors = {**descriptors, **a.appraisals} if descriptors else a.appraisals
     for name in sorted(descriptors):
-        parts.append(_attr(name, format_number(descriptors[name])))
+        parts.append(f' {name}="{format_number(descriptors[name])}"')
     if a.intensity is not None:
-        parts.append(_attr("intensity", format_number(a.intensity)))
+        parts.append(f' intensity="{format_number(a.intensity)}"')
     if a.probability is not None:
-        parts.append(_attr("probability", format_number(a.probability)))
+        parts.append(f' probability="{format_number(a.probability)}"')
     for name in sorted(a.regulation):
-        parts.append(_attr(name, format_number(a.regulation[name])))
+        parts.append(f' {name}="{format_number(a.regulation[name])}"')
     if a.modality is not None:
-        parts.append(_attr("modality", a.modality))
-    parts.append(_scope_attrs(a.scope))
-    if isinstance(a.scope, InlineText):
-        parts.append(f">{_text(a.scope.text)}</{EMOTION_TAG}>")
+        parts.append(f' modality="{a.modality.translate(_ATTR_TABLE)}"')
+    scope = a.scope
+    if isinstance(scope, InlineText):
+        parts.append(f">{_text(scope.text)}</{EMOTION_TAG}>")
     else:
+        if not isinstance(scope, Unscoped):
+            parts.append(_scope_attrs(scope))
         parts.append("/>")
     return "".join(parts)
 
@@ -422,20 +410,16 @@ def _complex_markup(c: ComplexEmotion) -> str:
 
 def serialize_document(doc: AnnotationDocument) -> bytes:
     """Emit canonical EARL XML bytes for a document."""
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
+    head = '<?xml version="1.0" encoding="UTF-8"?>\n'
     if not doc.items:
-        lines.append(f"<{ROOT_TAG}/>")
-    else:
-        lines.append(f"<{ROOT_TAG}>")
-        for item in doc.items:
-            markup = (
-                _complex_markup(item)
-                if isinstance(item, ComplexEmotion)
-                else _emotion_markup(item)
-            )
-            lines.append("  " + markup)
-        lines.append(f"</{ROOT_TAG}>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        return f"{head}<{ROOT_TAG}/>\n".encode()
+    body = "\n  ".join(
+        [
+            _complex_markup(item) if isinstance(item, ComplexEmotion) else _emotion_markup(item)
+            for item in doc.items
+        ]
+    )
+    return f"{head}<{ROOT_TAG}>\n  {body}\n</{ROOT_TAG}>\n".encode()
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +470,34 @@ def load_profile(data: bytes | str) -> VocabularyProfile:
           <modality>face</modality>
         </profile>
     """
-    try:
-        root = ElementTree.fromstring(data)
-    except ElementTree.ParseError as exc:
-        raise ParseError("MALFORMED_XML", f"profile: {exc}") from None
+    # Direct children of the root count by local name, so no namespace form
+    # makes a wildcard profile; a label is the text before any grandchild.
+    children: list[list[str]] = []  # [tag, leading text]
+    depth = 0
+    leading = False
+
+    def start_element(name: str, _attrs) -> None:
+        nonlocal depth, leading
+        depth += 1
+        leading = depth == 2
+        if leading:
+            children.append([name.rpartition(":")[2], ""])
+
+    def end_element(_name: str) -> None:
+        nonlocal depth, leading
+        depth -= 1
+        leading = False
+
+    def character_data(data: str) -> None:
+        if leading:
+            children[-1][1] += data
+
+    _expat_parse(data, start_element, end_element, character_data, "profile: ")
+    # In the order of VocabularyProfile's fields.
     buckets: dict[str, set[str]] = {
-        "category": set(),
-        "dimension": set(),
-        "appraisal": set(),
-        "modality": set(),
+        tag: set() for tag in ("category", "dimension", "appraisal", "modality")
     }
-    for child in root:
-        label = (child.text or "").strip()
-        if child.tag in buckets and label:
-            buckets[child.tag].add(label)
-    return VocabularyProfile(
-        categories=frozenset(buckets["category"]),
-        dimension_names=frozenset(buckets["dimension"]),
-        appraisal_names=frozenset(buckets["appraisal"]),
-        modalities=frozenset(buckets["modality"]),
-    )
+    for tag, text in children:
+        if tag in buckets and text.strip():
+            buckets[tag].add(text.strip())
+    return VocabularyProfile(*buckets.values())

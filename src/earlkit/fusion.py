@@ -94,7 +94,10 @@ def load_config(data: bytes | str) -> FusionConfig:
             kwargs[key] = number
         else:
             raise FusionError("BAD_CONFIG", f"line {line_no}: unknown key {key!r}")
-    return FusionConfig(weight_overrides=overrides, **kwargs)
+    try:
+        return FusionConfig(weight_overrides=overrides, **kwargs)
+    except ValueError as exc:
+        raise FusionError("BAD_CONFIG", str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -219,6 +222,8 @@ def fill_missing(
     probability falls below the drop floor are omitted.  Synthetic items
     are flagged ``predicted`` so downstream reports can tell them apart.
     """
+    if not math.isfinite(now):
+        raise FusionError("BAD_TIME", f"now={now} is not a finite time")
     if now < state.clock:
         raise FusionError(
             "TIME_REGRESSION", f"now={now} behind clock t={state.clock}"

@@ -182,126 +182,81 @@ class ValidationReport:
         return [f for f in self.findings if f.severity == "warning"]
 
 
-def _in_range(value: float, lo: float, hi: float) -> bool:
-    return lo <= value <= hi  # NaN fails both comparisons, as intended
+#: The report for an item with no findings; it is immutable, so one is shared.
+_CLEAN = ValidationReport(ok=True, findings=())
 
 
-def _check_scope(scope: Scope, loc: str, out: list[Finding]) -> None:
+def _emit(
+    out: list[Finding], index: int | None, code: str, message: str, suffix: str = "",
+    severity: str = "error",
+) -> None:
+    # The location is built only when a finding is emitted.
+    where = "annotation" if index is None else f"complex.constituent[{index}]"
+    out.append(Finding(severity, code, message, where + suffix))
+
+
+def _scope_problems(scope: Scope) -> tuple[str, ...]:
+    if isinstance(scope, (Unscoped, InlineText)):
+        return ()
+    problems = ()
     if isinstance(scope, (Reference, ReferencedTimeSpan)) and not scope.uri:
-        out.append(Finding("error", "MALFORMED_SCOPE", "reference URI is empty", loc))
+        problems += ("reference URI is empty",)
     if isinstance(scope, (TimeSpan, ReferencedTimeSpan)):
         if scope.start < 0:
-            out.append(
-                Finding("error", "MALFORMED_SCOPE", "time span start is negative", loc)
-            )
+            problems += ("time span start is negative",)
         if not scope.end > scope.start:
-            out.append(
-                Finding(
-                    "error",
-                    "MALFORMED_SCOPE",
-                    f"time span end {scope.end} must exceed start {scope.start}",
-                    loc,
-                )
-            )
+            problems += (f"time span end {scope.end} must exceed start {scope.start}",)
+    return problems
 
 
 def _check_annotation(
-    a: EmotionAnnotation, profile: VocabularyProfile, loc: str, out: list[Finding]
+    a: EmotionAnnotation, profile: VocabularyProfile, index: int | None, out: list[Finding]
 ) -> None:
     if a.category is None and not a.dimensions and not a.appraisals:
-        out.append(
-            Finding(
-                "error",
-                "MISSING_DESCRIPTOR",
-                "annotation carries no category, dimensions, or appraisals",
-                loc,
-            )
-        )
-
+        message = "annotation carries no category, dimensions, or appraisals"
+        _emit(out, index, "MISSING_DESCRIPTOR", message)
     if a.category is not None and not profile.allows_category(a.category):
-        out.append(
-            Finding(
-                "error",
-                "UNKNOWN_CATEGORY",
-                f"category {a.category!r} not in profile",
-                f"{loc}.category",
-            )
-        )
+        message = f"category {a.category!r} not in profile"
+        _emit(out, index, "UNKNOWN_CATEGORY", message, ".category")
 
+    # A range check ``lo <= value <= hi`` also fails for NaN, as intended.
     lo, hi = DESCRIPTOR_RANGE
+    allowed = profile.dimension_names
     for name, value in a.dimensions.items():
-        where = f"{loc}.{name}"
-        if profile.dimension_names and name not in profile.dimension_names:
-            out.append(
-                Finding("error", "UNKNOWN_DIMENSION", f"dimension {name!r} not in profile", where)
-            )
-        if not _in_range(value, lo, hi):
-            out.append(
-                Finding("error", "RANGE", f"{name}={value} outside [{lo}, {hi}]", where)
-            )
+        if allowed and name not in allowed:
+            _emit(out, index, "UNKNOWN_DIMENSION", f"dimension {name!r} not in profile", f".{name}")
+        if not lo <= value <= hi:
+            _emit(out, index, "RANGE", f"{name}={value} outside [{lo}, {hi}]", f".{name}")
+    allowed = profile.appraisal_names
     for name, value in a.appraisals.items():
-        where = f"{loc}.{name}"
-        if profile.appraisal_names and name not in profile.appraisal_names:
-            out.append(
-                Finding("error", "UNKNOWN_APPRAISAL", f"appraisal {name!r} not in profile", where)
-            )
-        if not _in_range(value, lo, hi):
-            out.append(
-                Finding("error", "RANGE", f"{name}={value} outside [{lo}, {hi}]", where)
-            )
+        if allowed and name not in allowed:
+            _emit(out, index, "UNKNOWN_APPRAISAL", f"appraisal {name!r} not in profile", f".{name}")
+        if not lo <= value <= hi:
+            _emit(out, index, "RANGE", f"{name}={value} outside [{lo}, {hi}]", f".{name}")
 
     lo, hi = UNIT_RANGE
-    if a.intensity is not None and not _in_range(a.intensity, lo, hi):
-        out.append(
-            Finding(
-                "error",
-                "RANGE",
-                f"intensity={a.intensity} outside [{lo}, {hi}]",
-                f"{loc}.intensity",
-            )
-        )
-    if a.probability is not None and not _in_range(a.probability, lo, hi):
-        out.append(
-            Finding(
-                "error",
-                "RANGE",
-                f"probability={a.probability} outside [{lo}, {hi}]",
-                f"{loc}.probability",
-            )
-        )
+    if a.intensity is not None and not lo <= a.intensity <= hi:
+        _emit(out, index, "RANGE", f"intensity={a.intensity} outside [{lo}, {hi}]", ".intensity")
+    if a.probability is not None and not lo <= a.probability <= hi:
+        message = f"probability={a.probability} outside [{lo}, {hi}]"
+        _emit(out, index, "RANGE", message, ".probability")
 
     for name, value in a.regulation.items():
-        where = f"{loc}.{name}"
         if name not in REGULATION_TYPES:
-            out.append(
-                Finding(
-                    "error",
-                    "UNKNOWN_REGULATION",
-                    f"regulation key {name!r} not one of {'/'.join(REGULATION_TYPES)}",
-                    where,
-                )
-            )
-        elif not _in_range(value, lo, hi):
-            out.append(
-                Finding("error", "RANGE", f"{name}={value} outside [{lo}, {hi}]", where)
-            )
+            message = f"regulation key {name!r} not one of {'/'.join(REGULATION_TYPES)}"
+            _emit(out, index, "UNKNOWN_REGULATION", message, f".{name}")
+        elif not lo <= value <= hi:
+            _emit(out, index, "RANGE", f"{name}={value} outside [{lo}, {hi}]", f".{name}")
         elif value == 0.0:
             # A zero regulation value asserts "no regulation": legal but inert.
-            out.append(
-                Finding("warning", "NOOP_REGULATION", f"{name}=0 has no effect", where)
-            )
+            message = f"{name}=0 has no effect"
+            _emit(out, index, "NOOP_REGULATION", message, f".{name}", "warning")
 
     if a.modality is not None and not profile.allows_modality(a.modality):
-        out.append(
-            Finding(
-                "error",
-                "UNKNOWN_MODALITY",
-                f"modality {a.modality!r} not in profile",
-                f"{loc}.modality",
-            )
-        )
-
-    _check_scope(a.scope, f"{loc}.scope", out)
+        message = f"modality {a.modality!r} not in profile"
+        _emit(out, index, "UNKNOWN_MODALITY", message, ".modality")
+    for problem in _scope_problems(a.scope):
+        _emit(out, index, "MALFORMED_SCOPE", problem, ".scope")
 
 
 def validate_annotation(
@@ -327,21 +282,17 @@ def validate_annotation(
                 )
             )
         for i, constituent in enumerate(item.constituents):
-            loc = f"complex.constituent[{i}]"
             if isinstance(constituent.scope, (Reference, TimeSpan, ReferencedTimeSpan)):
-                findings.append(
-                    Finding(
-                        "error",
-                        "CONSTITUENT_SCOPE",
-                        "constituent carries its own stand-off scope; scope lives on the group",
-                        f"{loc}.scope",
-                    )
-                )
-            _check_annotation(constituent, profile, loc, findings)
-        _check_scope(item.scope, "complex.scope", findings)
+                message = "constituent carries its own stand-off scope; scope lives on the group"
+                _emit(findings, i, "CONSTITUENT_SCOPE", message, ".scope")
+            _check_annotation(constituent, profile, i, findings)
+        for problem in _scope_problems(item.scope):
+            findings.append(Finding("error", "MALFORMED_SCOPE", problem, "complex.scope"))
     else:
-        _check_annotation(item, profile, "annotation", findings)
+        _check_annotation(item, profile, None, findings)
 
+    if not findings:
+        return _CLEAN
     if strict:
         findings = [
             Finding("error", f.code, f.message, f.location) if f.severity == "warning" else f

@@ -223,13 +223,14 @@ class TestUsage:
         assert 'category="joy"' in result.stdout
 
     def test_import_skips_heavy_stdlib_modules(self):
-        # xml.sax.saxutils would pull in urllib, http.client and email.
+        # xml.sax.saxutils would pull in urllib, http.client and email;
+        # profiles are read with expat, like documents, not with ElementTree.
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import earlkit.cli\n"
             "added = set(sys.modules) - before\n"
-            "print([m for m in ('xml.sax', 'http.client', 'email') if m in added])\n"
+            "print([m for m in ('xml.sax', 'xml.etree', 'http.client', 'email') if m in added])\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
@@ -316,3 +317,39 @@ class TestCliEdges:
         )
         assert code == 2
         assert "BAD_RULE" in err
+
+    def test_decide_at_nan_exits_2(self):
+        # Without --at this stream is denied; a NaN time must not turn it into allow.
+        code, out, err = run_cli(
+            [
+                "decide",
+                "--evidence", FIXTURES / "streams" / "jack_angry.stream",
+                "--resource", "hazardous-tool",
+                "--policy", FIXTURES / "policies" / "hazardous_tool.policy",
+                "--at", "nan",
+            ]
+        )
+        assert code == 2
+        assert out == ""
+        assert "BAD_TIME" in err
+
+    def test_out_of_range_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("ambiguity_epsilon = 2\n")
+        code, _, err = run_cli(
+            ["fuse", "--evidence", FIXTURES / "streams" / "jack_angry.stream", "--config", cfg]
+        )
+        assert code == 2
+        assert "BAD_CONFIG" in err
+
+    def test_strict_escalates_parser_and_validator_warnings_once(self, tmp_path):
+        path = tmp_path / "w.xml"
+        path.write_bytes(b'<emotion category="x" hide="0.3" suppress="0"/>')
+        lines = [
+            f"{path}: {{}} REGULATION_ALIAS regulation 'hide' read as 'suppress' [item[0]]",
+            f"{path}: {{}} NOOP_REGULATION suppress=0 has no effect [annotation.suppress]",
+        ]
+        code, _, err = run_cli(["validate", path])
+        assert (code, err.splitlines()) == (0, [line.format("warning") for line in lines])
+        code, _, err = run_cli(["validate", path, "--strict"])
+        assert (code, err.splitlines()) == (2, [line.format("error") for line in lines])

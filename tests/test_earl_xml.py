@@ -1,10 +1,11 @@
 """Parser, serializer, scope resolution, and profile file tests."""
 
+import math
 import random
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from earlkit.earl_xml import (
@@ -30,6 +31,7 @@ from earlkit.model import (
     ReferencedTimeSpan,
     TimeSpan,
     VocabularyProfile,
+    validate_annotation,
 )
 
 import generators
@@ -283,6 +285,31 @@ class TestProfileFile:
             load_profile(b"<profile>")
         assert exc.value.code == "MALFORMED_XML"
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'<profile xmlns="urn:x"><category>joy</category></profile>',
+            b'<p:profile xmlns:p="urn:x"><p:category>joy</p:category></p:profile>',
+            b"<profile><x:category>joy</x:category></profile>",
+        ],
+    )
+    def test_namespaced_profile_still_restricts(self, data):
+        # Read as a namespaced tree, the first two had children named
+        # "{urn:x}category" and accepted every category.
+        profile = load_profile(data)
+        assert profile.categories == {"joy"}
+        (item,) = parse_document(b'<emotion category="rage"/>', profile).items
+        assert not validate_annotation(item, profile).ok
+
+    def test_label_is_leading_text_of_direct_children(self):
+        profile = load_profile(
+            b"<profile><category> a <b>x</b>tail</category>"
+            b"<group><category>nested</category></group>"
+            b"<category>c<!-- note -->d</category><dimension>  </dimension></profile>"
+        )
+        assert profile.categories == {"a", "cd"}
+        assert profile.dimension_names == frozenset()
+
 
 class TestParseEdges:
     def test_accepts_str_input(self):
@@ -370,3 +397,190 @@ class TestUnicodeAndNumbers:
         data = serialize_document(AnnotationDocument(items=(a,)))
         assert b'arousal="0"' in data
         assert parse_document(data).items[0].dimensions == {"arousal": 0.0}
+
+
+# ---------------------------------------------------------------------------
+# The serializer and parser rewritten for speed, checked against the earlier
+# rules restated here.
+
+_ATTR_ENTITIES = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+
+
+def reference_format_number(value):
+    value = float(value)
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
+
+
+def _ref_attr(name, value):
+    return f' {name}="{escape(value, _ATTR_ENTITIES)}"'
+
+
+def _ref_scope_attrs(scope):
+    out = ""
+    if isinstance(scope, (Reference, ReferencedTimeSpan)):
+        out += _ref_attr("xlink:href", scope.uri)
+    if isinstance(scope, (TimeSpan, ReferencedTimeSpan)):
+        out += _ref_attr("start", reference_format_number(scope.start))
+        out += _ref_attr("end", reference_format_number(scope.end))
+    return out
+
+
+def _ref_emotion(a):
+    parts = ["<emotion"]
+    if a.category is not None:
+        parts.append(_ref_attr("category", a.category))
+    descriptors = {**a.dimensions, **a.appraisals}
+    for name in sorted(descriptors):
+        parts.append(_ref_attr(name, reference_format_number(descriptors[name])))
+    for name in ("intensity", "probability"):
+        if getattr(a, name) is not None:
+            parts.append(_ref_attr(name, reference_format_number(getattr(a, name))))
+    for name in sorted(a.regulation):
+        parts.append(_ref_attr(name, reference_format_number(a.regulation[name])))
+    if a.modality is not None:
+        parts.append(_ref_attr("modality", a.modality))
+    parts.append(_ref_scope_attrs(a.scope))
+    if isinstance(a.scope, InlineText):
+        parts.append(f">{escape(a.scope.text, {chr(13): '&#13;'})}</emotion>")
+    else:
+        parts.append("/>")
+    return "".join(parts)
+
+
+def _ref_complex(c):
+    text = escape(c.scope.text, {"\r": "&#13;"}) if isinstance(c.scope, InlineText) else ""
+    inner = "".join(_ref_emotion(x) for x in c.constituents)
+    return f"<complex-emotion{_ref_scope_attrs(c.scope)}>{text}{inner}</complex-emotion>"
+
+
+def reference_serialize(doc):
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
+    if not doc.items:
+        lines.append("<earl/>")
+    else:
+        lines.append("<earl>")
+        for item in doc.items:
+            markup = _ref_complex(item) if isinstance(item, ComplexEmotion) else _ref_emotion(item)
+            lines.append("  " + markup)
+        lines.append("</earl>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# A document mixing every attribute route of the parser: unknown numeric and
+# non-numeric attributes, the hide alias, href with and without prefix, profile
+# names that take over classic ones, and complex-emotion constituents.
+MIXED_DOC = (
+    b"<earl>\n"
+    b'  <emotion category="joy" wobble="0.5" annotator="sam" hide="0.4"'
+    b' href="a.jpg" valence="0.2" suddenness="-0.1" arousal="0.3"/>\n'
+    b'  <complex-emotion xlink:href="clip.mp4" note="n">'
+    b'<emotion category="calm" hide="0.1" zest="2" mood="meh"/>'
+    b"<aside/>"
+    b'<emotion category="tense" xlink:href="f.jpg" start="1"/>'
+    b"</complex-emotion>\n"
+    b'  <emotion category="odd" start="1" end="2">text</emotion>\n'
+    b"</earl>\n"
+)
+MIXED_PROFILE = VocabularyProfile(
+    dimension_names=frozenset({"suddenness"}), appraisal_names=frozenset({"valence"})
+)
+MIXED_WARNINGS = [
+    ("UNKNOWN_ATTRIBUTE", "attribute 'wobble' not in profile; kept as appraisal", "item[0]"),
+    ("UNKNOWN_ATTRIBUTE", "attribute annotator='sam' not recognized; dropped", "item[0]"),
+    ("REGULATION_ALIAS", "regulation 'hide' read as 'suppress'", "item[0]"),
+    ("REGULATION_ALIAS", "regulation 'hide' read as 'suppress'", "item[1].constituent[0]"),
+    (
+        "UNKNOWN_ATTRIBUTE",
+        "attribute 'zest' not in profile; kept as appraisal",
+        "item[1].constituent[0]",
+    ),
+    ("UNKNOWN_ATTRIBUTE", "attribute mood='meh' not recognized; dropped", "item[1].constituent[0]"),
+    (
+        "UNRECOGNIZED_ELEMENT",
+        "element <aside> is not part of the annotation vocabulary here",
+        "item[1]",
+    ),
+    (
+        "INCOMPLETE_TIMESPAN",
+        "start and end must be given together; lone value ignored",
+        "item[1].constituent[1]",
+    ),
+    (
+        "UNKNOWN_ATTRIBUTE",
+        "attribute note='n' not recognized on complex-emotion; dropped",
+        "item[1]",
+    ),
+    (
+        "AMBIGUOUS_SCOPE",
+        "element has both attribute scope and enclosed text; text ignored",
+        "item[2]",
+    ),
+]
+
+
+class TestRewriteEquivalence:
+    @given(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(min_value=-(2**63), max_value=2**63),
+        )
+    )
+    @example(0.0)
+    @example(-0.0)
+    @example(1e16)
+    @example(1e16 - 2)
+    @example(-1e16)
+    @example(2**53)
+    @example(5e-324)
+    @example(0)
+    @example(7)
+    @example(-12)
+    def test_format_number_matches_int_round_trip_rule(self, value):
+        assert format_number(value) == reference_format_number(value)
+
+    @given(st.randoms(use_true_random=False))
+    def test_serialize_matches_reference(self, rng):
+        doc = generators.document(rng, max_items=6)
+        assert serialize_document(doc) == reference_serialize(doc)
+
+    def test_serialize_matches_reference_on_extreme_values(self):
+        a = EmotionAnnotation(
+            category='a&"<b>',
+            appraisals={"tiny": 5e-324, "big": 1e16, "neg": -0.0},
+            intensity=float("nan"),
+            probability=float("inf"),
+            regulation={"suppress": 2.0**53},
+            modality="x\ty",
+            scope=ReferencedTimeSpan("a b&c\n.wav", 0.0, 1e20),
+        )
+        inline = EmotionAnnotation(dimensions={"arousal": 1.0}, scope=InlineText("x\r<y>"))
+        doc = AnnotationDocument(
+            items=(a, ComplexEmotion((inline, inline), scope=InlineText("t&u")))
+        )
+        assert serialize_document(doc) == reference_serialize(doc)
+
+    def test_parser_warnings_are_unchanged(self):
+        doc = parse_document(MIXED_DOC, MIXED_PROFILE)
+        assert [(w.code, w.message, w.location) for w in doc.warnings] == MIXED_WARNINGS
+        first, group, last = doc.items
+        assert first.dimensions == {"suddenness": -0.1, "arousal": 0.3}
+        assert first.appraisals == {"wobble": 0.5, "valence": 0.2}
+        assert (first.regulation, first.scope) == ({"suppress": 0.4}, Reference("a.jpg"))
+        calm, tense = group.constituents
+        assert (calm.appraisals, calm.regulation) == ({"zest": 2.0}, {"suppress": 0.1})
+        assert (tense.scope, group.scope) == (Reference("f.jpg"), Reference("clip.mp4"))
+        assert last.scope == TimeSpan(1.0, 2.0)
+
+    def test_first_unparseable_known_number_is_reported(self):
+        data = (
+            b'<earl><emotion category="x" wobble="z" hide="0.1"/>'
+            b'<emotion arousal="0.1" odd="y" hide="bad" intensity="q"/></earl>'
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_document(data)
+        assert (exc.value.code, exc.value.message) == (
+            "UNPARSEABLE_NUMBER",
+            "attribute hide='bad' is not a number",
+        )

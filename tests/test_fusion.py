@@ -431,3 +431,20 @@ class TestFusionEdges:
         with pytest.raises(FusionError) as exc:
             fuse_instant([evidence("joy", "face", p=1.0)], cfg)
         assert exc.value.code == "ZERO_WEIGHT"
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    def test_non_finite_now_rejected(self, now):
+        state = update_temporal(TemporalState(), evidence("anger", "voice", p=0.9, t=1.0))
+        with pytest.raises(FusionError) as exc:
+            fill_missing(state, now)
+        assert exc.value.code == "BAD_TIME"
+
+    @pytest.mark.parametrize(
+        "text", ["ambiguity_epsilon = 2", "constituent_threshold = -0.5", "decay_lambda = -1"]
+    )
+    def test_out_of_range_config_is_bad_config(self, text):
+        with pytest.raises(FusionError) as exc:
+            load_config(text)
+        assert exc.value.code == "BAD_CONFIG"

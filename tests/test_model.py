@@ -1,5 +1,6 @@
 """Domain-type validation and dominance rules."""
 
+import dataclasses
 import random
 
 import pytest
@@ -212,3 +213,73 @@ class TestValidationEdges:
         a = EmotionAnnotation(category="x", intensity=float("nan"))
         report = validate_annotation(a)
         assert [f.code for f in report.errors()] == ["RANGE"]
+
+
+class TestSharedCleanReport:
+    def test_clean_items_share_one_immutable_report(self):
+        a = validate_annotation(EmotionAnnotation(category="pleasure"), PLEASURE_PROFILE)
+        group = ComplexEmotion(
+            (EmotionAnnotation(category="pleasure"), EmotionAnnotation(category="pleasure")),
+            scope=InlineText("hi"),
+        )
+        b = validate_annotation(group, PLEASURE_PROFILE, strict=True)
+        assert a is b
+        assert (a.ok, a.findings) == (True, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.ok = False
+
+    def test_strict_still_escalates_noop_regulation(self):
+        group = ComplexEmotion(
+            (
+                EmotionAnnotation(category="pleasure"),
+                EmotionAnnotation(category="pleasure", regulation={"suppress": 0.0}),
+            )
+        )
+        lenient = validate_annotation(group)
+        assert lenient.ok
+        assert [(f.severity, f.location) for f in lenient.findings] == [
+            ("warning", "complex.constituent[1].suppress")
+        ]
+        strict = validate_annotation(group, strict=True)
+        assert not strict.ok
+        assert [(f.severity, f.code, f.location) for f in strict.findings] == [
+            ("error", "NOOP_REGULATION", "complex.constituent[1].suppress")
+        ]
+
+    def test_finding_locations(self):
+        profile = VocabularyProfile(
+            categories=frozenset({"pleasure"}),
+            dimension_names=frozenset({"arousal"}),
+            appraisal_names=frozenset({"suddenness"}),
+            modalities=frozenset({"face"}),
+        )
+        bad = EmotionAnnotation(
+            category="rage",
+            dimensions={"valence": 2.0},
+            appraisals={"warmth": 0.1},
+            intensity=1.5,
+            probability=-1.0,
+            regulation={"hide": 0.2, "amplify": 3.0},
+            modality="smell",
+            scope=TimeSpan(-1.0, -2.0),
+        )
+        group = ComplexEmotion((EmotionAnnotation(), bad), scope=Reference(""))
+        report = validate_annotation(group, profile)
+        assert [(f.code, f.location) for f in report.findings] == [
+            ("MISSING_DESCRIPTOR", "complex.constituent[0]"),
+            ("CONSTITUENT_SCOPE", "complex.constituent[1].scope"),
+            ("UNKNOWN_CATEGORY", "complex.constituent[1].category"),
+            ("UNKNOWN_DIMENSION", "complex.constituent[1].valence"),
+            ("RANGE", "complex.constituent[1].valence"),
+            ("UNKNOWN_APPRAISAL", "complex.constituent[1].warmth"),
+            ("RANGE", "complex.constituent[1].intensity"),
+            ("RANGE", "complex.constituent[1].probability"),
+            ("UNKNOWN_REGULATION", "complex.constituent[1].hide"),
+            ("RANGE", "complex.constituent[1].amplify"),
+            ("UNKNOWN_MODALITY", "complex.constituent[1].modality"),
+            ("MALFORMED_SCOPE", "complex.constituent[1].scope"),
+            ("MALFORMED_SCOPE", "complex.constituent[1].scope"),
+            ("MALFORMED_SCOPE", "complex.scope"),
+        ]
+        (single,) = validate_annotation(EmotionAnnotation(), profile).findings
+        assert single.location == "annotation"
