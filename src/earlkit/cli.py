@@ -8,48 +8,12 @@ or parse error, 3 policy deny.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EarlError
-from .earl_xml import (
-    AnnotationDocument,
-    format_number,
-    load_profile,
-    parse_document,
-    serialize_document,
-)
-from .fusion import (
-    FusionConfig,
-    MarkerEvidence,
-    TemporalState,
-    fill_missing,
-    fuse_instant,
-    load_config,
-    to_complex_emotion,
-    update_temporal,
-)
-from .markers import (
-    MOVEMENT_FIELDS,
-    SOURCE_MODALITY,
-    VOICE_FIELDS,
-    MovementDescriptor,
-    VoiceFeatureDelta,
-    classify_movement,
-    classify_voice,
-    default_lexicon,
-    load_lexicon,
-    tag_lexical,
-)
-from .model import (
-    DEFAULT_PROFILE,
-    ComplexEmotion,
-    EmotionAnnotation,
-    validate_annotation,
-)
-from .needs import decide_access, load_policy
+# Each command imports the layers it runs, so a one-shot run does not pay
+# to load (and, without cached bytecode, compile) the others.
+from .errors import EarlError, decode_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,12 +40,17 @@ def _xml_files(path: Path) -> list[Path]:
 
 
 def _load_profile_arg(path: str | None):
+    from .earl_xml import load_profile
+    from .model import DEFAULT_PROFILE
+
     if path is None:
         return DEFAULT_PROFILE
     return load_profile(Path(path).read_bytes())
 
 
-def _load_config_arg(path: str | None) -> FusionConfig:
+def _load_config_arg(path: str | None):
+    from .fusion import FusionConfig, load_config
+
     if path is None:
         return FusionConfig()
     return load_config(Path(path).read_bytes())
@@ -92,6 +61,9 @@ def _load_config_arg(path: str | None) -> FusionConfig:
 
 
 def _cmd_validate(args) -> int:
+    from .earl_xml import parse_document
+    from .model import validate_annotation
+
     profile = _load_profile_arg(args.profile)
     root = Path(args.path)
     if not root.exists():
@@ -122,6 +94,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_annotate(args) -> int:
+    from .earl_xml import AnnotationDocument, serialize_document
+    from .markers import default_lexicon, load_lexicon, tag_lexical
+
     lexicon = (
         default_lexicon()
         if args.lexicon is None
@@ -139,7 +114,8 @@ def _cmd_annotate(args) -> int:
 
 def _read_features(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    text = decode_text(path.read_bytes(), EarlError, "BAD_FEATURE", f"{path}:")
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -151,24 +127,30 @@ def _read_features(path: Path) -> dict[str, str]:
 
 
 def _cmd_classify(args) -> int:
+    from .earl_xml import format_number
+    from .markers import (
+        MOVEMENT_FIELDS,
+        VOICE_FIELDS,
+        MovementDescriptor,
+        VoiceFeatureDelta,
+        classify_movement,
+        classify_voice,
+    )
+
     if args.voice:
-        raw = _read_features(Path(args.voice))
-        unknown = set(raw) - set(VOICE_FIELDS)
-        if unknown:
-            raise EarlError("BAD_FEATURE", f"unknown voice fields: {sorted(unknown)}")
-        try:
-            ranked = classify_voice(VoiceFeatureDelta(**raw))
-        except ValueError as exc:
-            raise EarlError("BAD_FEATURE", str(exc)) from None
+        kind, path, fields, make, classify = (
+            "voice", args.voice, VOICE_FIELDS, VoiceFeatureDelta, classify_voice)
     else:
-        raw = _read_features(Path(args.movement))
-        unknown = set(raw) - set(MOVEMENT_FIELDS)
-        if unknown:
-            raise EarlError("BAD_FEATURE", f"unknown movement fields: {sorted(unknown)}")
-        try:
-            ranked = classify_movement(MovementDescriptor(**raw))
-        except ValueError as exc:
-            raise EarlError("BAD_FEATURE", str(exc)) from None
+        kind, path, fields, make, classify = (
+            "movement", args.movement, MOVEMENT_FIELDS, MovementDescriptor, classify_movement)
+    raw = _read_features(Path(path))
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise EarlError("BAD_FEATURE", f"unknown {kind} fields: {sorted(unknown)}")
+    try:
+        ranked = classify(make(**raw))
+    except ValueError as exc:
+        raise EarlError("BAD_FEATURE", str(exc)) from None
     for entry in ranked:
         features = ",".join(entry.matched_features)
         print(f"{entry.label}\t{format_number(entry.score)}\t{features}")
@@ -181,8 +163,14 @@ def _cmd_classify(args) -> int:
 
 def _read_stream(path: Path) -> list[MarkerEvidence]:
     """Stream line format: ``t source category p i`` (whitespace separated)."""
+    import math
+
+    from .fusion import MarkerEvidence
+    from .model import SOURCE_MODALITY, EmotionAnnotation
+
     stream = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    text = decode_text(path.read_bytes(), EarlError, "BAD_STREAM", f"{path}:")
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -200,6 +188,8 @@ def _read_stream(path: Path) -> list[MarkerEvidence]:
             raise EarlError(
                 "BAD_STREAM", f"{path}:{line_no}: t, p, i must be numbers"
             ) from None
+        if not math.isfinite(timestamp):
+            raise EarlError("BAD_STREAM", f"{path}:{line_no}: t must be finite")
         if not (0.0 <= probability <= 1.0 and 0.0 <= intensity <= 1.0):
             raise EarlError(
                 "BAD_STREAM", f"{path}:{line_no}: p and i must lie in [0, 1]"
@@ -215,6 +205,8 @@ def _read_stream(path: Path) -> list[MarkerEvidence]:
 
 
 def _fused_estimate(args):
+    from .fusion import TemporalState, fill_missing, fuse_instant, update_temporal
+
     cfg = _load_config_arg(args.config)
     stream = _read_stream(Path(args.evidence))
     state = TemporalState()
@@ -225,6 +217,9 @@ def _fused_estimate(args):
 
 
 def _cmd_fuse(args) -> int:
+    from .earl_xml import AnnotationDocument, serialize_document
+    from .fusion import to_complex_emotion
+
     estimate, cfg = _fused_estimate(args)
     item = to_complex_emotion(estimate, cfg=cfg)
     doc = AnnotationDocument(items=(item,))
@@ -233,6 +228,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    from .needs import decide_access, load_policy
+
     estimate, _ = _fused_estimate(args)
     policy = load_policy(Path(args.policy).read_bytes())
     decision = decide_access(estimate, args.resource, policy)
@@ -244,59 +241,43 @@ def _cmd_decide(args) -> int:
 # stats
 
 
-@dataclass
-class CorpusReport:
-    files_scanned: int = 0
-    annotations_count: int = 0
-    complex_count: int = 0
-    error_count: int = 0
-    categories: dict[str, int] = field(default_factory=dict)
-
-    def count_annotation(self, a: EmotionAnnotation) -> None:
-        self.annotations_count += 1
-        label = a.category if a.category is not None else "(none)"
-        self.categories[label] = self.categories.get(label, 0) + 1
-
-
 def _cmd_stats(args) -> int:
+    from .earl_xml import parse_document
+    from .model import ComplexEmotion, validate_annotation
+
     profile = _load_profile_arg(args.profile)
     root = Path(args.path)
     if not root.exists():
         print(f"stats: {root}: no such file or directory", file=sys.stderr)
         return EXIT_INPUT
-    report = CorpusReport()
+    counts = dict.fromkeys(("files_scanned", "annotations_count", "complex_count", "error_count"), 0)
+    categories: dict[str, int] = {}
     for path in _xml_files(root):
-        report.files_scanned += 1
+        counts["files_scanned"] += 1
         try:
             doc = parse_document(path.read_bytes(), profile, source_uri=str(path))
         except EarlError:
-            report.error_count += 1
+            counts["error_count"] += 1
             continue
         for item in doc.items:
-            validation = validate_annotation(item, profile)
-            report.error_count += len(validation.errors())
+            counts["error_count"] += len(validate_annotation(item, profile).errors())
+            annotations = (item,)
             if isinstance(item, ComplexEmotion):
-                report.complex_count += 1
-                for constituent in item.constituents:
-                    report.count_annotation(constituent)
-            else:
-                report.count_annotation(item)
+                counts["complex_count"] += 1
+                annotations = item.constituents
+            for a in annotations:
+                counts["annotations_count"] += 1
+                label = a.category if a.category is not None else "(none)"
+                categories[label] = categories.get(label, 0) + 1
     if args.json:
-        payload = {
-            "files_scanned": report.files_scanned,
-            "annotations_count": report.annotations_count,
-            "complex_count": report.complex_count,
-            "error_count": report.error_count,
-            "categories": dict(sorted(report.categories.items())),
-        }
-        print(json.dumps(payload, sort_keys=False))
+        import json
+
+        print(json.dumps({**counts, "categories": dict(sorted(categories.items()))}))
     else:
-        print(f"files_scanned\t{report.files_scanned}")
-        print(f"annotations_count\t{report.annotations_count}")
-        print(f"complex_count\t{report.complex_count}")
-        print(f"error_count\t{report.error_count}")
-        for label in sorted(report.categories):
-            print(f"category.{label}\t{report.categories[label]}")
+        for key, value in counts.items():
+            print(f"{key}\t{value}")
+        for label in sorted(categories):
+            print(f"category.{label}\t{categories[label]}")
     return EXIT_OK
 
 

@@ -500,4 +500,12 @@ def load_profile(data: bytes | str) -> VocabularyProfile:
     for tag, text in children:
         if tag in buckets and text.strip():
             buckets[tag].add(text.strip())
+    # Unknown children are ignored, but a profile made only of them (a typo
+    # such as <categories>) would silently be the all-wildcard profile.
+    if children and not any(tag in buckets for tag, _ in children):
+        raise ParseError(
+            "UNKNOWN_PROFILE_ELEMENT",
+            "profile: no category, dimension, appraisal or modality element; "
+            f"found <{children[0][0]}>",
+        )
     return VocabularyProfile(*buckets.values())

@@ -38,3 +38,14 @@ class FusionError(EarlError):
 
 class PolicyError(EarlError):
     """Raised for malformed policy files."""
+
+
+def decode_text(data: bytes | str, error: type[EarlError], code: str, where: str = "line ") -> str:
+    """``data`` as UTF-8 text; a bad byte raises ``error(code, "{where}{line}: ...")``."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(code, f"{where}{line}: not UTF-8 text ({exc.reason})") from None

@@ -13,16 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import FusionError
+from .errors import FusionError, decode_text
 from .model import (
+    SOURCE_WEIGHTS,
     UNSCOPED,
     ComplexEmotion,
     EmotionAnnotation,
     Scope,
+    base_weight_for_source,
     effective_intensity,
     effective_probability,
 )
-from .markers import base_weight_for_source
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,19 @@ class FusionConfig:
     weight_overrides: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("ambiguity_epsilon", "constituent_threshold"):
+        # Fail closed: a NaN passes no comparison, so each check is written
+        # to reject it rather than to let it through.
+        for name in ("ambiguity_epsilon", "constituent_threshold", "drop_floor"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} outside [0, 1]")
-        if self.decay_lambda < 0:
-            raise ValueError(f"decay_lambda={self.decay_lambda} must be >= 0")
+        if not 0.0 <= self.decay_lambda < math.inf:
+            raise ValueError(f"decay_lambda={self.decay_lambda} must be finite and >= 0")
+        for source, weight in self.weight_overrides.items():
+            if source not in SOURCE_WEIGHTS:
+                raise ValueError(f"weight.{source}: {source!r} is not a capture source")
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(f"weight.{source}={weight} must be finite and >= 0")
 
     def weight_for(self, source: str) -> float:
         override = self.weight_overrides.get(source)
@@ -70,8 +78,7 @@ def load_config(data: bytes | str) -> FusionConfig:
 
     Source weight overrides use dotted keys, e.g. ``weight.face = 0.8``.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = decode_text(data, FusionError, "BAD_CONFIG")
     kwargs: dict = {}
     overrides: dict[str, float] = {}
     for line_no, line in enumerate(data.splitlines(), start=1):

@@ -16,36 +16,12 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
 
-from .errors import LexiconError, MarkerError
+from .errors import LexiconError, decode_text
 from .model import EmotionAnnotation, InlineText
-
-# ---------------------------------------------------------------------------
-# Basic-emotion -> motivated-behavior map (MacLean's classification)
-
-BEHAVIOR_FOR_EMOTION = {
-    "desire": "searching",
-    "anger": "aggressive",
-    "fear": "protective",
-    "sadness": "dejected",
-    "joy": "gratulant",
-    "affection": "caressive",
-}
-
-# The word-list vocabulary says "sensuality (desire)"; the alias lets both
-# vocabularies name the same behavior.
-EMOTION_ALIASES = {"sensuality": "desire"}
-
-
-def behavior_for_emotion(emotion: str) -> str:
-    """Map a basic emotion to its motivated behavior label."""
-    canonical = EMOTION_ALIASES.get(emotion, emotion)
-    try:
-        return BEHAVIOR_FOR_EMOTION[canonical]
-    except KeyError:
-        raise MarkerError(
-            "UNKNOWN_EMOTION", f"{emotion!r} has no behavior mapping"
-        ) from None
-
+from .model import (  # noqa: F401  (re-exported for callers of this module)
+    BEHAVIOR_FOR_EMOTION, EMOTION_ALIASES, SOURCE_MODALITY, SOURCE_WEIGHTS,
+    base_weight_for_source, behavior_for_emotion,
+)
 
 # ---------------------------------------------------------------------------
 # Lexical markers
@@ -111,8 +87,7 @@ def load_lexicon(data: bytes | str) -> Lexicon:
     ``#`` comments are skipped.  Markers are normalized through the same
     tokenizer used for matching.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = decode_text(data, LexiconError, "BAD_LEXICON")
     entries: dict[str, frozenset[str]] = {}
     seen: dict[str, str] = {}
     for line_no, line in enumerate(data.splitlines(), start=1):
@@ -451,32 +426,3 @@ _movement_values = attrgetter(*MOVEMENT_FIELDS)
 def classify_movement(m: MovementDescriptor) -> RankedEmotions:
     """Rank the four movement-signed emotions; scoring as in classify_voice."""
     return _classify(_movement_values(m), _MOVEMENT_TABLE)
-
-
-# ---------------------------------------------------------------------------
-# Capture-source weights
-
-# Capture convenience per source, worst listed condition governing:
-# Good -> 1.0, Middle -> 0.6, Bad -> 0.2.
-SOURCE_WEIGHTS = {
-    "face": 1.0,
-    "language_voice": 1.0,
-    "movement_kinematic": 0.6,
-    "movement_kinetic": 0.2,
-}
-
-#: Expressive channel recorded on annotations produced from each source.
-SOURCE_MODALITY = {
-    "face": "face",
-    "language_voice": "voice",
-    "movement_kinematic": "movement",
-    "movement_kinetic": "movement",
-}
-
-
-def base_weight_for_source(source: str) -> float:
-    """Base fusion weight for a capture source."""
-    try:
-        return SOURCE_WEIGHTS[source]
-    except KeyError:
-        raise MarkerError("UNKNOWN_SOURCE", f"{source!r} is not a capture source") from None

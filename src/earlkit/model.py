@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
+from .errors import MarkerError
+
 REGULATION_TYPES = ("simulate", "suppress", "amplify", "attenuate")
 
 #: Dimension and appraisal values live on a signed unit scale.
@@ -319,3 +321,57 @@ def dominant_constituent(c: ComplexEmotion) -> EmotionAnnotation:
     in document order.
     """
     return max(c.constituents, key=effective_intensity)
+
+
+# ---------------------------------------------------------------------------
+# Shared marker tables (re-exported by ``markers``); here so fusion, needs
+# and the CLI stream reader need not load the classifiers.
+
+#: Basic emotion -> motivated behavior (MacLean's classification).
+BEHAVIOR_FOR_EMOTION = {
+    "desire": "searching",
+    "anger": "aggressive",
+    "fear": "protective",
+    "sadness": "dejected",
+    "joy": "gratulant",
+    "affection": "caressive",
+}
+
+# The word-list vocabulary says "sensuality (desire)"; the alias lets both
+# vocabularies name the same behavior.
+EMOTION_ALIASES = {"sensuality": "desire"}
+
+
+def behavior_for_emotion(emotion: str) -> str:
+    """Map a basic emotion to its motivated behavior label."""
+    canonical = EMOTION_ALIASES.get(emotion, emotion)
+    try:
+        return BEHAVIOR_FOR_EMOTION[canonical]
+    except KeyError:
+        raise MarkerError("UNKNOWN_EMOTION", f"{emotion!r} has no behavior mapping") from None
+
+
+# Capture convenience per source, worst listed condition governing:
+# Good -> 1.0, Middle -> 0.6, Bad -> 0.2.
+SOURCE_WEIGHTS = {
+    "face": 1.0,
+    "language_voice": 1.0,
+    "movement_kinematic": 0.6,
+    "movement_kinetic": 0.2,
+}
+
+#: Expressive channel recorded on annotations produced from each source.
+SOURCE_MODALITY = {
+    "face": "face",
+    "language_voice": "voice",
+    "movement_kinematic": "movement",
+    "movement_kinetic": "movement",
+}
+
+
+def base_weight_for_source(source: str) -> float:
+    """Base fusion weight for a capture source."""
+    try:
+        return SOURCE_WEIGHTS[source]
+    except KeyError:
+        raise MarkerError("UNKNOWN_SOURCE", f"{source!r} is not a capture source") from None

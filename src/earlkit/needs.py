@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PolicyError
+from .errors import PolicyError, decode_text
 from .fusion import FusedEstimate
-from .markers import BEHAVIOR_FOR_EMOTION, EMOTION_ALIASES, behavior_for_emotion
+from .model import BEHAVIOR_FOR_EMOTION, EMOTION_ALIASES, behavior_for_emotion
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,7 @@ def load_policy(data: bytes | str) -> AccessPolicy:
     One rule per line: ``resource_tag deny_when behavior >= threshold``;
     blank lines and ``#`` comments are skipped.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = decode_text(data, PolicyError, "BAD_RULE")
     rules: list[PolicyRule] = []
     seen: set[tuple[str, str]] = set()
     for line_no, line in enumerate(data.splitlines(), start=1):

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from support import FIXTURES, golden, run_cli
 
 
@@ -353,3 +355,81 @@ class TestCliEdges:
         assert (code, err.splitlines()) == (0, [line.format("warning") for line in lines])
         code, _, err = run_cli(["validate", path, "--strict"])
         assert (code, err.splitlines()) == (2, [line.format("error") for line in lines])
+
+
+
+ANGRY = FIXTURES / "streams" / "jack_angry.stream"
+POLICY = FIXTURES / "policies" / "hazardous_tool.policy"
+
+
+def decide(evidence=ANGRY, *extra):
+    return run_cli(
+        ["decide", "--evidence", evidence, "--resource", "hazardous-tool", "--policy", POLICY,
+         *extra]
+    )
+
+
+class TestFailClosedInputs:
+    # Without these inputs jack_angry.stream is denied (exit 3); none may
+    # turn it into allow.
+    @pytest.mark.parametrize(
+        "text", ["decay_lambda = nan", "drop_floor = 7", "weight.movement_kinetic = -5"]
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, text):
+        assert decide()[0] == 3
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(text + "\n")
+        code, out, err = decide(ANGRY, "--config", cfg)
+        assert (code, out) == (2, "")
+        assert "BAD_CONFIG" in err
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_stream_timestamp_exits_2(self, tmp_path, t):
+        stream = tmp_path / "s.stream"
+        stream.write_text(f"{t} face joy 0.9 0.9\n" + ANGRY.read_text())
+        code, out, err = decide(stream)
+        assert (code, out) == (2, "")
+        assert err == f"earlkit: BAD_STREAM: {stream}:1: t must be finite\n"
+
+    @pytest.mark.parametrize(
+        "kind, code_name",
+        [
+            ("stream", "BAD_STREAM"),
+            ("config", "BAD_CONFIG"),
+            ("policy", "BAD_RULE"),
+            ("features", "BAD_FEATURE"),
+            ("lexicon", "BAD_LEXICON"),
+        ],
+    )
+    def test_non_utf8_file_exits_2(self, tmp_path, kind, code_name):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(
+            {
+                "stream": b"0 face anger 0.9 0.9\n1 face \xff 0.5 0.5\n",
+                "config": b"decay_lambda = 0.1\n# \xff\n",
+                "policy": b"# ok\nhazardous-tool deny_when aggressive >= 0.5 \xff\n",
+                "features": b"mean_f0=up\n\xff=up\n",
+                "lexicon": b"joy: happy\nfear: \xfe\n",
+            }[kind]
+        )
+        argv = {
+            "stream": ["fuse", "--evidence", bad],
+            "config": ["fuse", "--evidence", ANGRY, "--config", bad],
+            "policy": ["decide", "--evidence", ANGRY, "--resource", "x", "--policy", bad],
+            "features": ["classify", "--voice", bad],
+            "lexicon": ["annotate", "--text", "happy", "--lexicon", bad],
+        }[kind]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        where = f"{bad}:2" if kind in ("stream", "features") else "line 2"
+        assert err == f"earlkit: {code_name}: {where}: not UTF-8 text (invalid start byte)\n"
+
+    def test_profile_of_unknown_elements_exits_2(self, tmp_path):
+        (tmp_path / "rage.xml").write_bytes(b'<emotion category="rage"/>')
+        profile = tmp_path / "typo.profile"
+        profile.write_bytes(b"<profile><categories>joy</categories></profile>")
+        code, _, err = run_cli(["validate", tmp_path / "rage.xml", "--profile", profile])
+        assert code == 2
+        assert "UNKNOWN_PROFILE_ELEMENT" in err and "<categories>" in err
+        profile.write_bytes(b"<profile/>")
+        assert run_cli(["validate", tmp_path / "rage.xml", "--profile", profile])[0] == 0

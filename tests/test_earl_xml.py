@@ -301,6 +301,24 @@ class TestProfileFile:
         (item,) = parse_document(b'<emotion category="rage"/>', profile).items
         assert not validate_annotation(item, profile).ok
 
+    @pytest.mark.parametrize(
+        "data, tag",
+        [
+            (b"<profile><categories>joy</categories></profile>", "categories"),
+            (b'<profile xmlns:p="urn:x"><p:catgory>joy</p:catgory></profile>', "catgory"),
+        ],
+    )
+    def test_profile_of_only_unknown_children_rejected(self, data, tag):
+        # Read as a profile, the typo would be the all-wildcard profile.
+        with pytest.raises(ParseError) as exc:
+            load_profile(data)
+        assert exc.value.code == "UNKNOWN_PROFILE_ELEMENT"
+        assert f"<{tag}>" in exc.value.message
+
+    @pytest.mark.parametrize("data", [b"<profile/>", b"<profile>  </profile>"])
+    def test_empty_profile_is_the_wildcard_profile(self, data):
+        assert load_profile(data) == VocabularyProfile()
+
     def test_label_is_leading_text_of_direct_children(self):
         profile = load_profile(
             b"<profile><category> a <b>x</b>tail</category>"

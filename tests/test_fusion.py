@@ -448,3 +448,53 @@ class TestFailClosed:
         with pytest.raises(FusionError) as exc:
             load_config(text)
         assert exc.value.code == "BAD_CONFIG"
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ambiguity_epsilon": math.nan},
+            {"constituent_threshold": math.inf},
+            {"decay_lambda": math.nan},
+            {"decay_lambda": math.inf},
+            {"drop_floor": math.nan},
+            {"drop_floor": 7.0},
+            {"drop_floor": -0.1},
+            {"weight_overrides": {"face": -1.0}},
+            {"weight_overrides": {"face": math.nan}},
+            {"weight_overrides": {"face": math.inf}},
+            {"weight_overrides": {"telepathy": 1.0}},
+        ],
+    )
+    def test_config_rejects_non_finite_and_out_of_range(self, kwargs):
+        with pytest.raises(ValueError):
+            FusionConfig(**kwargs)
+
+    def test_config_accepts_its_boundaries(self):
+        cfg = FusionConfig(
+            ambiguity_epsilon=0.0, constituent_threshold=1.0, decay_lambda=0.0,
+            drop_floor=1.0, weight_overrides={s: 0.0 for s in SOURCE_WEIGHTS},
+        )
+        assert cfg.drop_floor == 1.0
+        assert FusionConfig(drop_floor=0.0).drop_floor == 0.0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("decay_lambda = nan", "decay_lambda=nan"),
+            ("drop_floor = 7", "drop_floor=7.0"),
+            ("weight.face = -1", "weight.face=-1.0"),
+            ("weight.face = inf", "weight.face=inf"),
+            ("weight.telepathy = 1", "weight.telepathy"),
+        ],
+    )
+    def test_bad_config_value_is_bad_config(self, text, message):
+        with pytest.raises(FusionError) as exc:
+            load_config(text)
+        assert exc.value.code == "BAD_CONFIG"
+        assert message in exc.value.message
+
+    def test_non_utf8_config_is_bad_config(self):
+        with pytest.raises(FusionError) as exc:
+            load_config(b"decay_lambda = 0.1\n# caf\xe9\n")
+        assert exc.value.code == "BAD_CONFIG"
+        assert exc.value.message.startswith("line 2: not UTF-8 text")

@@ -1,0 +1,122 @@
+"""The package surface: lazy exports, and which modules each CLI command loads."""
+
+import ast
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import earlkit
+from support import FIXTURES
+
+#: Every name the package exports, by the module it was first exported from.
+EXPORTED = {
+    "errors": (
+        "EarlError FusionError LexiconError MarkerError ParseError PolicyError ScopeError"
+    ),
+    "model": (
+        "DEFAULT_PROFILE REGULATION_TYPES UNSCOPED ComplexEmotion EmotionAnnotation Finding"
+        " InlineText Reference ReferencedTimeSpan Scope TimeSpan Unscoped ValidationReport"
+        " VocabularyProfile dominant_constituent validate_annotation"
+    ),
+    "earl_xml": (
+        "AnnotationDocument ClipSegment MediaObject ScopeTarget TextSegment load_profile"
+        " parse_document resolve_scope serialize_document"
+    ),
+    "markers": (
+        "Lexicon MovementDescriptor RankedEmotion VoiceFeatureDelta base_weight_for_source"
+        " behavior_for_emotion classify_movement classify_voice default_lexicon load_lexicon"
+        " tag_lexical"
+    ),
+    "fusion": (
+        "FusedEstimate FusionConfig MarkerEvidence TemporalState fill_missing fuse_instant"
+        " load_config to_complex_emotion update_temporal"
+    ),
+    "needs": "AccessPolicy Decision NeedProfile PolicyRule decide_access infer_needs load_policy",
+}
+
+
+class TestLazyExports:
+    def test_all_is_the_export_list(self):
+        expected = {name for names in EXPORTED.values() for name in names.split()}
+        assert set(earlkit.__all__) == expected
+        assert len(earlkit.__all__) == len(expected)
+
+    @pytest.mark.parametrize("module", sorted(EXPORTED))
+    def test_names_resolve_to_the_submodule_objects(self, module):
+        submodule = importlib.import_module(f"earlkit.{module}")
+        assert getattr(earlkit, module) is submodule
+        for name in EXPORTED[module].split():
+            assert getattr(earlkit, name) is getattr(submodule, name), name
+            assert vars(earlkit)[name] is getattr(submodule, name), name
+
+    def test_dir_lists_exports_submodules_and_version(self):
+        listed = set(dir(earlkit))
+        assert set(earlkit.__all__) <= listed
+        assert set(EXPORTED) <= listed
+        assert "__version__" in listed
+        assert earlkit.__version__ == "0.1.0"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            earlkit.no_such_name  # noqa: B018
+
+    def test_marker_tables_are_shared_with_markers(self):
+        from earlkit import markers, model
+
+        for name in (
+            "BEHAVIOR_FOR_EMOTION", "EMOTION_ALIASES", "SOURCE_MODALITY", "SOURCE_WEIGHTS",
+            "base_weight_for_source", "behavior_for_emotion",
+        ):
+            assert getattr(markers, name) is getattr(model, name), name
+
+
+# Runs one command in a fresh interpreter and reports its exit code, the
+# earlkit modules it loaded, whether it added ``json`` and whether ``json``
+# is loaded at the end.
+PROBE = (
+    "import os, sys\n"
+    "before = set(sys.modules)\n"
+    "from earlkit.cli import main\n"
+    "sys.stdout = sys.stderr = open(os.devnull, 'w')\n"
+    "code = main(sys.argv[1:])\n"
+    "added = set(sys.modules) - before\n"
+    "mods = sorted(m[len('earlkit.'):] for m in added if m.startswith('earlkit.'))\n"
+    "sys.__stdout__.write(repr((code, mods, 'json' in added, 'json' in sys.modules)))\n"
+)
+STREAM = FIXTURES / "streams" / "jack_angry.stream"
+POLICY = FIXTURES / "policies" / "hazardous_tool.policy"
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["decide", "--evidence", STREAM, "--resource", "hazardous-tool", "--policy", POLICY],
+         3, ["errors", "fusion", "model", "needs"]),
+        (["fuse", "--evidence", STREAM], 0, ["earl_xml", "errors", "fusion", "model"]),
+        (["validate", FIXTURES / "earl"], 0, ["earl_xml", "errors", "model"]),
+        (["stats", FIXTURES / "earl", "--json"], 0, ["earl_xml", "errors", "model"]),
+        # ``data`` is the bundled lexicon's resource package, not a layer.
+        (["annotate", "--text", "happy"], 0, ["data", "earl_xml", "errors", "markers", "model"]),
+    ],
+    ids=["decide", "fuse", "validate", "stats", "annotate"],
+)
+def test_each_command_loads_only_its_layers(argv, code, modules):
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, *map(str, argv)], capture_output=True, text=True, check=True
+    )
+    got_code, got_modules, added_json, has_json = ast.literal_eval(result.stdout)
+    assert (got_code, got_modules) == (code, ["cli", *modules])
+    if argv[0] == "stats":
+        assert has_json
+    else:
+        assert not added_json
+
+
+def test_bare_import_loads_no_submodule():
+    script = "import sys, earlkit\nprint([m for m in sys.modules if m.startswith('earlkit.')])\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
