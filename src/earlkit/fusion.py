@@ -11,7 +11,9 @@ predicted so reports can tell observation from inference.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import FusionError, decode_text
 from .model import (
@@ -21,7 +23,6 @@ from .model import (
     EmotionAnnotation,
     Scope,
     base_weight_for_source,
-    effective_intensity,
     effective_probability,
 )
 
@@ -37,10 +38,19 @@ class MarkerEvidence:
     predicted: bool = False  # set on synthetic items from fill_missing
 
     def __post_init__(self):
-        if self.annotation.category is None:
+        # Fail closed: a NaN passes no comparison, so each range check is
+        # written to reject it rather than to let it through.
+        a = self.annotation
+        if a.category is None:
             raise ValueError("evidence annotation must carry a category")
-        if self.annotation.modality is None:
+        if a.modality is None:
             raise ValueError("evidence annotation must carry a modality")
+        if a.probability is not None and not 0.0 <= a.probability <= 1.0:
+            raise ValueError(f"probability={a.probability} outside [0, 1]")
+        if a.intensity is not None and not 0.0 <= a.intensity <= 1.0:
+            raise ValueError(f"intensity={a.intensity} outside [0, 1]")
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"timestamp={self.timestamp} is not a finite time")
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,7 @@ class FusionConfig:
     constituent_threshold: float = 0.2
     decay_lambda: float = 0.2  # per second
     drop_floor: float = 0.05
-    weight_overrides: dict[str, float] = field(default_factory=dict)
+    weight_overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         # Fail closed: a NaN passes no comparison, so each check is written
@@ -67,10 +77,25 @@ class FusionConfig:
                 raise ValueError(f"weight.{source}: {source!r} is not a capture source")
             if not 0.0 <= weight < math.inf:
                 raise ValueError(f"weight.{source}={weight} must be finite and >= 0")
+        # A read-only copy, so the caller's dict can change without the
+        # weight table below going stale.  The table is no dataclass field:
+        # equality and repr ignore it.
+        overrides = MappingProxyType(dict(self.weight_overrides))
+        object.__setattr__(self, "weight_overrides", overrides)
+        object.__setattr__(self, "_weights", {
+            source: overrides.get(source, base) for source, base in SOURCE_WEIGHTS.items()
+        })
+
+    def __reduce__(self):
+        # A mappingproxy can be neither pickled nor deep-copied.
+        return type(self), (
+            self.ambiguity_epsilon, self.constituent_threshold, self.decay_lambda,
+            self.drop_floor, dict(self.weight_overrides),
+        )
 
     def weight_for(self, source: str) -> float:
-        override = self.weight_overrides.get(source)
-        return base_weight_for_source(source) if override is None else override
+        weight = self._weights.get(source)
+        return base_weight_for_source(source) if weight is None else weight
 
 
 def load_config(data: bytes | str) -> FusionConfig:
@@ -133,10 +158,17 @@ class CarriedDetail:
 def _dominant(scores: dict[str, float], epsilon: float) -> tuple[str | None, bool]:
     if not scores:
         return None, False
+    if len(scores) == 1:
+        (dominant,) = scores
+        return dominant, False
     ranked = sorted(scores, key=lambda c: (-scores[c], c))
     dominant = ranked[0]
     ambiguous = len(ranked) > 1 and scores[dominant] - scores[ranked[1]] < epsilon
     return dominant, ambiguous
+
+
+def _processing_order(e: MarkerEvidence) -> tuple:
+    return e.source, e.timestamp, e.annotation.category
 
 
 def fuse_instant(
@@ -158,23 +190,25 @@ def fuse_instant(
 
     # Deterministic processing order keeps carried-detail merges (and the
     # contributors listing) permutation invariant.
-    ordered = sorted(
-        evidence, key=lambda e: (e.source, e.timestamp, e.annotation.category)
-    )
+    ordered = evidence if len(evidence) == 1 else sorted(evidence, key=_processing_order)
+    weights = cfg._weights
     total_weight = 0.0
     mass: dict[str, float] = {}
     carried: dict[str, CarriedDetail] = {}
     contributors = []
     for item in ordered:
-        weight = cfg.weight_for(item.source)
+        source = item.source
+        weight = weights.get(source)
+        if weight is None:
+            weight = base_weight_for_source(source)  # raises UNKNOWN_SOURCE
         total_weight += weight
-        contributors.append((item.source, weight))
+        contributors.append((source, weight))
         a = item.annotation
         category = a.category
-        mass[category] = (
-            mass.get(category, 0.0)
-            + weight * effective_probability(a) * effective_intensity(a)
-        )
+        # effective_probability and effective_intensity, inlined.
+        p = 1.0 if a.probability is None else a.probability
+        i = 1.0 if a.intensity is None else a.intensity
+        mass[category] = mass.get(category, 0.0) + weight * p * i
         if a.dimensions or a.appraisals or a.regulation:
             detail = carried.get(category, CarriedDetail())
             carried[category] = CarriedDetail(
@@ -220,6 +254,21 @@ def update_temporal(state: TemporalState, evidence: MarkerEvidence) -> TemporalS
     return TemporalState(last_evidence=updated, clock=evidence.timestamp)
 
 
+def _derive(cls: type, item, **changes):
+    """A ``cls`` with ``item``'s fields and ``changes``, not re-running ``__init__``.
+
+    Sound for fill_missing's stand-ins: category, modality and timestamp are
+    copied from an item whose ``__post_init__`` already passed, and the
+    decayed probability lies in [drop_floor, p], a subset of [0, 1], because
+    fill_missing raises before it would decay over a negative elapsed time.
+    """
+    copy = object.__new__(cls)
+    # A new dict rather than an update of ``copy.__dict__``: on CPython 3.11
+    # attribute reads from the latter (a key-sharing dict) are not specialized.
+    object.__setattr__(copy, "__dict__", {**item.__dict__, **changes})
+    return copy
+
+
 def fill_missing(
     state: TemporalState, now: float, cfg: FusionConfig = FusionConfig()
 ) -> list[MarkerEvidence]:
@@ -236,33 +285,22 @@ def fill_missing(
             "TIME_REGRESSION", f"now={now} behind clock t={state.clock}"
         )
     synthetic = []
-    for source in sorted(state.last_evidence):
-        item = state.last_evidence[source]
+    remembered = state.last_evidence
+    decay_lambda, drop_floor = cfg.decay_lambda, cfg.drop_floor
+    for source in sorted(remembered):
+        item = remembered[source]
         a = item.annotation
         elapsed = now - item.timestamp
-        decayed = effective_probability(a) * math.exp(-cfg.decay_lambda * elapsed)
-        if decayed < cfg.drop_floor:
-            continue
-        # Direct construction costs far less than dataclasses.replace and
-        # still runs every __post_init__ check.
-        annotation = EmotionAnnotation(
-            category=a.category,
-            dimensions=a.dimensions,
-            appraisals=a.appraisals,
-            intensity=a.intensity,
-            probability=decayed,
-            regulation=a.regulation,
-            modality=a.modality,
-            scope=a.scope,
-        )
-        synthetic.append(
-            MarkerEvidence(
-                annotation=annotation,
-                source=item.source,
-                timestamp=item.timestamp,
-                available=item.available,
-                predicted=True,
+        if elapsed < 0.0:
+            raise FusionError(
+                "TIME_REGRESSION", f"now={now} behind {source!r} evidence at t={item.timestamp}"
             )
+        decayed = effective_probability(a) * math.exp(-decay_lambda * elapsed)
+        if decayed < drop_floor:
+            continue
+        annotation = _derive(EmotionAnnotation, a, probability=decayed)
+        synthetic.append(
+            _derive(MarkerEvidence, item, annotation=annotation, predicted=True)
         )
     return synthetic
 

@@ -57,6 +57,37 @@ def _mappable(category: str) -> bool:
     return EMOTION_ALIASES.get(category, category) in BEHAVIOR_FOR_EMOTION
 
 
+def _categories_by_behavior() -> dict[str, tuple[str, ...]]:
+    mapped = sorted(c for c in {*BEHAVIOR_FOR_EMOTION, *EMOTION_ALIASES} if _mappable(c))
+    return {
+        behavior: tuple(c for c in mapped if behavior_for_emotion(c) == behavior)
+        for behavior in BEHAVIOR_FOR_EMOTION.values()
+    }
+
+
+#: Every category that maps to each behavior, in name order.
+_CATEGORIES_FOR = _categories_by_behavior()
+
+#: The allow decisions carry no rule; they are immutable, so two are shared.
+_ALLOW = Decision(verdict="allow", rationale="no rule matched")
+_ALLOW_AMBIGUOUS = Decision(verdict="allow", rationale="no rule matched; ambiguous estimate")
+
+
+def _strength(scores: dict[str, float], behavior: str) -> float:
+    """``infer_needs(estimate).strength(behavior)`` without building the profile.
+
+    The profile lists a behavior's strongest category first and, on equal
+    scores, the category first in name order, which is the one kept here.
+    A plain loop: ``max`` over a generator costs several times as much.
+    """
+    strength = None
+    for category in _CATEGORIES_FOR.get(behavior, ()):
+        score = scores.get(category)
+        if score is not None and (strength is None or score > strength):
+            strength = score
+    return 0.0 if strength is None else strength
+
+
 def infer_needs(estimate: FusedEstimate) -> NeedProfile:
     """Project fused category scores onto motivated-behavior strengths.
 
@@ -79,13 +110,13 @@ def decide_access(
 ) -> Decision:
     """Deny iff a rule for the resource sees its blocking behavior at or
     above threshold; the first such rule in policy order is named."""
-    needs = infer_needs(estimate)
-    note = "; ambiguous estimate" if estimate.ambiguous else ""
+    scores = estimate.scores
     for rule in policy.rules:
         if rule.resource != resource:
             continue
-        strength = needs.strength(rule.behavior)
+        strength = _strength(scores, rule.behavior)
         if strength >= rule.threshold:
+            note = "; ambiguous estimate" if estimate.ambiguous else ""
             return Decision(
                 verdict="deny",
                 rationale=(
@@ -94,7 +125,7 @@ def decide_access(
                 ),
                 rule=rule,
             )
-    return Decision(verdict="allow", rationale=f"no rule matched{note}")
+    return _ALLOW_AMBIGUOUS if estimate.ambiguous else _ALLOW
 
 
 def load_policy(data: bytes | str) -> AccessPolicy:

@@ -1,7 +1,9 @@
 """Fusion engine: weighted scores, temporal decay, EARL output."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from earlkit.fusion import (
 )
 from earlkit.markers import SOURCE_WEIGHTS
 from earlkit.model import (
+    UNSCOPED,
     ComplexEmotion,
     EmotionAnnotation,
     InlineText,
@@ -498,3 +501,245 @@ class TestFailClosed:
             load_config(b"decay_lambda = 0.1\n# caf\xe9\n")
         assert exc.value.code == "BAD_CONFIG"
         assert exc.value.message.startswith("line 2: not UTF-8 text")
+
+
+class TestEvidenceBoundary:
+    """MarkerEvidence rejects numbers that would push a fused score out of [0, 1]."""
+
+    # probability=3.0 used to be accepted, and fuse_instant returned 3.0.
+    @pytest.mark.parametrize("field", ["probability", "intensity"])
+    @pytest.mark.parametrize("value", [3.0, -0.1, 1.0000001, math.nan, math.inf, -math.inf])
+    def test_out_of_unit_range_rejected(self, field, value):
+        annotation = EmotionAnnotation(category="anger", modality="voice", **{field: value})
+        with pytest.raises(ValueError, match=rf"{field}={value} outside \[0, 1\]"):
+            MarkerEvidence(annotation=annotation, source="language_voice", timestamp=0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected(self, t):
+        with pytest.raises(ValueError, match="timestamp="):
+            evidence("anger", "language_voice", p=0.5, t=t)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, None])
+    def test_unit_range_boundaries_accepted(self, value):
+        item = evidence("anger", "language_voice", p=value, i=value, t=-3.0)
+        assert item.annotation.probability == value
+
+    def test_stand_in_behind_its_evidence_is_rejected(self):
+        # A state not built by update_temporal may remember evidence newer
+        # than its clock; decaying over negative time would raise p above 1.
+        item = evidence("anger", "language_voice", p=0.9, t=5.0)
+        state = TemporalState(last_evidence={"language_voice": item}, clock=0.0)
+        with pytest.raises(FusionError) as exc:
+            fill_missing(state, 3.0)
+        assert exc.value.code == "TIME_REGRESSION"
+
+    @given(
+        p=st.none() | st.floats(allow_nan=True, allow_infinity=True),
+        i=st.none() | st.floats(allow_nan=True, allow_infinity=True),
+        t=st.floats(allow_nan=True, allow_infinity=True),
+        dt=st.floats(min_value=0.0, max_value=1e6),
+        source=st.sampled_from(SOURCES),
+    )
+    def test_evidence_is_rejected_or_fuses_into_unit_scores(self, p, i, t, dt, source):
+        try:
+            item = evidence("anger", source, p=p, i=i, t=t)
+        except ValueError:
+            return
+        state = update_temporal(TemporalState(clock=t), item)
+        state = update_temporal(state, evidence("joy", "face", p=0.5, t=t))
+        for now in (t, t + dt):
+            fused = fuse_instant(fill_missing(state, now))
+            assert all(0.0 <= score <= 1.0 for score in fused.scores.values())
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the decision path as it was written before the
+# stand-ins were derived and the weights resolved once per config.
+
+
+def reference_fill_missing(state, now, cfg):
+    """fill_missing building every stand-in with both constructors."""
+    synthetic = []
+    for source in sorted(state.last_evidence):
+        item = state.last_evidence[source]
+        a = item.annotation
+        p = 1.0 if a.probability is None else a.probability
+        decayed = p * math.exp(-cfg.decay_lambda * (now - item.timestamp))
+        if decayed < cfg.drop_floor:
+            continue
+        annotation = EmotionAnnotation(
+            category=a.category,
+            dimensions=a.dimensions,
+            appraisals=a.appraisals,
+            intensity=a.intensity,
+            probability=decayed,
+            regulation=a.regulation,
+            modality=a.modality,
+            scope=a.scope,
+        )
+        synthetic.append(
+            MarkerEvidence(
+                annotation=annotation,
+                source=item.source,
+                timestamp=item.timestamp,
+                available=item.available,
+                predicted=True,
+            )
+        )
+    return synthetic
+
+
+def reference_fuse(items, cfg):
+    """(scores, dominant, ambiguous, contributors) by the sorted weighted loop."""
+    ordered = sorted(items, key=lambda e: (e.source, e.timestamp, e.annotation.category))
+    total, mass, contributors = 0.0, {}, []
+    for item in ordered:
+        override = cfg.weight_overrides.get(item.source)
+        weight = SOURCE_WEIGHTS[item.source] if override is None else override
+        total += weight
+        contributors.append((item.source, weight))
+        a = item.annotation
+        p = 1.0 if a.probability is None else a.probability
+        i = 1.0 if a.intensity is None else a.intensity
+        mass[a.category] = mass.get(a.category, 0.0) + weight * p * i
+    scores = {category: value / total for category, value in mass.items()}
+    ranked = sorted(scores, key=lambda c: (-scores[c], c))
+    ambiguous = len(ranked) > 1 and scores[ranked[0]] - scores[ranked[1]] < cfg.ambiguity_epsilon
+    return scores, ranked[0], ambiguous, tuple(contributors)
+
+
+def bits(scores):
+    return [(category, score.hex()) for category, score in scores.items()]
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+descriptors = st.dictionaries(
+    st.sampled_from(["arousal", "valence", "suddenness"]),
+    st.floats(min_value=-1.0, max_value=1.0),
+    max_size=2,
+)
+scopes = st.sampled_from([UNSCOPED, InlineText("hm"), TimeSpan(0.0, 1.5)])
+
+
+@st.composite
+def remembered_items(draw):
+    """Evidence for distinct sources, in time order, with every field varied."""
+    sources = draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=4, unique=True))
+    times = sorted(draw(st.lists(
+        st.floats(min_value=0.0, max_value=30.0), min_size=len(sources), max_size=len(sources)
+    )))
+    items = []
+    for source, t in zip(sources, times):
+        annotation = EmotionAnnotation(
+            category=draw(st.sampled_from(["anger", "joy", "fear", "grief"])),
+            dimensions=draw(descriptors),
+            appraisals=draw(descriptors),
+            intensity=draw(st.none() | unit),
+            probability=draw(st.none() | unit | st.sampled_from([0.0, 1.0])),
+            regulation=draw(
+                st.dictionaries(st.sampled_from(["suppress", "amplify"]), unit, max_size=1)
+            ),
+            modality=draw(st.sampled_from(["face", "voice", "movement"])),
+            scope=draw(scopes),
+        )
+        items.append(MarkerEvidence(
+            annotation=annotation, source=source, timestamp=t,
+            available=draw(st.booleans()), predicted=draw(st.booleans()),
+        ))
+    return items
+
+
+configs = st.builds(
+    FusionConfig,
+    ambiguity_epsilon=unit,
+    decay_lambda=st.floats(min_value=0.0, max_value=3.0),
+    drop_floor=st.floats(min_value=0.0, max_value=0.5),
+    weight_overrides=st.dictionaries(
+        st.sampled_from(SOURCES), st.floats(min_value=0.01, max_value=5.0)
+    ),
+)
+
+
+class TestEquivalentToConstructors:
+    @given(items=remembered_items(), dt=st.floats(min_value=0.0, max_value=20.0), cfg=configs)
+    def test_fill_missing_equals_constructed_stand_ins(self, items, dt, cfg):
+        state = TemporalState()
+        for item in items:
+            state = update_temporal(state, item)
+        before = [(e.predicted, e.annotation.probability) for e in items]
+        now = state.clock + dt
+        got = fill_missing(state, now, cfg)
+        want = reference_fill_missing(state, now, cfg)
+        assert got == want
+        assert [e.source for e in got] == [e.source for e in want]
+        assert all(type(e) is MarkerEvidence and e.predicted for e in got)
+        assert all(type(e.annotation) is EmotionAnnotation for e in got)
+        # The remembered items are left as they were.
+        assert [(e.predicted, e.annotation.probability) for e in items] == before
+
+    @given(items=remembered_items(), cfg=configs)
+    def test_fuse_instant_scores_are_bit_identical(self, items, cfg):
+        items = [MarkerEvidence(e.annotation, e.source, e.timestamp) for e in items]
+        for subset in (items, items[:1], items[::-1]):
+            fused = fuse_instant(subset, cfg)
+            scores, dominant, ambiguous, contributors = reference_fuse(subset, cfg)
+            assert bits(fused.scores) == bits(scores)
+            assert (fused.dominant, fused.ambiguous) == (dominant, ambiguous)
+            assert fused.contributors == contributors
+
+    @given(items=remembered_items(), dt=st.floats(min_value=0.0, max_value=5.0), cfg=configs)
+    def test_fused_stand_ins_are_bit_identical(self, items, dt, cfg):
+        state = TemporalState()
+        for item in items:
+            state = update_temporal(state, item)
+        now = state.clock + dt
+        fused = fuse_instant([e for e in fill_missing(state, now, cfg) if e.available], cfg)
+        want = fuse_instant(
+            [e for e in reference_fill_missing(state, now, cfg) if e.available], cfg
+        )
+        assert bits(fused.scores) == bits(want.scores)
+        assert fused == want
+        assert fused.carried == want.carried
+
+
+class TestWeightTable:
+    def test_mutating_the_passed_dict_changes_nothing(self):
+        overrides = {"face": 0.8}
+        cfg = FusionConfig(weight_overrides=overrides)
+        items = [evidence("joy", "face", p=0.9), evidence("anger", "language_voice", p=0.6)]
+        before = fuse_instant(items, cfg)
+        overrides["face"] = 0.1
+        overrides["language_voice"] = 0.0
+        assert cfg.weight_overrides == {"face": 0.8}
+        assert cfg.weight_for("language_voice") == 1.0
+        assert bits(fuse_instant(items, cfg).scores) == bits(before.scores)
+
+    def test_overrides_are_read_only(self):
+        cfg = FusionConfig(weight_overrides={"face": 0.8})
+        with pytest.raises(TypeError):
+            cfg.weight_overrides["face"] = 0.1
+
+    def test_table_is_not_part_of_equality_or_repr(self):
+        assert FusionConfig(weight_overrides={"face": 1.0}) != FusionConfig()
+        assert FusionConfig(weight_overrides={}) == FusionConfig()
+        assert "_weights" not in repr(FusionConfig())
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))]
+    )
+    def test_config_copies_and_pickles(self, clone):
+        cfg = FusionConfig(decay_lambda=0.3, weight_overrides={"movement_kinetic": 0.5})
+        twin = clone(cfg)
+        assert twin == cfg
+        assert twin.weight_for("movement_kinetic") == 0.5
+
+    def test_unknown_source_still_raises(self):
+        from earlkit.errors import MarkerError
+
+        item = MarkerEvidence(
+            annotation=EmotionAnnotation(category="joy", modality="face"),
+            source="telepathy", timestamp=0.0,
+        )
+        with pytest.raises(MarkerError) as exc:
+            fuse_instant([item])
+        assert exc.value.code == "UNKNOWN_SOURCE"

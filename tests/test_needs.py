@@ -1,7 +1,7 @@
 """Need inference and access decisions."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from earlkit.errors import PolicyError
@@ -23,6 +23,44 @@ def estimate(scores, ambiguous=False):
 
 
 HAZARD_POLICY = AccessPolicy(rules=(PolicyRule("hazardous-tool", "aggressive", 0.6),))
+
+
+def reference_decision(estimate, resource, policy):
+    """(verdict, rationale, rule) as decided from the full NeedProfile."""
+    needs = infer_needs(estimate)
+    note = "; ambiguous estimate" if estimate.ambiguous else ""
+    for rule in policy.rules:
+        if rule.resource != resource:
+            continue
+        strength = needs.strength(rule.behavior)
+        if strength >= rule.threshold:
+            rationale = (
+                f"rule '{rule.resource} deny_when {rule.behavior} >= "
+                f"{rule.threshold}' triggered: {rule.behavior}={strength:.4f}{note}"
+            )
+            return "deny", rationale, rule
+    return "allow", f"no rule matched{note}", None
+
+
+CATEGORIES = [
+    "desire", "sensuality", "anger", "fear", "sadness", "joy", "affection", "grief", "boredom",
+]
+BEHAVIORS = [
+    "searching", "aggressive", "protective", "dejected", "gratulant", "caressive", "bored",
+]
+scores_st = st.dictionaries(
+    st.sampled_from(CATEGORIES),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+)
+rules_st = st.lists(
+    st.builds(
+        PolicyRule,
+        st.sampled_from(["door", "safe"]),
+        st.sampled_from(BEHAVIORS),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+    ),
+    max_size=5,
+)
 
 
 class TestInferNeeds:
@@ -144,3 +182,44 @@ class TestPolicyFile:
                 "x deny_when aggressive >= 0.5\nx deny_when aggressive >= 0.7"
             )
         assert exc.value.code == "DUPLICATE_RULE"
+
+
+class TestDecideWithoutProfile:
+    """decide_access reads strengths off the scores; infer_needs is the reference."""
+
+    @given(scores=scores_st, ambiguous=st.booleans(), rules=rules_st)
+    @example(scores={"desire": 0.3, "sensuality": 0.7}, ambiguous=False,
+             rules=[PolicyRule("door", "searching", 0.5)])
+    @example(scores={"desire": 0.7, "sensuality": 0.3}, ambiguous=True,
+             rules=[PolicyRule("door", "searching", 0.5)])
+    @example(scores={"grief": 0.9, "boredom": 1.0}, ambiguous=False,
+             rules=[PolicyRule("door", "bored", 0.0)])
+    @example(scores={}, ambiguous=True, rules=[PolicyRule("door", "aggressive", 0.0)])
+    @example(scores={"anger": 0.9}, ambiguous=True,
+             rules=[PolicyRule("safe", "aggressive", 0.1), PolicyRule("door", "dejected", 0.5)])
+    def test_same_decision_as_the_need_profile(self, scores, ambiguous, rules):
+        policy = AccessPolicy(rules=tuple(rules))
+        for resource in ("door", "safe", "window"):
+            decision = decide_access(estimate(scores, ambiguous), resource, policy)
+            want = reference_decision(estimate(scores, ambiguous), resource, policy)
+            assert (decision.verdict, decision.rationale, decision.rule) == want
+
+    def test_desire_and_sensuality_take_the_stronger(self):
+        policy = AccessPolicy(rules=(PolicyRule("door", "searching", 0.6),))
+        decision = decide_access(estimate({"desire": 0.2, "sensuality": 0.65}), "door", policy)
+        assert decision.verdict == "deny"
+        assert decision.rationale.endswith("searching=0.6500")
+
+    def test_zero_threshold_denies_an_absent_behavior(self):
+        policy = AccessPolicy(rules=(PolicyRule("door", "protective", 0.0),))
+        decision = decide_access(estimate({"grief": 0.9}), "door", policy)
+        assert decision.verdict == "deny"
+        assert decision.rationale.endswith("protective=0.0000")
+
+    def test_allow_decisions_are_shared(self):
+        plain = decide_access(estimate({"joy": 0.9}), "door", HAZARD_POLICY)
+        unsure = decide_access(estimate({"joy": 0.5}, ambiguous=True), "door", HAZARD_POLICY)
+        assert plain.rationale == "no rule matched"
+        assert unsure.rationale == "no rule matched; ambiguous estimate"
+        assert decide_access(estimate({}), "x", AccessPolicy()) is plain
+        assert decide_access(estimate({}, ambiguous=True), "x", AccessPolicy()) is unsure
