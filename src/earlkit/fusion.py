@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
 from .errors import FusionError, decode_text
@@ -88,14 +88,17 @@ class FusionConfig:
 
     def __reduce__(self):
         # A mappingproxy can be neither pickled nor deep-copied.
-        return type(self), (
-            self.ambiguity_epsilon, self.constituent_threshold, self.decay_lambda,
-            self.drop_floor, dict(self.weight_overrides),
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["weight_overrides"] = dict(self.weight_overrides)
+        return _config_from_fields, (values,)
 
     def weight_for(self, source: str) -> float:
         weight = self._weights.get(source)
         return base_weight_for_source(source) if weight is None else weight
+
+
+def _config_from_fields(values: dict) -> FusionConfig:
+    return FusionConfig(**values)
 
 
 def load_config(data: bytes | str) -> FusionConfig:
@@ -158,9 +161,6 @@ class CarriedDetail:
 def _dominant(scores: dict[str, float], epsilon: float) -> tuple[str | None, bool]:
     if not scores:
         return None, False
-    if len(scores) == 1:
-        (dominant,) = scores
-        return dominant, False
     ranked = sorted(scores, key=lambda c: (-scores[c], c))
     dominant = ranked[0]
     ambiguous = len(ranked) > 1 and scores[dominant] - scores[ranked[1]] < epsilon
@@ -190,7 +190,7 @@ def fuse_instant(
 
     # Deterministic processing order keeps carried-detail merges (and the
     # contributors listing) permutation invariant.
-    ordered = evidence if len(evidence) == 1 else sorted(evidence, key=_processing_order)
+    ordered = sorted(evidence, key=_processing_order)
     weights = cfg._weights
     total_weight = 0.0
     mass: dict[str, float] = {}
@@ -198,9 +198,11 @@ def fuse_instant(
     contributors = []
     for item in ordered:
         source = item.source
+        # cfg.weight_for, inlined for speed; the fallback raises UNKNOWN_SOURCE
+        # (test_unknown_source_still_raises).
         weight = weights.get(source)
         if weight is None:
-            weight = base_weight_for_source(source)  # raises UNKNOWN_SOURCE
+            weight = base_weight_for_source(source)
         total_weight += weight
         contributors.append((source, weight))
         a = item.annotation
@@ -260,7 +262,9 @@ def _derive(cls: type, item, **changes):
     Sound for fill_missing's stand-ins: category, modality and timestamp are
     copied from an item whose ``__post_init__`` already passed, and the
     decayed probability lies in [drop_floor, p], a subset of [0, 1], because
-    fill_missing raises before it would decay over a negative elapsed time.
+    fill_missing raises before it would decay over a negative elapsed time
+    and does not decay at all when lambda is 0 (0 * an overflowed inf
+    elapsed time would give NaN).
     """
     copy = object.__new__(cls)
     # A new dict rather than an update of ``copy.__dict__``: on CPython 3.11
@@ -295,7 +299,9 @@ def fill_missing(
             raise FusionError(
                 "TIME_REGRESSION", f"now={now} behind {source!r} evidence at t={item.timestamp}"
             )
-        decayed = effective_probability(a) * math.exp(-decay_lambda * elapsed)
+        decayed = effective_probability(a)
+        if decay_lambda:
+            decayed *= math.exp(-decay_lambda * elapsed)
         if decayed < drop_floor:
             continue
         annotation = _derive(EmotionAnnotation, a, probability=decayed)

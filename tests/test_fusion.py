@@ -5,9 +5,10 @@ import itertools
 import math
 import pickle
 import random
+from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from earlkit.errors import FusionError
@@ -533,22 +534,45 @@ class TestEvidenceBoundary:
             fill_missing(state, 3.0)
         assert exc.value.code == "TIME_REGRESSION"
 
+    def test_overflowed_elapsed_time_without_decay_keeps_p(self):
+        # now - t overflows to inf; 0 * inf is NaN, and a NaN score passes
+        # no deny threshold.
+        item = evidence("anger", "language_voice", p=0.9, t=-1e308)
+        state = update_temporal(TemporalState(clock=-1e308), item)
+        (synthetic,) = fill_missing(state, 1e308, FusionConfig(decay_lambda=0.0))
+        assert synthetic.annotation.probability == 0.9
+        assert fuse_instant([synthetic]).scores == {"anger": 0.9}
+
     @given(
         p=st.none() | st.floats(allow_nan=True, allow_infinity=True),
         i=st.none() | st.floats(allow_nan=True, allow_infinity=True),
         t=st.floats(allow_nan=True, allow_infinity=True),
-        dt=st.floats(min_value=0.0, max_value=1e6),
+        t_joy=st.floats(allow_nan=False, allow_infinity=False),
+        later=st.floats(allow_nan=False, allow_infinity=False),
         source=st.sampled_from(SOURCES),
+        cfg=st.builds(
+            FusionConfig,
+            decay_lambda=st.sampled_from([0.0, 0.2]) | st.floats(min_value=0.0, max_value=1e308),
+            drop_floor=st.sampled_from([0.0, 0.05]),
+        ),
     )
-    def test_evidence_is_rejected_or_fuses_into_unit_scores(self, p, i, t, dt, source):
+    @example(  # now - t overflows to inf while lambda is 0
+        p=0.9, i=None, t=-1e308, t_joy=-1e308, later=1e308, source="language_voice",
+        cfg=FusionConfig(decay_lambda=0.0),
+    )
+    def test_evidence_is_rejected_or_fuses_into_unit_scores(
+        self, p, i, t, t_joy, later, source, cfg
+    ):
         try:
             item = evidence("anger", source, p=p, i=i, t=t)
         except ValueError:
             return
-        state = update_temporal(TemporalState(clock=t), item)
-        state = update_temporal(state, evidence("joy", "face", p=0.5, t=t))
-        for now in (t, t + dt):
-            fused = fuse_instant(fill_missing(state, now))
+        first, second = sorted([item, evidence("joy", "face", p=0.5, t=t_joy)],
+                               key=lambda e: e.timestamp)
+        state = update_temporal(TemporalState(clock=first.timestamp), first)
+        state = update_temporal(state, second)
+        for now in (state.clock, max(state.clock, later)):
+            fused = fuse_instant(fill_missing(state, now, cfg), cfg)
             assert all(0.0 <= score <= 1.0 for score in fused.scores.values())
 
 
@@ -728,7 +752,14 @@ class TestWeightTable:
         "clone", [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))]
     )
     def test_config_copies_and_pickles(self, clone):
-        cfg = FusionConfig(decay_lambda=0.3, weight_overrides={"movement_kinetic": 0.5})
+        cfg = FusionConfig(
+            ambiguity_epsilon=0.3, constituent_threshold=0.4, decay_lambda=0.3,
+            drop_floor=0.1, weight_overrides={"movement_kinetic": 0.5},
+        )
+        # Every field differs from its default, so a clone that dropped one
+        # would not compare equal.
+        default = FusionConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
         twin = clone(cfg)
         assert twin == cfg
         assert twin.weight_for("movement_kinetic") == 0.5
