@@ -28,12 +28,12 @@ _EXPORTS = {
         ),
         "markers": (
             "Lexicon", "MovementDescriptor", "RankedEmotion", "VoiceFeatureDelta",
-            "classify_movement", "classify_voice", "default_lexicon", "load_lexicon",
-            "tag_lexical",
+            "classify_movement", "classify_voice", "default_lexicon", "load_features",
+            "load_lexicon", "tag_lexical",
         ),
         "fusion": (
             "FusedEstimate", "FusionConfig", "MarkerEvidence", "TemporalState", "fill_missing",
-            "fuse_instant", "load_config", "to_complex_emotion", "update_temporal",
+            "fuse_instant", "load_config", "load_stream", "to_complex_emotion", "update_temporal",
         ),
         "needs": (
             "AccessPolicy", "Decision", "NeedProfile", "PolicyRule", "decide_access",

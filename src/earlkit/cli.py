@@ -13,7 +13,7 @@ from pathlib import Path
 
 # Each command imports the layers it runs, so a one-shot run does not pay
 # to load (and, without cached bytecode, compile) the others.
-from .errors import EarlError, decode_text
+from .errors import EarlError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,21 +39,12 @@ def _xml_files(path: Path) -> list[Path]:
     return sorted(p for p in path.rglob("*.xml") if p.is_file())
 
 
-def _load_profile_arg(path: str | None):
-    from .earl_xml import load_profile
-    from .model import DEFAULT_PROFILE
-
-    if path is None:
-        return DEFAULT_PROFILE
-    return load_profile(Path(path).read_bytes())
-
-
-def _load_config_arg(path: str | None):
-    from .fusion import FusionConfig, load_config
-
-    if path is None:
-        return FusionConfig()
-    return load_config(Path(path).read_bytes())
+def _load(path: str, loader, *args):
+    """``loader(<the bytes of path>, *args)``; an input error names the file."""
+    try:
+        return loader(Path(path).read_bytes(), *args)
+    except EarlError as exc:
+        raise type(exc)(exc.code, f"{path}: {exc.message}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +52,10 @@ def _load_config_arg(path: str | None):
 
 
 def _cmd_validate(args) -> int:
-    from .earl_xml import parse_document
-    from .model import validate_annotation
+    from .earl_xml import load_profile, parse_document
+    from .model import DEFAULT_PROFILE, validate_annotation
 
-    profile = _load_profile_arg(args.profile)
+    profile = DEFAULT_PROFILE if args.profile is None else _load(args.profile, load_profile)
     root = Path(args.path)
     if not root.exists():
         print(f"validate: {root}: no such file or directory", file=sys.stderr)
@@ -97,11 +88,7 @@ def _cmd_annotate(args) -> int:
     from .earl_xml import AnnotationDocument, serialize_document
     from .markers import default_lexicon, load_lexicon, tag_lexical
 
-    lexicon = (
-        default_lexicon()
-        if args.lexicon is None
-        else load_lexicon(Path(args.lexicon).read_bytes())
-    )
+    lexicon = default_lexicon() if args.lexicon is None else _load(args.lexicon, load_lexicon)
     tagged = tag_lexical(args.text, lexicon)
     doc = AnnotationDocument(items=tuple(annotation for annotation, _ in tagged))
     sys.stdout.write(serialize_document(doc).decode("utf-8"))
@@ -112,46 +99,21 @@ def _cmd_annotate(args) -> int:
 # classify
 
 
-def _read_features(path: Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    text = decode_text(path.read_bytes(), EarlError, "BAD_FEATURE", f"{path}:")
-    for line_no, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise EarlError("BAD_FEATURE", f"{path}:{line_no}: expected field=value")
-        values[key.strip()] = value.strip()
-    return values
-
-
 def _cmd_classify(args) -> int:
     from .earl_xml import format_number
     from .markers import (
-        MOVEMENT_FIELDS,
-        VOICE_FIELDS,
         MovementDescriptor,
         VoiceFeatureDelta,
         classify_movement,
         classify_voice,
+        load_features,
     )
 
     if args.voice:
-        kind, path, fields, make, classify = (
-            "voice", args.voice, VOICE_FIELDS, VoiceFeatureDelta, classify_voice)
+        path, descriptor, classify = args.voice, VoiceFeatureDelta, classify_voice
     else:
-        kind, path, fields, make, classify = (
-            "movement", args.movement, MOVEMENT_FIELDS, MovementDescriptor, classify_movement)
-    raw = _read_features(Path(path))
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise EarlError("BAD_FEATURE", f"unknown {kind} fields: {sorted(unknown)}")
-    try:
-        ranked = classify(make(**raw))
-    except ValueError as exc:
-        raise EarlError("BAD_FEATURE", str(exc)) from None
-    for entry in ranked:
+        path, descriptor, classify = args.movement, MovementDescriptor, classify_movement
+    for entry in classify(_load(path, load_features, descriptor)):
         features = ",".join(entry.matched_features)
         print(f"{entry.label}\t{format_number(entry.score)}\t{features}")
     return EXIT_OK
@@ -161,56 +123,20 @@ def _cmd_classify(args) -> int:
 # fuse / decide
 
 
-def _read_stream(path: Path) -> list[MarkerEvidence]:
-    """Stream line format: ``t source category p i`` (whitespace separated)."""
-    import math
-
-    from .fusion import MarkerEvidence
-    from .model import SOURCE_MODALITY, EmotionAnnotation
-
-    stream = []
-    text = decode_text(path.read_bytes(), EarlError, "BAD_STREAM", f"{path}:")
-    for line_no, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise EarlError(
-                "BAD_STREAM", f"{path}:{line_no}: expected 't source category p i'"
-            )
-        t_raw, source, category, p_raw, i_raw = parts
-        if source not in SOURCE_MODALITY:
-            raise EarlError("BAD_STREAM", f"{path}:{line_no}: unknown source {source!r}")
-        try:
-            timestamp, probability, intensity = float(t_raw), float(p_raw), float(i_raw)
-        except ValueError:
-            raise EarlError(
-                "BAD_STREAM", f"{path}:{line_no}: t, p, i must be numbers"
-            ) from None
-        if not math.isfinite(timestamp):
-            raise EarlError("BAD_STREAM", f"{path}:{line_no}: t must be finite")
-        if not (0.0 <= probability <= 1.0 and 0.0 <= intensity <= 1.0):
-            raise EarlError(
-                "BAD_STREAM", f"{path}:{line_no}: p and i must lie in [0, 1]"
-            )
-        annotation = EmotionAnnotation(
-            category=category,
-            intensity=intensity,
-            probability=probability,
-            modality=SOURCE_MODALITY[source],
-        )
-        stream.append(MarkerEvidence(annotation=annotation, source=source, timestamp=timestamp))
-    return stream
-
-
 def _fused_estimate(args):
-    from .fusion import TemporalState, fill_missing, fuse_instant, update_temporal
+    from .fusion import (
+        FusionConfig,
+        TemporalState,
+        fill_missing,
+        fuse_instant,
+        load_config,
+        load_stream,
+        update_temporal,
+    )
 
-    cfg = _load_config_arg(args.config)
-    stream = _read_stream(Path(args.evidence))
+    cfg = FusionConfig() if args.config is None else _load(args.config, load_config)
     state = TemporalState()
-    for evidence in stream:
+    for evidence in _load(args.evidence, load_stream):
         state = update_temporal(state, evidence)
     at = state.clock if args.at is None else args.at
     return fuse_instant(fill_missing(state, at, cfg), cfg), cfg
@@ -231,7 +157,7 @@ def _cmd_decide(args) -> int:
     from .needs import decide_access, load_policy
 
     estimate, _ = _fused_estimate(args)
-    policy = load_policy(Path(args.policy).read_bytes())
+    policy = _load(args.policy, load_policy)
     decision = decide_access(estimate, args.resource, policy)
     print(f"{decision.verdict}\t{decision.rationale}")
     return EXIT_DENY if decision.verdict == "deny" else EXIT_OK
@@ -242,10 +168,10 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .earl_xml import parse_document
-    from .model import ComplexEmotion, validate_annotation
+    from .earl_xml import load_profile, parse_document
+    from .model import DEFAULT_PROFILE, ComplexEmotion, validate_annotation
 
-    profile = _load_profile_arg(args.profile)
+    profile = DEFAULT_PROFILE if args.profile is None else _load(args.profile, load_profile)
     root = Path(args.path)
     if not root.exists():
         print(f"stats: {root}: no such file or directory", file=sys.stderr)

@@ -469,6 +469,8 @@ def load_profile(data: bytes | str) -> VocabularyProfile:
           <appraisal>suddenness</appraisal>
           <modality>face</modality>
         </profile>
+
+    Any other child of the root raises ``UNKNOWN_PROFILE_ELEMENT``.
     """
     # Direct children of the root count by local name, so no namespace form
     # makes a wildcard profile; a label is the text before any grandchild.
@@ -498,14 +500,13 @@ def load_profile(data: bytes | str) -> VocabularyProfile:
         tag: set() for tag in ("category", "dimension", "appraisal", "modality")
     }
     for tag, text in children:
-        if tag in buckets and text.strip():
+        # A typo such as <modalty> would silently leave its slot a wildcard.
+        if tag not in buckets:
+            raise ParseError(
+                "UNKNOWN_PROFILE_ELEMENT",
+                f"profile: unknown element <{tag}>; expected category, dimension, "
+                "appraisal or modality",
+            )
+        if text.strip():
             buckets[tag].add(text.strip())
-    # Unknown children are ignored, but a profile made only of them (a typo
-    # such as <categories>) would silently be the all-wildcard profile.
-    if children and not any(tag in buckets for tag, _ in children):
-        raise ParseError(
-            "UNKNOWN_PROFILE_ELEMENT",
-            "profile: no category, dimension, appraisal or modality element; "
-            f"found <{children[0][0]}>",
-        )
     return VocabularyProfile(*buckets.values())

@@ -6,6 +6,8 @@ CLI) can branch on the failure kind without parsing messages.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 
 class EarlError(Exception):
     """Base error with a machine-readable code."""
@@ -40,12 +42,25 @@ class PolicyError(EarlError):
     """Raised for malformed policy files."""
 
 
-def decode_text(data: bytes | str, error: type[EarlError], code: str, where: str = "line ") -> str:
-    """``data`` as UTF-8 text; a bad byte raises ``error(code, "{where}{line}: ...")``."""
+def decode_text(data: bytes | str, error: type[EarlError], code: str) -> str:
+    """``data`` as UTF-8 text; a bad byte raises ``error(code, "line N: ...")``."""
     if isinstance(data, str):
         return data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise error(code, f"{where}{line}: not UTF-8 text ({exc.reason})") from None
+        raise error(code, f"line {line}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_lines(data: bytes | str, error: type[EarlError], code: str) -> Iterator[tuple[int, str]]:
+    """``(line_no, line)`` for each line of a line-format file that says something.
+
+    ``#`` starts a comment; comments and surrounding space are stripped and
+    blank lines skipped.  Lines are numbered from 1; decoding as in
+    :func:`decode_text`.
+    """
+    for line_no, line in enumerate(decode_text(data, error, code).splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 
-from .errors import FusionError, decode_text
+from .errors import FusionError, read_lines
 from .model import (
+    SOURCE_MODALITY,
     SOURCE_WEIGHTS,
     UNSCOPED,
     ComplexEmotion,
@@ -105,14 +106,10 @@ def load_config(data: bytes | str) -> FusionConfig:
     """Read a flat ``key=value`` config file; all keys optional.
 
     Source weight overrides use dotted keys, e.g. ``weight.face = 0.8``.
+    Each value is checked on its own line, so every error names its line.
     """
-    data = decode_text(data, FusionError, "BAD_CONFIG")
-    kwargs: dict = {}
-    overrides: dict[str, float] = {}
-    for line_no, line in enumerate(data.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    cfg = FusionConfig()
+    for line_no, line in read_lines(data, FusionError, "BAD_CONFIG"):
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key:
@@ -124,15 +121,46 @@ def load_config(data: bytes | str) -> FusionConfig:
                 "BAD_CONFIG", f"line {line_no}: {value!r} is not a number"
             ) from None
         if key.startswith("weight."):
-            overrides[key[len("weight."):]] = number
+            change = {"weight_overrides": {**cfg.weight_overrides, key[len("weight."):]: number}}
         elif key in ("ambiguity_epsilon", "constituent_threshold", "decay_lambda", "drop_floor"):
-            kwargs[key] = number
+            change = {key: number}
         else:
             raise FusionError("BAD_CONFIG", f"line {line_no}: unknown key {key!r}")
-    try:
-        return FusionConfig(weight_overrides=overrides, **kwargs)
-    except ValueError as exc:
-        raise FusionError("BAD_CONFIG", str(exc)) from None
+        try:
+            cfg = replace(cfg, **change)
+        except ValueError as exc:
+            raise FusionError("BAD_CONFIG", f"line {line_no}: {exc}") from None
+    return cfg
+
+
+def load_stream(data: bytes | str) -> list[MarkerEvidence]:
+    """Read a recorded evidence stream, one item per line in file order.
+
+    Line format: ``t source category p i``, whitespace separated, where
+    ``source`` is a capture source (its modality is implied) and ``t``,
+    ``p`` and ``i`` are numbers that :class:`MarkerEvidence` accepts.
+    """
+    stream = []
+    for line_no, line in read_lines(data, FusionError, "BAD_STREAM"):
+        parts = line.split()
+        if len(parts) != 5:
+            raise FusionError("BAD_STREAM", f"line {line_no}: expected 't source category p i'")
+        t_raw, source, category, p_raw, i_raw = parts
+        modality = SOURCE_MODALITY.get(source)
+        if modality is None:
+            raise FusionError("BAD_STREAM", f"line {line_no}: unknown source {source!r}")
+        try:
+            timestamp, probability, intensity = float(t_raw), float(p_raw), float(i_raw)
+        except ValueError:
+            raise FusionError("BAD_STREAM", f"line {line_no}: t, p, i must be numbers") from None
+        annotation = EmotionAnnotation(
+            category=category, intensity=intensity, probability=probability, modality=modality
+        )
+        try:
+            stream.append(MarkerEvidence(annotation, source, timestamp))
+        except ValueError as exc:
+            raise FusionError("BAD_STREAM", f"line {line_no}: {exc}") from None
+    return stream
 
 
 @dataclass(frozen=True)

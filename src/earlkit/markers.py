@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from types import MappingProxyType
 
-from .errors import LexiconError, decode_text
+from .errors import LexiconError, MarkerError, read_lines
 from .model import EmotionAnnotation, InlineText
 from .model import (  # noqa: F401  (re-exported for callers of this module)
     BEHAVIOR_FOR_EMOTION, EMOTION_ALIASES, SOURCE_MODALITY, SOURCE_WEIGHTS,
@@ -71,14 +71,6 @@ class Lexicon:
         object.__setattr__(self, "_phrases", tuple(phrases))
         object.__setattr__(self, "_phrase_heads", frozenset(p[0] for p, _ in phrases))
 
-    def marker_emotion(self) -> dict[str, str]:
-        """Flat marker -> emotion view (markers are unique per lexicon)."""
-        flat = {}
-        for emotion, markers in self.entries.items():
-            for marker in markers:
-                flat[marker] = emotion
-        return flat
-
 
 def load_lexicon(data: bytes | str) -> Lexicon:
     """Parse the line-oriented lexicon format.
@@ -87,13 +79,9 @@ def load_lexicon(data: bytes | str) -> Lexicon:
     ``#`` comments are skipped.  Markers are normalized through the same
     tokenizer used for matching.
     """
-    data = decode_text(data, LexiconError, "BAD_LEXICON")
     entries: dict[str, frozenset[str]] = {}
     seen: dict[str, str] = {}
-    for line_no, line in enumerate(data.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in read_lines(data, LexiconError, "BAD_LEXICON"):
         emotion, _, rest = line.partition(":")
         emotion = emotion.strip().lower()
         markers = set()
@@ -426,3 +414,35 @@ _movement_values = attrgetter(*MOVEMENT_FIELDS)
 def classify_movement(m: MovementDescriptor) -> RankedEmotions:
     """Rank the four movement-signed emotions; scoring as in classify_voice."""
     return _classify(_movement_values(m), _MOVEMENT_TABLE)
+
+
+# ---------------------------------------------------------------------------
+# Feature files
+
+
+def load_features(
+    data: bytes | str, descriptor: type[VoiceFeatureDelta] | type[MovementDescriptor]
+) -> VoiceFeatureDelta | MovementDescriptor:
+    """Read a ``field=value`` feature file into a ``descriptor``.
+
+    One field per line; fields not given keep the descriptor's neutral
+    default, and a field given twice keeps its last value.  Every error,
+    an unknown field or a value outside the field's set included, names
+    its line.
+    """
+    names = {f.name for f in fields(descriptor)}
+    result = descriptor()
+    for line_no, line in read_lines(data, MarkerError, "BAD_FEATURE"):
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise MarkerError("BAD_FEATURE", f"line {line_no}: expected field=value")
+        if key not in names:
+            raise MarkerError(
+                "BAD_FEATURE", f"line {line_no}: {key!r} is not a {descriptor.__name__} field"
+            )
+        try:
+            result = replace(result, **{key: value.strip()})
+        except ValueError as exc:
+            raise MarkerError("BAD_FEATURE", f"line {line_no}: {exc}") from None
+    return result

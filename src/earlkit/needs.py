@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PolicyError, decode_text
+from .errors import PolicyError, read_lines
 from .fusion import FusedEstimate
 from .model import BEHAVIOR_FOR_EMOTION, EMOTION_ALIASES, behavior_for_emotion
 
@@ -132,15 +132,12 @@ def load_policy(data: bytes | str) -> AccessPolicy:
     """Read the line-oriented policy format.
 
     One rule per line: ``resource_tag deny_when behavior >= threshold``;
-    blank lines and ``#`` comments are skipped.
+    blank lines and ``#`` comments are skipped.  ``behavior`` must be one
+    that some emotion motivates: a misspelt one would never match.
     """
-    data = decode_text(data, PolicyError, "BAD_RULE")
     rules: list[PolicyRule] = []
     seen: set[tuple[str, str]] = set()
-    for line_no, line in enumerate(data.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in read_lines(data, PolicyError, "BAD_RULE"):
         parts = line.split()
         if len(parts) != 5 or parts[1] != "deny_when" or parts[3] != ">=":
             raise PolicyError(
@@ -148,6 +145,8 @@ def load_policy(data: bytes | str) -> AccessPolicy:
                 f"line {line_no}: expected 'resource deny_when behavior >= threshold'",
             )
         resource, _, behavior, _, raw = parts
+        if behavior not in _CATEGORIES_FOR:
+            raise PolicyError("UNKNOWN_BEHAVIOR", f"line {line_no}: unknown behavior {behavior!r}")
         try:
             threshold = float(raw)
         except ValueError:

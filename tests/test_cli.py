@@ -2,9 +2,15 @@
 
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from earlkit.markers import MOVEMENT_FIELDS, VOICE_FIELDS
+from earlkit.model import BEHAVIOR_FOR_EMOTION, SOURCE_WEIGHTS
 from support import FIXTURES, golden, run_cli
 
 
@@ -389,7 +395,9 @@ class TestFailClosedInputs:
         stream.write_text(f"{t} face joy 0.9 0.9\n" + ANGRY.read_text())
         code, out, err = decide(stream)
         assert (code, out) == (2, "")
-        assert err == f"earlkit: BAD_STREAM: {stream}:1: t must be finite\n"
+        assert err == (
+            f"earlkit: BAD_STREAM: {stream}: line 1: timestamp={float(t)} is not a finite time\n"
+        )
 
     @pytest.mark.parametrize(
         "kind, code_name",
@@ -421,7 +429,7 @@ class TestFailClosedInputs:
         }[kind]
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
-        where = f"{bad}:2" if kind in ("stream", "features") else "line 2"
+        where = f"{bad}: line 2"
         assert err == f"earlkit: {code_name}: {where}: not UTF-8 text (invalid start byte)\n"
 
     def test_profile_of_unknown_elements_exits_2(self, tmp_path):
@@ -433,3 +441,164 @@ class TestFailClosedInputs:
         assert "UNKNOWN_PROFILE_ELEMENT" in err and "<categories>" in err
         profile.write_bytes(b"<profile/>")
         assert run_cli(["validate", tmp_path / "rage.xml", "--profile", profile])[0] == 0
+
+    def test_profile_with_one_unknown_element_exits_2(self, tmp_path):
+        # Ignored, the <modalty> typo left modality a wildcard: telepathy passed.
+        doc = tmp_path / "rage.xml"
+        doc.write_bytes(b'<emotion category="rage" modality="telepathy"/>')
+        profile = tmp_path / "typo.profile"
+        profile.write_bytes(b"<profile><category>rage</category><modalty>face</modalty></profile>")
+        code, _, err = run_cli(["validate", doc, "--profile", profile])
+        assert code == 2
+        assert err.startswith(
+            f"earlkit: UNKNOWN_PROFILE_ELEMENT: {profile}: profile: unknown element <modalty>"
+        )
+
+    def test_unknown_behavior_policy_exits_2(self, tmp_path):
+        # Loaded, the misspelt rule never matched and this stream was allowed.
+        policy = tmp_path / "typo.policy"
+        policy.write_text("hazardous-tool deny_when agressive >= 0.5\n")
+        code, out, err = run_cli(
+            ["decide", "--evidence", ANGRY, "--resource", "hazardous-tool", "--policy", policy]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"earlkit: UNKNOWN_BEHAVIOR: {policy}: line 1: unknown behavior 'agressive'\n"
+
+
+# ---------------------------------------------------------------------------
+# Generated input files: NaN, infinities, overflow, non-numbers, non-UTF-8
+# bytes and unknown labels in every line format the CLI reads.
+
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "0.5", "1", "-1", "1.5", "1e400", "nan", "inf", "-inf", "lots"]),
+    st.floats().map(repr),
+)
+
+
+def words(*parts):
+    return st.tuples(*parts).map(" ".join)
+
+
+@st.composite
+def line_file(draw, line):
+    """A file of generated lines, comments and blank lines; maybe a non-UTF-8 byte."""
+    lines = draw(st.lists(st.one_of(line, st.just(""), st.just("# note")), max_size=6))
+    data = "\n".join(lines).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+SOURCES = st.sampled_from([*SOURCE_WEIGHTS, "telepathy"])
+CATEGORIES = st.sampled_from(["anger", "joy", "sadness", "fear", "surprise", "rage"])
+UNIT = st.floats(0, 1).map(repr)
+STREAM_FILES = st.one_of(
+    line_file(words(NUMBERS, SOURCES, CATEGORIES, NUMBERS, NUMBERS)),
+    line_file(words(NUMBERS, SOURCES, CATEGORIES)),
+    # Valid lines in time order, so fusion and the decision run too.
+    st.lists(
+        st.tuples(st.floats(0, 5), st.sampled_from(list(SOURCE_WEIGHTS)), CATEGORIES, UNIT, UNIT),
+        max_size=6,
+    ).map(
+        lambda items: "\n".join(
+            f"{t!r} {s} {c} {p} {i}" for t, s, c, p, i in sorted(items)
+        ).encode()
+    ),
+)
+CONFIG_FILES = line_file(
+    st.one_of(
+        st.tuples(
+            st.sampled_from([
+                "ambiguity_epsilon", "constituent_threshold", "decay_lambda", "drop_floor",
+                "weight.telepathy", "volume", *(f"weight.{s}" for s in SOURCE_WEIGHTS),
+            ]),
+            NUMBERS,
+        ).map(" = ".join),
+        st.just("decay_lambda 0.5"),
+    )
+)
+POLICY_FILES = line_file(
+    words(
+        st.sampled_from(["hazardous-tool", "door"]),
+        st.sampled_from(["deny_when", "deny"]),
+        st.sampled_from([*sorted(set(BEHAVIOR_FOR_EMOTION.values())), "agressive", "anger"]),
+        st.sampled_from([">=", ">"]),
+        NUMBERS,
+    )
+)
+FEATURE_FILES = line_file(
+    st.tuples(
+        st.sampled_from([*VOICE_FIELDS, *MOVEMENT_FIELDS, "loudness", ""]),
+        st.sampled_from(["up", "down", "flat", "downward", "short", "long", "neutral", "sideways"]),
+    ).map("=".join)
+)
+LEXICON_FILES = line_file(
+    st.tuples(
+        st.sampled_from(["joy", "fear", "rage", ""]),
+        st.lists(st.sampled_from(["happy", "glad", "afraid", "goose bumps", "!!"]), max_size=3),
+    ).map(lambda entry: f"{entry[0]}: {', '.join(entry[1])}")
+)
+
+
+@st.composite
+def bad_stream_line(draw):
+    """A stream line the reader must reject, built from a valid one."""
+    fields = ["1.0", "face", "anger", "0.5", "0.5"]
+    kind = draw(st.sampled_from(["t", "source", "p", "i", "count", "bytes"]))
+    if kind == "t":
+        fields[0] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "soon"]))
+    elif kind == "source":
+        fields[1] = draw(st.sampled_from(["telepathy", "voice", "Face"]))
+    elif kind in ("p", "i"):
+        fields[3 if kind == "p" else 4] = draw(
+            st.one_of(
+                st.sampled_from(["nan", "inf", "-inf", "1e400", "lots"]),
+                st.floats(allow_nan=False).filter(lambda x: not 0 <= x <= 1).map(repr),
+            )
+        )
+    elif kind == "count":
+        at = draw(st.integers(0, 4))
+        fields[at:at + 1] = draw(st.sampled_from([[], ["0.5", "0.5"]]))
+    line = " ".join(fields).encode()
+    return line.replace(b"anger", b"ang\xffer") if kind == "bytes" else line
+
+
+class TestGeneratedFiles:
+    @settings(deadline=None)
+    @given(stream=STREAM_FILES, config=CONFIG_FILES, policy=POLICY_FILES,
+           features=FEATURE_FILES, lexicon=LEXICON_FILES)
+    def test_every_run_exits_0_2_or_3(self, stream, config, policy, features, lexicon):
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {}
+            for name, data in [("stream", stream), ("config", config), ("policy", policy),
+                               ("features", features), ("lexicon", lexicon)]:
+                files[name] = Path(tmp) / name
+                files[name].write_bytes(data)
+            runs = [
+                (["fuse", "--evidence", files["stream"]], (0, 2)),
+                (["fuse", "--evidence", ANGRY, "--config", files["config"]], (0, 2)),
+                (["decide", "--evidence", files["stream"], "--resource", "hazardous-tool",
+                  "--policy", files["policy"]], (0, 2, 3)),
+                (["decide", "--evidence", ANGRY, "--resource", "hazardous-tool",
+                  "--policy", POLICY, "--config", files["config"]], (0, 2, 3)),
+                (["classify", "--voice", files["features"]], (0, 2)),
+                (["classify", "--movement", files["features"]], (0, 2)),
+                (["annotate", "--text", "happy, glad, afraid", "--lexicon", files["lexicon"]],
+                 (0, 2)),
+            ]
+            for argv, codes in runs:
+                code, out, err = run_cli(argv)
+                assert code in codes, (argv, err)
+                assert (out == "") == (code == 2), (argv, out, err)
+
+    @settings(deadline=None)
+    @given(bad=bad_stream_line(), at=st.integers(0, len(ANGRY.read_bytes().splitlines())))
+    def test_one_bad_line_in_a_denied_stream_exits_2(self, bad, at):
+        lines = ANGRY.read_bytes().splitlines(keepends=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            stream = Path(tmp) / "s.stream"
+            stream.write_bytes(b"".join(lines[:at]) + bad + b"\n" + b"".join(lines[at:]))
+            code, out, err = decide(stream)
+        assert (code, out) == (2, ""), err
+        assert err.startswith(f"earlkit: BAD_STREAM: {stream}: line {at + 1}: "), err

@@ -322,10 +322,10 @@ class TestProfileFile:
     def test_label_is_leading_text_of_direct_children(self):
         profile = load_profile(
             b"<profile><category> a <b>x</b>tail</category>"
-            b"<group><category>nested</category></group>"
+            b"<category>n<group><category>nested</category></group></category>"
             b"<category>c<!-- note -->d</category><dimension>  </dimension></profile>"
         )
-        assert profile.categories == {"a", "cd"}
+        assert profile.categories == {"a", "n", "cd"}
         assert profile.dimension_names == frozenset()
 
 
@@ -382,9 +382,18 @@ class TestParseEdges:
         report = validate_annotation(item)
         assert "CONSTITUENT_SCOPE" in {f.code for f in report.errors()}
 
-    def test_profile_ignores_unknown_children(self):
-        profile = load_profile(b"<profile><category>x</category><junk>y</junk></profile>")
-        assert profile.categories == {"x"}
+    def test_profile_rejects_unknown_children(self):
+        # Ignored, <modalty> would leave the modality slot a wildcard, so
+        # modality="telepathy" would validate.
+        for data, tag in [
+            (b"<profile><category>x</category><junk>y</junk></profile>", "junk"),
+            (b"<profile><category>joy</category><modalty>face</modalty></profile>", "modalty"),
+            (b"<profile><group><category>nested</category></group></profile>", "group"),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                load_profile(data)
+            assert exc.value.code == "UNKNOWN_PROFILE_ELEMENT"
+            assert f"<{tag}>" in exc.value.message
 
 
 class TestUnicodeAndNumbers:

@@ -19,6 +19,7 @@ from earlkit.fusion import (
     fill_missing,
     fuse_instant,
     load_config,
+    load_stream,
     to_complex_emotion,
     update_temporal,
 )
@@ -493,15 +494,62 @@ class TestFailClosed:
     )
     def test_bad_config_value_is_bad_config(self, text, message):
         with pytest.raises(FusionError) as exc:
-            load_config(text)
+            load_config("decay_lambda = 0.1\n" + text)
         assert exc.value.code == "BAD_CONFIG"
-        assert message in exc.value.message
+        assert exc.value.message.startswith(f"line 2: {message}")
 
     def test_non_utf8_config_is_bad_config(self):
         with pytest.raises(FusionError) as exc:
             load_config(b"decay_lambda = 0.1\n# caf\xe9\n")
         assert exc.value.code == "BAD_CONFIG"
         assert exc.value.message.startswith("line 2: not UTF-8 text")
+
+
+class TestStreamFile:
+    HEAD = "# t source category p i\n\n0.0 face joy 0.5 0.25  # first\n"
+
+    @pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+    def test_load(self, encode):
+        stream = load_stream(encode(self.HEAD + "  1.5\tlanguage_voice anger 1 0.75\n"))
+        assert stream == [
+            MarkerEvidence(
+                EmotionAnnotation(category="joy", modality="face", probability=0.5,
+                                  intensity=0.25),
+                "face", 0.0,
+            ),
+            MarkerEvidence(
+                EmotionAnnotation(category="anger", modality="voice", probability=1.0,
+                                  intensity=0.75),
+                "language_voice", 1.5,
+            ),
+        ]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1 face joy 0.5", "expected 't source category p i'"),
+            ("1 face joy 0.5 0.5 0.5", "expected 't source category p i'"),
+            ("1 telepathy joy 0.5 0.5", "unknown source 'telepathy'"),
+            ("1 face joy lots 0.5", "t, p, i must be numbers"),
+            *[(f"1 face joy {p} 0.5", f"probability={float(p)} outside [0, 1]")
+              for p in ("nan", "inf", "-inf", "1.5", "-0.1")],
+            *[(f"1 face joy 0.5 {i}", f"intensity={float(i)} outside [0, 1]")
+              for i in ("nan", "inf", "-inf", "2", "-1")],
+            *[(f"{t} face joy 0.5 0.5", f"timestamp={float(t)} is not a finite time")
+              for t in ("nan", "inf", "-inf", "1e400")],
+        ],
+    )
+    @pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+    def test_bad_line_is_bad_stream(self, line, message, encode):
+        with pytest.raises(FusionError) as exc:
+            load_stream(encode(self.HEAD + line + "\n"))
+        assert (exc.value.code, exc.value.message) == ("BAD_STREAM", f"line 4: {message}")
+
+    def test_non_utf8_stream_is_bad_stream(self):
+        with pytest.raises(FusionError) as exc:
+            load_stream(self.HEAD.encode() + b"1 face caf\xe9 0.5 0.5\n")
+        assert exc.value.code == "BAD_STREAM"
+        assert exc.value.message.startswith("line 4: not UTF-8 text")
 
 
 class TestEvidenceBoundary:

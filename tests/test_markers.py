@@ -22,6 +22,7 @@ from earlkit.markers import (
     classify_movement,
     classify_voice,
     default_lexicon,
+    load_features,
     load_lexicon,
     tag_lexical,
     tokenize,
@@ -106,6 +107,44 @@ class TestBehaviorMap:
         with pytest.raises(MarkerError) as exc:
             behavior_for_emotion("surprise")
         assert exc.value.code == "UNKNOWN_EMOTION"
+
+
+class TestFeatureFile:
+    @pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+    def test_load(self, encode):
+        text = "# voice\n\n mean_f0 = up  # rises\nf0_contour=downward\nmean_f0=down\n"
+        assert load_features(encode(text), VoiceFeatureDelta) == VoiceFeatureDelta(
+            mean_f0="down", f0_contour="downward"
+        )
+        assert load_features(encode("tension=sustained_high\n"), MovementDescriptor) == (
+            MovementDescriptor(tension="sustained_high")
+        )
+        assert load_features(encode("# nothing\n"), MovementDescriptor) == MovementDescriptor()
+
+    @pytest.mark.parametrize(
+        "descriptor, line, message",
+        [
+            (VoiceFeatureDelta, "mean_f0 up", "expected field=value"),
+            (VoiceFeatureDelta, "loudness=up", "'loudness' is not a VoiceFeatureDelta field"),
+            (VoiceFeatureDelta, "tension=neutral", "'tension' is not a VoiceFeatureDelta field"),
+            (MovementDescriptor, "mean_f0=up", "'mean_f0' is not a MovementDescriptor field"),
+            (VoiceFeatureDelta, "mean_f0=sideways", "mean_f0='sideways'; expected one of"),
+            (VoiceFeatureDelta, "f0_contour=up", "f0_contour='up'; expected one of"),
+            (MovementDescriptor, "duration=", "duration=''; expected one of"),
+        ],
+    )
+    @pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+    def test_bad_line_is_bad_feature(self, descriptor, line, message, encode):
+        with pytest.raises(MarkerError) as exc:
+            load_features(encode(f"# header\n\n{line}\n"), descriptor)
+        assert exc.value.code == "BAD_FEATURE"
+        assert exc.value.message.startswith(f"line 3: {message}")
+
+    def test_non_utf8_features_are_bad_feature(self):
+        with pytest.raises(MarkerError) as exc:
+            load_features(b"mean_f0=up\n\xff=up\n", VoiceFeatureDelta)
+        assert exc.value.code == "BAD_FEATURE"
+        assert exc.value.message.startswith("line 2: not UTF-8 text")
 
 
 class TestLexicon:

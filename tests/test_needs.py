@@ -176,6 +176,13 @@ class TestPolicyFile:
             load_policy("x deny_when aggressive >= 1.5")
         assert exc.value.code == "BAD_RULE"
 
+    def test_unknown_behavior_rejected(self):
+        # Loaded, the misspelt rule would never match and the tool stays allowed.
+        with pytest.raises(PolicyError) as exc:
+            load_policy("# typo\nhazardous-tool deny_when agressive >= 0.5\n")
+        assert exc.value.code == "UNKNOWN_BEHAVIOR"
+        assert exc.value.message == "line 2: unknown behavior 'agressive'"
+
     def test_duplicate_rule_rejected(self):
         with pytest.raises(PolicyError) as exc:
             load_policy(

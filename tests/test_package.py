@@ -27,11 +27,11 @@ EXPORTED = {
     "markers": (
         "Lexicon MovementDescriptor RankedEmotion VoiceFeatureDelta base_weight_for_source"
         " behavior_for_emotion classify_movement classify_voice default_lexicon load_lexicon"
-        " tag_lexical"
+        " tag_lexical load_features"
     ),
     "fusion": (
         "FusedEstimate FusionConfig MarkerEvidence TemporalState fill_missing fuse_instant"
-        " load_config to_complex_emotion update_temporal"
+        " load_config to_complex_emotion update_temporal load_stream"
     ),
     "needs": "AccessPolicy Decision NeedProfile PolicyRule decide_access infer_needs load_policy",
 }
@@ -99,8 +99,10 @@ POLICY = FIXTURES / "policies" / "hazardous_tool.policy"
         (["stats", FIXTURES / "earl", "--json"], 0, ["earl_xml", "errors", "model"]),
         # ``data`` is the bundled lexicon's resource package, not a layer.
         (["annotate", "--text", "happy"], 0, ["data", "earl_xml", "errors", "markers", "model"]),
+        (["classify", "--voice", FIXTURES / "features" / "voice_anger.features"],
+         0, ["earl_xml", "errors", "markers", "model"]),
     ],
-    ids=["decide", "fuse", "validate", "stats", "annotate"],
+    ids=["decide", "fuse", "validate", "stats", "annotate", "classify"],
 )
 def test_each_command_loads_only_its_layers(argv, code, modules):
     result = subprocess.run(
