@@ -13,7 +13,7 @@ from pathlib import Path
 
 # Each command imports the layers it runs, so a one-shot run does not pay
 # to load (and, without cached bytecode, compile) the others.
-from .errors import EarlError
+from .errors import EarlError, PolicyError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -158,6 +158,9 @@ def _cmd_decide(args) -> int:
 
     estimate, _ = _fused_estimate(args)
     policy = _load(args.policy, load_policy)
+    # decide_access allows a resource no rule names; here that is most likely a typo.
+    if all(rule.resource != args.resource for rule in policy.rules):
+        raise PolicyError("UNKNOWN_RESOURCE", f"{args.policy}: no rule names {args.resource!r}")
     decision = decide_access(estimate, args.resource, policy)
     print(f"{decision.verdict}\t{decision.rationale}")
     return EXIT_DENY if decision.verdict == "deny" else EXIT_OK

@@ -13,7 +13,6 @@ digits, two-space indent, UTF-8) so byte-level golden tests are possible;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Union
@@ -37,6 +36,7 @@ from .model import (
     TimeSpan,
     Unscoped,
     VocabularyProfile,
+    _Record,
 )
 
 ROOT_TAG = "earl"
@@ -49,43 +49,39 @@ _HREF_ATTRS = ("xlink:href", "href")
 _REGULATION_ALIASES = {"hide": "suppress"}
 
 
-@dataclass(frozen=True)
-class AnnotationDocument:
+class AnnotationDocument(_Record):
     """An ordered collection of parsed annotations.
 
     ``source_uri`` and parser ``warnings`` are bookkeeping and excluded
     from equality, so round-tripped documents compare equal on the model.
     """
 
-    items: tuple[AnnotationItem, ...] = ()
-    source_uri: str | None = field(default=None, compare=False)
-    warnings: tuple[Finding, ...] = field(default=(), compare=False)
+    _uncompared = ("source_uri", "warnings")
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
+    def __init__(
+        self, items: tuple[AnnotationItem, ...] = (), source_uri: str | None = None,
+        warnings: tuple[Finding, ...] = (),
+    ):
+        self.__dict__.update(items=tuple(items), source_uri=source_uri, warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
 # Scope targets
 
 
-@dataclass(frozen=True)
-class TextSegment:
-    text: str
+class TextSegment(_Record):
+    def __init__(self, text: str):
+        self.__dict__.update(text=text)
 
 
-@dataclass(frozen=True)
-class MediaObject:
-    uri: str
-    exists: bool
+class MediaObject(_Record):
+    def __init__(self, uri: str, exists: bool):
+        self.__dict__.update(uri=uri, exists=exists)
 
 
-@dataclass(frozen=True)
-class ClipSegment:
-    uri: str | None
-    start: float
-    end: float
+class ClipSegment(_Record):
+    def __init__(self, uri: str | None, start: float, end: float):
+        self.__dict__.update(uri=uri, start=start, end=end)
 
 
 ScopeTarget = Union[TextSegment, MediaObject, ClipSegment]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 
 from .errors import FusionError, read_lines
@@ -23,25 +22,22 @@ from .model import (
     ComplexEmotion,
     EmotionAnnotation,
     Scope,
+    _Record,
     base_weight_for_source,
     effective_probability,
 )
 
 
-@dataclass(frozen=True)
-class MarkerEvidence:
-    """One per-modality observation feeding the fusion engine."""
+class MarkerEvidence(_Record):
+    """One per-modality observation feeding the fusion engine; fill_missing sets ``predicted``."""
 
-    annotation: EmotionAnnotation
-    source: str
-    timestamp: float
-    available: bool = True
-    predicted: bool = False  # set on synthetic items from fill_missing
-
-    def __post_init__(self):
+    def __init__(
+        self, annotation: EmotionAnnotation, source: str, timestamp: float,
+        available: bool = True, predicted: bool = False,
+    ):
         # Fail closed: a NaN passes no comparison, so each range check is
         # written to reject it rather than to let it through.
-        a = self.annotation
+        a = annotation
         if a.category is None:
             raise ValueError("evidence annotation must carry a category")
         if a.modality is None:
@@ -50,56 +46,55 @@ class MarkerEvidence:
             raise ValueError(f"probability={a.probability} outside [0, 1]")
         if a.intensity is not None and not 0.0 <= a.intensity <= 1.0:
             raise ValueError(f"intensity={a.intensity} outside [0, 1]")
-        if not math.isfinite(self.timestamp):
-            raise ValueError(f"timestamp={self.timestamp} is not a finite time")
+        if not math.isfinite(timestamp):
+            raise ValueError(f"timestamp={timestamp} is not a finite time")
+        self.__dict__.update(
+            annotation=annotation, source=source, timestamp=timestamp,
+            available=available, predicted=predicted,
+        )
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    """Tunable fusion knobs; every value is optional in the file form."""
+class FusionConfig(_Record):
+    """Tunable fusion knobs (decay_lambda per second); each is optional in the file form."""
 
-    ambiguity_epsilon: float = 0.1
-    constituent_threshold: float = 0.2
-    decay_lambda: float = 0.2  # per second
-    drop_floor: float = 0.05
-    weight_overrides: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(
+        self, ambiguity_epsilon: float = 0.1, constituent_threshold: float = 0.2,
+        decay_lambda: float = 0.2, drop_floor: float = 0.05,
+        weight_overrides: Mapping[str, float] | None = None,
+    ):
+        # A read-only copy, so the caller's dict can change without the
+        # weight table below going stale.  The table is no __init__
+        # parameter, so no field: equality and repr ignore it.
+        overrides = MappingProxyType(dict(weight_overrides or {}))
+        values = {
+            "ambiguity_epsilon": ambiguity_epsilon, "constituent_threshold": constituent_threshold,
+            "decay_lambda": decay_lambda, "drop_floor": drop_floor, "weight_overrides": overrides,
+            "_weights": {
+                source: overrides.get(source, base) for source, base in SOURCE_WEIGHTS.items()
+            },
+        }
         # Fail closed: a NaN passes no comparison, so each check is written
         # to reject it rather than to let it through.
         for name in ("ambiguity_epsilon", "constituent_threshold", "drop_floor"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value} outside [0, 1]")
-        if not 0.0 <= self.decay_lambda < math.inf:
-            raise ValueError(f"decay_lambda={self.decay_lambda} must be finite and >= 0")
-        for source, weight in self.weight_overrides.items():
+            if not 0.0 <= values[name] <= 1.0:
+                raise ValueError(f"{name}={values[name]} outside [0, 1]")
+        if not 0.0 <= decay_lambda < math.inf:
+            raise ValueError(f"decay_lambda={decay_lambda} must be finite and >= 0")
+        for source, weight in overrides.items():
             if source not in SOURCE_WEIGHTS:
                 raise ValueError(f"weight.{source}: {source!r} is not a capture source")
             if not 0.0 <= weight < math.inf:
                 raise ValueError(f"weight.{source}={weight} must be finite and >= 0")
-        # A read-only copy, so the caller's dict can change without the
-        # weight table below going stale.  The table is no dataclass field:
-        # equality and repr ignore it.
-        overrides = MappingProxyType(dict(self.weight_overrides))
-        object.__setattr__(self, "weight_overrides", overrides)
-        object.__setattr__(self, "_weights", {
-            source: overrides.get(source, base) for source, base in SOURCE_WEIGHTS.items()
-        })
+        self.__dict__.update(values)
 
     def __reduce__(self):
         # A mappingproxy can be neither pickled nor deep-copied.
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values["weight_overrides"] = dict(self.weight_overrides)
-        return _config_from_fields, (values,)
+        *values, overrides = (getattr(self, name) for name in self._fields)
+        return FusionConfig, (*values, dict(overrides))
 
     def weight_for(self, source: str) -> float:
         weight = self._weights.get(source)
         return base_weight_for_source(source) if weight is None else weight
-
-
-def _config_from_fields(values: dict) -> FusionConfig:
-    return FusionConfig(**values)
 
 
 def load_config(data: bytes | str) -> FusionConfig:
@@ -127,7 +122,7 @@ def load_config(data: bytes | str) -> FusionConfig:
         else:
             raise FusionError("BAD_CONFIG", f"line {line_no}: unknown key {key!r}")
         try:
-            cfg = replace(cfg, **change)
+            cfg = cfg._replace(**change)
         except ValueError as exc:
             raise FusionError("BAD_CONFIG", f"line {line_no}: {exc}") from None
     return cfg
@@ -163,8 +158,7 @@ def load_stream(data: bytes | str) -> list[MarkerEvidence]:
     return stream
 
 
-@dataclass(frozen=True)
-class FusedEstimate:
+class FusedEstimate(_Record):
     """Per-category fused scores plus the dominance/ambiguity verdict.
 
     ``carried`` preserves descriptor and regulation detail from the
@@ -172,18 +166,29 @@ class FusedEstimate:
     scores or equality.
     """
 
-    scores: dict[str, float]
-    dominant: str | None
-    ambiguous: bool
-    contributors: tuple[tuple[str, float], ...]
-    carried: dict[str, "CarriedDetail"] = field(default_factory=dict, compare=False)
+    _uncompared = ("carried",)
+
+    def __init__(
+        self, scores: dict[str, float], dominant: str | None, ambiguous: bool,
+        contributors: tuple[tuple[str, float], ...],
+        carried: dict[str, CarriedDetail] | None = None,
+    ):
+        self.__dict__.update(
+            scores=scores, dominant=dominant, ambiguous=ambiguous,
+            contributors=contributors, carried={} if carried is None else carried,
+        )
 
 
-@dataclass(frozen=True)
-class CarriedDetail:
-    dimensions: dict[str, float] = field(default_factory=dict)
-    appraisals: dict[str, float] = field(default_factory=dict)
-    regulation: dict[str, float] = field(default_factory=dict)
+class CarriedDetail(_Record):
+    def __init__(
+        self, dimensions: dict[str, float] | None = None,
+        appraisals: dict[str, float] | None = None, regulation: dict[str, float] | None = None,
+    ):
+        self.__dict__.update(
+            dimensions={} if dimensions is None else dimensions,
+            appraisals={} if appraisals is None else appraisals,
+            regulation={} if regulation is None else regulation,
+        )
 
 
 def _dominant(scores: dict[str, float], epsilon: float) -> tuple[str | None, bool]:
@@ -249,6 +254,10 @@ def fuse_instant(
 
     if total_weight == 0.0:
         raise FusionError("ZERO_WEIGHT", "all evidence sources have weight 0")
+    # Fail closed: an overflowed total gives inf / inf = NaN scores, on which
+    # no rule fires.  A finite total also bounds every category's mass.
+    if not total_weight < math.inf:
+        raise FusionError("WEIGHT_OVERFLOW", f"evidence weights sum to {total_weight}")
     scores = {category: value / total_weight for category, value in mass.items()}
     dominant, ambiguous = _dominant(scores, cfg.ambiguity_epsilon)
     return FusedEstimate(
@@ -264,12 +273,13 @@ def fuse_instant(
 # Temporal state
 
 
-@dataclass(frozen=True)
-class TemporalState:
+class TemporalState(_Record):
     """Last evidence per source plus the stream clock; updated functionally."""
 
-    last_evidence: dict[str, MarkerEvidence] = field(default_factory=dict)
-    clock: float = 0.0
+    def __init__(self, last_evidence: dict[str, MarkerEvidence] | None = None, clock: float = 0.0):
+        self.__dict__.update(
+            last_evidence={} if last_evidence is None else last_evidence, clock=clock
+        )
 
 
 def update_temporal(state: TemporalState, evidence: MarkerEvidence) -> TemporalState:
@@ -288,15 +298,15 @@ def _derive(cls: type, item, **changes):
     """A ``cls`` with ``item``'s fields and ``changes``, not re-running ``__init__``.
 
     Sound for fill_missing's stand-ins: category, modality and timestamp are
-    copied from an item whose ``__post_init__`` already passed, and the
+    copied from an item whose ``__init__`` checks already passed, and the
     decayed probability lies in [drop_floor, p], a subset of [0, 1], because
     fill_missing raises before it would decay over a negative elapsed time
     and does not decay at all when lambda is 0 (0 * an overflowed inf
     elapsed time would give NaN).
     """
     copy = object.__new__(cls)
-    # A new dict rather than an update of ``copy.__dict__``: on CPython 3.11
-    # attribute reads from the latter (a key-sharing dict) are not specialized.
+    # The frozen ``__setattr__`` is bypassed by assigning the merged dict
+    # whole; reads from it specialize as from a record built by ``__init__``.
     object.__setattr__(copy, "__dict__", {**item.__dict__, **changes})
     return copy
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import LexiconError, MarkerError, read_lines
-from .model import EmotionAnnotation, InlineText
+from .model import EmotionAnnotation, InlineText, _Record
 from .model import (  # noqa: F401  (re-exported for callers of this module)
     BEHAVIOR_FOR_EMOTION, EMOTION_ALIASES, SOURCE_MODALITY, SOURCE_WEIGHTS,
     base_weight_for_source, behavior_for_emotion,
@@ -34,8 +33,7 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_RE.split(text.lower()) if t]
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(_Record):
     """Emotion label -> set of lexical markers.
 
     Markers are stored tokenized (lowercase, space-joined); most are single
@@ -45,19 +43,8 @@ class Lexicon:
     never goes stale.
     """
 
-    entries: Mapping[str, frozenset[str]]
-    # Single-word marker -> emotion; (tokens, emotion) per phrase in
-    # matching precedence: emotions in entry order; within one, longer
-    # phrases first, then alphabetical, so no set order leaks in; and the
-    # phrases' first tokens.
-    _single: dict[str, str] = field(init=False, repr=False, compare=False)
-    _phrases: tuple[tuple[list[str], str], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    _phrase_heads: frozenset[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        entries = {emotion: frozenset(markers) for emotion, markers in self.entries.items()}
+    def __init__(self, entries: Mapping[str, frozenset[str]]):
+        entries = {emotion: frozenset(markers) for emotion, markers in entries.items()}
         single = {}
         phrases = []
         for emotion, markers in entries.items():
@@ -66,10 +53,17 @@ class Lexicon:
                     phrases.append((marker.split(" "), emotion))
                 else:
                     single[marker] = emotion
-        object.__setattr__(self, "entries", MappingProxyType(entries))
-        object.__setattr__(self, "_single", single)
-        object.__setattr__(self, "_phrases", tuple(phrases))
-        object.__setattr__(self, "_phrase_heads", frozenset(p[0] for p, _ in phrases))
+        # The marker index is no __init__ parameter, so no field: single-word
+        # marker -> emotion; (tokens, emotion) per phrase in matching
+        # precedence (emotions in entry order; within one, longer phrases
+        # first, then alphabetical, so no set order leaks in); and the
+        # phrases' first tokens.
+        self.__dict__.update(
+            entries=MappingProxyType(entries),
+            _single=single,
+            _phrases=tuple(phrases),
+            _phrase_heads=frozenset(p[0] for p, _ in phrases),
+        )
 
 
 def load_lexicon(data: bytes | str) -> Lexicon:
@@ -181,35 +175,27 @@ DOWNWARD, UPWARD = "downward", "upward"
 _DIRECTIONS = (UP, DOWN, FLAT)
 _CONTOURS = (DOWNWARD, UPWARD, FLAT)
 
-VOICE_FIELDS = (
-    "mean_f0",
-    "f0_range",
-    "f0_variability",
-    "mean_energy",
-    "high_freq_energy",
-    "f0_contour",
-    "articulation_rate",
-)
-
-
-@dataclass(frozen=True)
-class VoiceFeatureDelta:
+class VoiceFeatureDelta(_Record):
     """Directional changes of the seven vocal properties; flat is neutral."""
 
-    mean_f0: str = FLAT
-    f0_range: str = FLAT
-    f0_variability: str = FLAT
-    mean_energy: str = FLAT
-    high_freq_energy: str = FLAT
-    f0_contour: str = FLAT
-    articulation_rate: str = FLAT
-
-    def __post_init__(self):
-        for name in VOICE_FIELDS:
+    def __init__(
+        self, mean_f0: str = FLAT, f0_range: str = FLAT, f0_variability: str = FLAT,
+        mean_energy: str = FLAT, high_freq_energy: str = FLAT, f0_contour: str = FLAT,
+        articulation_rate: str = FLAT,
+    ):
+        values = {
+            "mean_f0": mean_f0, "f0_range": f0_range, "f0_variability": f0_variability,
+            "mean_energy": mean_energy, "high_freq_energy": high_freq_energy,
+            "f0_contour": f0_contour, "articulation_rate": articulation_rate,
+        }
+        for name, value in values.items():
             allowed = _CONTOURS if name == "f0_contour" else _DIRECTIONS
-            value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name}={value!r}; expected one of {allowed}")
+        self.__dict__.update(values)
+
+
+VOICE_FIELDS = VoiceFeatureDelta._fields
 
 
 # Per-emotion expectations.  The hot-anger F0-range increase is folded into
@@ -249,11 +235,9 @@ VOICE_PATTERNS: dict[str, dict[str, str]] = {
 _OPPOSITE_DIRECTION = {UP: DOWN, DOWN: UP, DOWNWARD: UPWARD, UPWARD: DOWNWARD}
 
 
-@dataclass(frozen=True)
-class RankedEmotion:
-    label: str
-    score: float
-    matched_features: tuple[str, ...] = ()
+class RankedEmotion(_Record):
+    def __init__(self, label: str, score: float, matched_features: tuple[str, ...] = ()):
+        self.__dict__.update(label=label, score=score, matched_features=matched_features)
 
 
 RankedEmotions = list[RankedEmotion]
@@ -320,8 +304,6 @@ SUSTAINED_HIGH = "sustained_high"
 CONTINUOUSLY_LOW = "continuously_low"
 DYNAMIC_VARYING = "dynamic_varying"
 
-MOVEMENT_FIELDS = ("duration", "tempo_changes", "stop_length", "spatial_extent", "tension")
-
 _MOVEMENT_VALUES = {
     "duration": (SHORT, MID, LONG),
     "tempo_changes": (FREQUENT, FEW, NEUTRAL),
@@ -331,27 +313,30 @@ _MOVEMENT_VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class MovementDescriptor:
+class MovementDescriptor(_Record):
     """Body-movement properties on the time/space/flow/weight dimensions.
 
     Defaults are the neutral value of each field, so an unspecified
     descriptor matches and contradicts nothing.
     """
 
-    duration: str = MID
-    tempo_changes: str = NEUTRAL
-    stop_length: str = MID
-    spatial_extent: str = NEUTRAL
-    tension: str = NEUTRAL
-
-    def __post_init__(self):
-        for name in MOVEMENT_FIELDS:
-            value = getattr(self, name)
+    def __init__(
+        self, duration: str = MID, tempo_changes: str = NEUTRAL, stop_length: str = MID,
+        spatial_extent: str = NEUTRAL, tension: str = NEUTRAL,
+    ):
+        values = {
+            "duration": duration, "tempo_changes": tempo_changes, "stop_length": stop_length,
+            "spatial_extent": spatial_extent, "tension": tension,
+        }
+        for name, value in values.items():
             if value not in _MOVEMENT_VALUES[name]:
                 raise ValueError(
                     f"{name}={value!r}; expected one of {_MOVEMENT_VALUES[name]}"
                 )
+        self.__dict__.update(values)
+
+
+MOVEMENT_FIELDS = MovementDescriptor._fields
 
 
 MOVEMENT_PATTERNS: dict[str, dict[str, str]] = {
@@ -430,7 +415,7 @@ def load_features(
     an unknown field or a value outside the field's set included, names
     its line.
     """
-    names = {f.name for f in fields(descriptor)}
+    names = descriptor._fields
     result = descriptor()
     for line_no, line in read_lines(data, MarkerError, "BAD_FEATURE"):
         key, sep, value = line.partition("=")
@@ -442,7 +427,7 @@ def load_features(
                 "BAD_FEATURE", f"line {line_no}: {key!r} is not a {descriptor.__name__} field"
             )
         try:
-            result = replace(result, **{key: value.strip()})
+            result = result._replace(**{key: value.strip()})
         except ValueError as exc:
             raise MarkerError("BAD_FEATURE", f"line {line_no}: {exc}") from None
     return result

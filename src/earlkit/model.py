@@ -14,7 +14,7 @@ is deliberately permissive: invariants are checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Union
 
 from .errors import MarkerError
@@ -28,42 +28,92 @@ UNIT_RANGE = (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
+# Immutable records
+
+
+class FrozenRecordError(AttributeError):
+    """An attempt to set or delete an attribute of an immutable record."""
+
+
+class _Record:
+    """Base of the immutable value types of every layer.
+
+    A record's fields are its ``__init__`` parameters, in order.  Each
+    ``__init__`` checks and coerces its arguments, then stores them with one
+    ``self.__dict__.update(...)``.  Records are equal when of one class with
+    equal fields, leaving out those named in ``_uncompared``; the hash is
+    that of the same fields, so a record that holds a dict has none; the
+    repr is ``Name(field=value, ...)``.
+    """
+
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        compared = [name for name in cls._fields if name not in cls._uncompared]
+        # attrgetter returns a bare value for one name and needs at least one.
+        cls._key = attrgetter(*compared) if compared else staticmethod(lambda record: ())
+
+    def __init__(self):  # a record with no fields
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, built and so checked by ``__init__``."""
+        return self.__class__(**({name: getattr(self, name) for name in self._fields} | changes))
+
+
+# ---------------------------------------------------------------------------
 # Scope variants
 
 
-@dataclass(frozen=True)
-class InlineText:
+class InlineText(_Record):
     """Scope over a piece of text enclosed by the annotation itself."""
 
-    text: str
+    def __init__(self, text: str):
+        self.__dict__.update(text=text)
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(_Record):
     """Stand-off scope: the annotation refers to an external object by URI."""
 
-    uri: str
+    def __init__(self, uri: str):
+        self.__dict__.update(uri=uri)
 
 
-@dataclass(frozen=True)
-class TimeSpan:
+class TimeSpan(_Record):
     """Scope over a [start, end) interval of the annotated clip, in seconds."""
 
-    start: float
-    end: float
+    def __init__(self, start: float, end: float):
+        self.__dict__.update(start=start, end=end)
 
 
-@dataclass(frozen=True)
-class ReferencedTimeSpan:
+class ReferencedTimeSpan(_Record):
     """Stand-off scope combined with a time interval within the referenced clip."""
 
-    uri: str
-    start: float
-    end: float
+    def __init__(self, uri: str, start: float, end: float):
+        self.__dict__.update(uri=uri, start=start, end=end)
 
 
-@dataclass(frozen=True)
-class Unscoped:
+class Unscoped(_Record):
     """No scope of its own (e.g. a constituent inheriting the group scope)."""
 
 
@@ -76,39 +126,38 @@ UNSCOPED = Unscoped()
 # Annotations
 
 
-@dataclass(frozen=True)
-class EmotionAnnotation:
+class EmotionAnnotation(_Record):
     """A single emotion statement.
 
     At least one descriptor (category, dimensions, or appraisals) must be
     present for the annotation to validate.  Missing ``intensity`` or
     ``probability`` mean the emotion is asserted outright; downstream
-    consumers treat both as 1.0.
+    consumers treat both as 1.0.  Missing dicts are empty.
     """
 
-    category: str | None = None
-    dimensions: dict[str, float] = field(default_factory=dict)
-    appraisals: dict[str, float] = field(default_factory=dict)
-    intensity: float | None = None
-    probability: float | None = None
-    regulation: dict[str, float] = field(default_factory=dict)
-    modality: str | None = None
-    scope: Scope = UNSCOPED
+    def __init__(
+        self, category: str | None = None, dimensions: dict[str, float] | None = None,
+        appraisals: dict[str, float] | None = None, intensity: float | None = None,
+        probability: float | None = None, regulation: dict[str, float] | None = None,
+        modality: str | None = None, scope: Scope = UNSCOPED,
+    ):
+        self.__dict__.update(
+            category=category, dimensions={} if dimensions is None else dimensions,
+            appraisals={} if appraisals is None else appraisals, intensity=intensity,
+            probability=probability, regulation={} if regulation is None else regulation,
+            modality=modality, scope=scope,
+        )
 
 
-@dataclass(frozen=True)
-class ComplexEmotion:
+class ComplexEmotion(_Record):
     """Co-occurring constituent emotions sharing one scope.
 
     Constituents are kept in document order; the scope lives on the group,
     not on the constituents.
     """
 
-    constituents: tuple[EmotionAnnotation, ...]
-    scope: Scope = UNSCOPED
-
-    def __post_init__(self):
-        object.__setattr__(self, "constituents", tuple(self.constituents))
+    def __init__(self, constituents: tuple[EmotionAnnotation, ...], scope: Scope = UNSCOPED):
+        self.__dict__.update(constituents=tuple(constituents), scope=scope)
 
 
 AnnotationItem = Union[EmotionAnnotation, ComplexEmotion]
@@ -118,8 +167,7 @@ AnnotationItem = Union[EmotionAnnotation, ComplexEmotion]
 # Vocabulary profiles
 
 
-@dataclass(frozen=True)
-class VocabularyProfile:
+class VocabularyProfile(_Record):
     """User-definable descriptor vocabularies.
 
     An empty set acts as a wildcard: any label is accepted for that slot.
@@ -127,14 +175,15 @@ class VocabularyProfile:
     is opt-in by listing labels.
     """
 
-    categories: frozenset[str] = frozenset()
-    dimension_names: frozenset[str] = frozenset()
-    appraisal_names: frozenset[str] = frozenset()
-    modalities: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        for name in ("categories", "dimension_names", "appraisal_names", "modalities"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
+    def __init__(
+        self, categories: frozenset[str] = frozenset(),
+        dimension_names: frozenset[str] = frozenset(),
+        appraisal_names: frozenset[str] = frozenset(), modalities: frozenset[str] = frozenset(),
+    ):
+        self.__dict__.update(
+            categories=frozenset(categories), dimension_names=frozenset(dimension_names),
+            appraisal_names=frozenset(appraisal_names), modalities=frozenset(modalities),
+        )
 
     def allows_category(self, label: str) -> bool:
         return not self.categories or label in self.categories
@@ -164,18 +213,15 @@ CLASSIC_APPRAISAL_NAMES = frozenset(
 # Validation
 
 
-@dataclass(frozen=True)
-class Finding:
-    severity: str  # "error" or "warning"
-    code: str
-    message: str
-    location: str
+class Finding(_Record):
+    def __init__(self, severity: str, code: str, message: str, location: str):
+        # severity is "error" or "warning".
+        self.__dict__.update(severity=severity, code=code, message=message, location=location)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    findings: tuple[Finding, ...]
+class ValidationReport(_Record):
+    def __init__(self, ok: bool, findings: tuple[Finding, ...]):
+        self.__dict__.update(ok=ok, findings=findings)
 
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity == "error"]

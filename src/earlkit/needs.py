@@ -13,19 +13,18 @@ from dataclasses import dataclass
 
 from .errors import PolicyError, read_lines
 from .fusion import FusedEstimate
-from .model import BEHAVIOR_FOR_EMOTION, EMOTION_ALIASES, behavior_for_emotion
+from .model import BEHAVIOR_FOR_EMOTION, EMOTION_ALIASES, _Record, behavior_for_emotion
 
 
-@dataclass(frozen=True)
-class NeedProfile:
+class NeedProfile(_Record):
     """Behavior orientations by descending strength.
 
     Categories without a behavior mapping cannot be force-mapped; they are
     reported in ``unmapped`` instead of being dropped silently.
     """
 
-    orientations: tuple[tuple[str, float], ...]
-    unmapped: tuple[str, ...] = ()
+    def __init__(self, orientations: tuple[tuple[str, float], ...], unmapped: tuple[str, ...] = ()):
+        self.__dict__.update(orientations=orientations, unmapped=unmapped)
 
     def strength(self, behavior: str) -> float:
         for label, value in self.orientations:
@@ -34,18 +33,17 @@ class NeedProfile:
         return 0.0
 
 
-@dataclass(frozen=True)
-class PolicyRule:
-    resource: str
-    behavior: str
-    threshold: float
+class PolicyRule(_Record):
+    def __init__(self, resource: str, behavior: str, threshold: float):
+        self.__dict__.update(resource=resource, behavior=behavior, threshold=threshold)
 
 
-@dataclass(frozen=True)
-class AccessPolicy:
-    rules: tuple[PolicyRule, ...] = ()
+class AccessPolicy(_Record):
+    def __init__(self, rules: tuple[PolicyRule, ...] = ()):
+        self.__dict__.update(rules=rules)
 
 
+# Still a dataclass: perfbench/selfcheck.py builds variants with dataclasses.replace.
 @dataclass(frozen=True)
 class Decision:
     verdict: str  # "allow" or "deny"

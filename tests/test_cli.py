@@ -176,16 +176,20 @@ class TestDecide:
         assert code == 0
         assert out == golden("decide_jack_calm.txt")
 
-    def test_unlisted_resource_allowed(self):
-        code, _, _ = run_cli(
+    def test_unlisted_resource_exits_2(self):
+        # No rule names "library", so the resource is most likely misspelt:
+        # answering allow would let a typo open any resource.
+        policy = FIXTURES / "policies" / "hazardous_tool.policy"
+        code, out, err = run_cli(
             [
                 "decide",
                 "--evidence", FIXTURES / "streams" / "jack_angry.stream",
                 "--resource", "library",
-                "--policy", FIXTURES / "policies" / "hazardous_tool.policy",
+                "--policy", policy,
             ]
         )
-        assert code == 0
+        assert (code, out) == (2, "")
+        assert err == f"earlkit: UNKNOWN_RESOURCE: {policy}: no rule names 'library'\n"
 
 
 class TestStats:
@@ -389,6 +393,15 @@ class TestFailClosedInputs:
         assert (code, out) == (2, "")
         assert "BAD_CONFIG" in err
 
+    def test_overflowing_weights_exit_2(self, tmp_path):
+        # Each weight is finite, but their sum is not: inf / inf scores are
+        # NaN, and no rule fires on NaN.
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("weight.language_voice = 1e308\nweight.movement_kinematic = 1e308\n")
+        code, out, err = decide(ANGRY, "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err == "earlkit: WEIGHT_OVERFLOW: evidence weights sum to inf\n"
+
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
     def test_non_finite_stream_timestamp_exits_2(self, tmp_path, t):
         stream = tmp_path / "s.stream"
@@ -591,6 +604,20 @@ class TestGeneratedFiles:
                 code, out, err = run_cli(argv)
                 assert code in codes, (argv, err)
                 assert (out == "") == (code == 2), (argv, out, err)
+
+    @settings(deadline=None)
+    @given(resource=st.one_of(
+        st.sampled_from(["hazardous_tool", "Hazardous-tool", "hazardous-tool ", "hazardous", ""]),
+        st.text(),
+    ).filter(lambda r: r != "hazardous-tool"))
+    def test_resource_no_rule_names_exits_2(self, resource):
+        # jack_angry.stream is denied for hazardous-tool; a near miss must
+        # not turn that into allow.
+        code, out, err = run_cli(
+            ["decide", "--evidence", ANGRY, f"--resource={resource}", "--policy", POLICY]
+        )
+        assert (code, out) == (2, ""), err
+        assert err.startswith(f"earlkit: UNKNOWN_RESOURCE: {POLICY}: no rule names "), err
 
     @settings(deadline=None)
     @given(bad=bad_stream_line(), at=st.integers(0, len(ANGRY.read_bytes().splitlines())))

@@ -5,7 +5,6 @@ import itertools
 import math
 import pickle
 import random
-from dataclasses import fields
 
 import pytest
 from hypothesis import example, given
@@ -437,6 +436,21 @@ class TestFusionEdges:
             fuse_instant([evidence("joy", "face", p=1.0)], cfg)
         assert exc.value.code == "ZERO_WEIGHT"
 
+    def test_overflowing_weight_sum_rejected(self):
+        # Each weight is finite; their sum is inf, and inf / inf is NaN.
+        cfg = FusionConfig(
+            weight_overrides={"language_voice": 1e308, "movement_kinematic": 1e308}
+        )
+        items = [
+            evidence("anger", "language_voice", p=0.9),
+            evidence("anger", "movement_kinematic", p=0.8),
+        ]
+        with pytest.raises(FusionError) as exc:
+            fuse_instant(items, cfg)
+        assert exc.value.code == "WEIGHT_OVERFLOW"
+        # Either weight alone is fine.
+        assert fuse_instant(items[:1], cfg).scores == {"anger": pytest.approx(0.9)}
+
 
 class TestFailClosed:
     @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
@@ -807,7 +821,7 @@ class TestWeightTable:
         # Every field differs from its default, so a clone that dropped one
         # would not compare equal.
         default = FusionConfig()
-        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+        assert all(getattr(cfg, name) != getattr(default, name) for name in cfg._fields)
         twin = clone(cfg)
         assert twin == cfg
         assert twin.weight_for("movement_kinetic") == 0.5

@@ -1,6 +1,5 @@
 """Domain-type validation and dominance rules."""
 
-import dataclasses
 import random
 
 import pytest
@@ -12,6 +11,7 @@ from earlkit.model import (
     effective_intensity,
     ComplexEmotion,
     EmotionAnnotation,
+    FrozenRecordError,
     InlineText,
     Reference,
     TimeSpan,
@@ -225,7 +225,7 @@ class TestSharedCleanReport:
         b = validate_annotation(group, PLEASURE_PROFILE, strict=True)
         assert a is b
         assert (a.ok, a.findings) == (True, ())
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenRecordError):
             a.ok = False
 
     def test_strict_still_escalates_noop_regulation(self):

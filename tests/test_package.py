@@ -73,8 +73,8 @@ class TestLazyExports:
 
 
 # Runs one command in a fresh interpreter and reports its exit code, the
-# earlkit modules it loaded, whether it added ``json`` and whether ``json``
-# is loaded at the end.
+# earlkit modules it loaded, whether it added ``json``, whether ``json`` is
+# loaded at the end and whether it added ``dataclasses``.
 PROBE = (
     "import os, sys\n"
     "before = set(sys.modules)\n"
@@ -83,7 +83,8 @@ PROBE = (
     "code = main(sys.argv[1:])\n"
     "added = set(sys.modules) - before\n"
     "mods = sorted(m[len('earlkit.'):] for m in added if m.startswith('earlkit.'))\n"
-    "sys.__stdout__.write(repr((code, mods, 'json' in added, 'json' in sys.modules)))\n"
+    "sys.__stdout__.write(repr(\n"
+    "    (code, mods, 'json' in added, 'json' in sys.modules, 'dataclasses' in added)))\n"
 )
 STREAM = FIXTURES / "streams" / "jack_angry.stream"
 POLICY = FIXTURES / "policies" / "hazardous_tool.policy"
@@ -108,12 +109,17 @@ def test_each_command_loads_only_its_layers(argv, code, modules):
     result = subprocess.run(
         [sys.executable, "-c", PROBE, *map(str, argv)], capture_output=True, text=True, check=True
     )
-    got_code, got_modules, added_json, has_json = ast.literal_eval(result.stdout)
+    got_code, got_modules, added_json, has_json, added_dataclasses = ast.literal_eval(
+        result.stdout
+    )
     assert (got_code, got_modules) == (code, ["cli", *modules])
     if argv[0] == "stats":
         assert has_json
     else:
         assert not added_json
+    # Records are built without ``dataclasses``; only needs.Decision still
+    # is a dataclass.
+    assert added_dataclasses == (argv[0] == "decide")
 
 
 def test_bare_import_loads_no_submodule():
