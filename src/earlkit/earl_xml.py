@@ -37,6 +37,7 @@ from .model import (
     Unscoped,
     VocabularyProfile,
     _Record,
+    _scope_problems,
 )
 
 ROOT_TAG = "earl"
@@ -345,6 +346,9 @@ _TEXT_TABLE = str.maketrans(_TEXT_ESCAPES)
 _ATTR_TABLE = str.maketrans(
     {**_TEXT_ESCAPES, '"': "&quot;", "\t": "&#9;", "\n": "&#10;"}
 )
+# XML 1.0 cannot hold these, not even as references; each C0 control is one UTF-8 byte.
+_C0 = bytes(b for b in range(32) if b not in b"\t\n\r")
+_UNWRITABLE = {chr(b) for b in _C0} | {"\ufffe", "\uffff"}
 
 
 def _attr(name: str, value: str) -> str:
@@ -405,7 +409,7 @@ def _complex_markup(c: ComplexEmotion) -> str:
 
 
 def serialize_document(doc: AnnotationDocument) -> bytes:
-    """Emit canonical EARL XML bytes for a document."""
+    """Emit canonical EARL XML bytes; a character XML cannot hold raises UNSERIALIZABLE_CHAR."""
     head = '<?xml version="1.0" encoding="UTF-8"?>\n'
     if not doc.items:
         return f"{head}<{ROOT_TAG}/>\n".encode()
@@ -415,7 +419,16 @@ def serialize_document(doc: AnnotationDocument) -> bytes:
             for item in doc.items
         ]
     )
-    return f"{head}<{ROOT_TAG}>\n  {body}\n</{ROOT_TAG}>\n".encode()
+    xml = f"{head}<{ROOT_TAG}>\n  {body}\n</{ROOT_TAG}>\n"
+    try:
+        data = xml.encode()
+    except UnicodeEncodeError as exc:  # a lone surrogate, as from a byte that was not UTF-8
+        bad = exc.object[exc.start]
+    else:  # searching a str for a character wider than all it holds returns at once
+        if len(data.translate(None, _C0)) == len(data) and not ("\ufffe" in xml or "\uffff" in xml):
+            return data
+        bad = next(c for c in xml if c in _UNWRITABLE)
+    raise ParseError("UNSERIALIZABLE_CHAR", f"U+{ord(bad):04X} cannot be written in XML")
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +442,8 @@ def resolve_scope(item: AnnotationItem, corpus_root: str | Path) -> ScopeTarget:
     referenced media is checked, not required.
     """
     scope = item.scope
+    if problems := _scope_problems(scope):
+        raise ScopeError("MALFORMED_SCOPE", problems[0])
     if isinstance(scope, Unscoped):
         raise ScopeError("UNSCOPED", "annotation has no scope to resolve")
     if isinstance(scope, InlineText):

@@ -87,11 +87,6 @@ class FusionConfig(_Record):
                 raise ValueError(f"weight.{source}={weight} must be finite and >= 0")
         self.__dict__.update(values)
 
-    def __reduce__(self):
-        # A mappingproxy can be neither pickled nor deep-copied.
-        *values, overrides = (getattr(self, name) for name in self._fields)
-        return FusionConfig, (*values, dict(overrides))
-
     def weight_for(self, source: str) -> float:
         weight = self._weights.get(source)
         return base_weight_for_source(source) if weight is None else weight
@@ -224,18 +219,14 @@ def fuse_instant(
     # Deterministic processing order keeps carried-detail merges (and the
     # contributors listing) permutation invariant.
     ordered = sorted(evidence, key=_processing_order)
-    weights = cfg._weights
+    weight_for = cfg.weight_for
     total_weight = 0.0
     mass: dict[str, float] = {}
     carried: dict[str, CarriedDetail] = {}
     contributors = []
     for item in ordered:
         source = item.source
-        # cfg.weight_for, inlined for speed; the fallback raises UNKNOWN_SOURCE
-        # (test_unknown_source_still_raises).
-        weight = weights.get(source)
-        if weight is None:
-            weight = base_weight_for_source(source)
+        weight = weight_for(source)
         total_weight += weight
         contributors.append((source, weight))
         a = item.annotation
@@ -294,23 +285,6 @@ def update_temporal(state: TemporalState, evidence: MarkerEvidence) -> TemporalS
     return TemporalState(last_evidence=updated, clock=evidence.timestamp)
 
 
-def _derive(cls: type, item, **changes):
-    """A ``cls`` with ``item``'s fields and ``changes``, not re-running ``__init__``.
-
-    Sound for fill_missing's stand-ins: category, modality and timestamp are
-    copied from an item whose ``__init__`` checks already passed, and the
-    decayed probability lies in [drop_floor, p], a subset of [0, 1], because
-    fill_missing raises before it would decay over a negative elapsed time
-    and does not decay at all when lambda is 0 (0 * an overflowed inf
-    elapsed time would give NaN).
-    """
-    copy = object.__new__(cls)
-    # The frozen ``__setattr__`` is bypassed by assigning the merged dict
-    # whole; reads from it specialize as from a record built by ``__init__``.
-    object.__setattr__(copy, "__dict__", {**item.__dict__, **changes})
-    return copy
-
-
 def fill_missing(
     state: TemporalState, now: float, cfg: FusionConfig = FusionConfig()
 ) -> list[MarkerEvidence]:
@@ -338,14 +312,17 @@ def fill_missing(
                 "TIME_REGRESSION", f"now={now} behind {source!r} evidence at t={item.timestamp}"
             )
         decayed = effective_probability(a)
+        # With lambda 0 p is kept: 0 * an overflowed elapsed time is NaN.
         if decay_lambda:
             decayed *= math.exp(-decay_lambda * elapsed)
         if decayed < drop_floor:
             continue
-        annotation = _derive(EmotionAnnotation, a, probability=decayed)
-        synthetic.append(
-            _derive(MarkerEvidence, item, annotation=annotation, predicted=True)
+        annotation = EmotionAnnotation(
+            a.category, a.dimensions, a.appraisals, a.intensity, decayed, a.regulation,
+            a.modality, a.scope,
         )
+        stand_in = MarkerEvidence(annotation, item.source, item.timestamp, item.available, True)
+        synthetic.append(stand_in)
     return synthetic
 
 

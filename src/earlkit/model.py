@@ -15,6 +15,7 @@ is deliberately permissive: invariants are checked by
 from __future__ import annotations
 
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Union
 
 from .errors import MarkerError
@@ -43,7 +44,8 @@ class _Record:
     ``self.__dict__.update(...)``.  Records are equal when of one class with
     equal fields, leaving out those named in ``_uncompared``; the hash is
     that of the same fields, so a record that holds a dict has none; the
-    repr is ``Name(field=value, ...)``.
+    repr is ``Name(field=value, ...)``; copies and unpickled records are
+    rebuilt by ``__init__``, so they pass its checks.
     """
 
     _uncompared: tuple[str, ...] = ()
@@ -75,6 +77,11 @@ class _Record:
 
     def __delattr__(self, name):
         raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled; it goes as the dict it views.
+        values = (getattr(self, name) for name in self._fields)
+        return self.__class__, tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
 
     def _replace(self, **changes):
         """A copy with ``changes``, built and so checked by ``__init__``."""

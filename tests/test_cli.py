@@ -67,6 +67,16 @@ class TestAnnotate:
         assert code == 0
         assert out == '<?xml version="1.0" encoding="UTF-8"?>\n<earl/>\n'
 
+    @pytest.mark.parametrize(
+        "text, point", [("so happy\x01 today", "U+0001"), ("so happy \udcff today", "U+DCFF")],
+        ids=["control", "not-utf8"],
+    )
+    def test_text_xml_cannot_hold_exits_2(self, text, point):
+        # A byte of argv that is not UTF-8 reaches the CLI as a lone surrogate.
+        code, out, err = run_cli(["annotate", "--text", text])
+        assert (code, out) == (2, "")
+        assert err == f"earlkit: UNSERIALIZABLE_CHAR: {point} cannot be written in XML\n"
+
     def test_custom_lexicon(self, tmp_path):
         lex = tmp_path / "tiny.lex"
         lex.write_text("calm: serene\n")
@@ -149,6 +159,13 @@ class TestFuse:
         code, _, err = run_cli(["fuse", "--evidence", bad])
         assert code == 2
         assert "BAD_STREAM" in err
+
+    def test_category_xml_cannot_hold_exits_2(self, tmp_path):
+        stream = tmp_path / "control.stream"
+        stream.write_bytes(b"0 language_voice ang\x01er 0.9 0.9\n")
+        code, out, err = run_cli(["fuse", "--evidence", stream])
+        assert (code, out) == (2, "")
+        assert err == "earlkit: UNSERIALIZABLE_CHAR: U+0001 cannot be written in XML\n"
 
 
 class TestDecide:

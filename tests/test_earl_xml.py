@@ -202,6 +202,45 @@ class TestSerialize:
         assert _attr("a", value) == f' a="{escape(value, attr_entities)}"'
         assert _text(value) == escape(value, {"\r": "&#13;"})
 
+    @pytest.mark.parametrize(
+        "category, text, point",
+        [
+            ("joy", "so happy\x01 today", "U+0001"),
+            ("ang\x01er", "x", "U+0001"),
+            ("joy", "so happy \udcff today", "U+DCFF"),  # a byte that was not UTF-8
+            ("joy", "a\ufffeb", "U+FFFE"),
+            ("joy\x1f", "\uffff", "U+001F"),
+        ],
+        ids=["text-control", "attribute-control", "surrogate", "u-fffe", "first-of-two"],
+    )
+    def test_character_xml_cannot_hold_is_refused(self, category, text, point):
+        a = EmotionAnnotation(category=category, scope=InlineText(text))
+        with pytest.raises(ParseError) as exc:
+            serialize_document(AnnotationDocument(items=(a,)))
+        assert exc.value.code == "UNSERIALIZABLE_CHAR"
+        assert exc.value.message.startswith(point)
+
+    # exclude_categories=() lets in the lone surrogates that text() leaves out.
+    @given(st.text(st.characters(exclude_categories=())))
+    @example("\t\n\r\x7f\x85")
+    @example("\x00")
+    @example("\udcff")
+    @example("\uffff")
+    def test_output_always_reads_back(self, value):
+        a = EmotionAnnotation(category=value, scope=InlineText(value))
+        doc = AnnotationDocument(items=(a,))
+        unwritable = any(
+            (c < " " and c not in "\t\n\r") or "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff"
+            for c in value
+        )
+        try:
+            data = serialize_document(doc)
+        except ParseError as exc:
+            assert exc.code == "UNSERIALIZABLE_CHAR" and unwritable
+        else:
+            assert not unwritable
+            assert parse_document(data).items[0].category == value
+
     def test_format_number(self):
         assert format_number(1.0) == "1"
         assert format_number(0.50) == "0.5"
@@ -271,6 +310,30 @@ class TestResolveScope:
         with pytest.raises(ScopeError) as exc:
             resolve_scope(EmotionAnnotation(category="x"), tmp_path)
         assert exc.value.code == "UNSCOPED"
+
+    @pytest.mark.parametrize(
+        "scope, problem",
+        [
+            (Reference(""), "reference URI is empty"),
+            (TimeSpan(2.0, 1.0), "time span end 1.0 must exceed start 2.0"),
+            (TimeSpan(math.nan, 1.0), "time span end 1.0 must exceed start nan"),
+            (TimeSpan(-1.0, 1.0), "time span start is negative"),
+            (ReferencedTimeSpan("", 0.0, 1.0), "reference URI is empty"),
+        ],
+        ids=["empty-uri", "end-before-start", "nan-start", "negative-start", "empty-clip-uri"],
+    )
+    def test_malformed_scope_is_not_resolved(self, tmp_path, scope, problem):
+        a = EmotionAnnotation(category="x", scope=scope)
+        assert [f.message for f in validate_annotation(a).errors()] == [problem]
+        with pytest.raises(ScopeError) as exc:
+            resolve_scope(a, tmp_path)
+        assert (exc.value.code, exc.value.message) == ("MALFORMED_SCOPE", problem)
+
+    def test_empty_href_is_not_the_corpus_root(self, tmp_path):
+        (item,) = parse_document(b'<emotion category="x" xlink:href=""/>').items
+        with pytest.raises(ScopeError) as exc:
+            resolve_scope(item, tmp_path)
+        assert exc.value.code == "MALFORMED_SCOPE"
 
 
 class TestProfileFile:

@@ -639,8 +639,9 @@ class TestEvidenceBoundary:
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: the decision path as it was written before the
-# stand-ins were derived and the weights resolved once per config.
+# Reference implementations: the decision path restated plainly, with each
+# weight looked up in the overrides, to check fill_missing and fuse_instant
+# against.
 
 
 def reference_fill_missing(state, now, cfg):

@@ -1,9 +1,10 @@
-"""The package surface: lazy exports, and which modules each CLI command loads."""
+"""The package surface: lazy exports, the modules each CLI command loads, one build path."""
 
 import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,3 +129,30 @@ def test_bare_import_loads_no_submodule():
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+# Hooks through which a copy or an unpickled object could skip ``__init__``.
+COPY_HOOKS = {"__reduce__", "__reduce_ex__", "__copy__", "__deepcopy__", "__setstate__"}
+
+
+def test_records_are_built_only_by_their_init():
+    # Every record is built, copied and unpickled by its own ``__init__``, so
+    # none skips its checks: no module calls object.__new__ or
+    # object.__setattr__, and the only copy hook is _Record.__reduce__.
+    calls, hooks = [], []
+    for path in sorted(Path(earlkit.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+                and node.func.attr in ("__new__", "__setattr__")
+            ):
+                calls.append(f"{path.name}:{node.lineno}: object.{node.func.attr}")
+            if isinstance(node, ast.ClassDef):
+                hooks += [
+                    f"{path.name}: {node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in COPY_HOOKS
+                ]
+    assert calls == []
+    assert hooks == ["model.py: _Record.__reduce__"]

@@ -255,18 +255,35 @@ class TestContract:
         assert repr(CASES[cls][0]()) == CASES[cls][2]
 
 
+CLONES = (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)))
 
-# A Lexicon's entries are a mappingproxy view, which cannot be copied.
-@pytest.mark.parametrize(
-    "cls", [cls for cls in RECORDS if cls is not Lexicon],
-    ids=[cls.__name__ for cls in RECORDS if cls is not Lexicon],
-)
+
+@pytest.mark.parametrize("cls", RECORDS, ids=ids)
 def test_copies_are_equal(cls):
     record = CASES[cls][0]()
-    for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+    for clone in CLONES:
         twin = clone(record)
         assert twin == record
         assert repr(twin) == repr(record)
+
+
+def test_copied_lexicon_tags_as_the_original():
+    # The marker index is no field; a copy that tags alike has rebuilt it.
+    lexicon = markers.default_lexicon()
+    text = "goose bumps, so happy"
+    tagged = markers.tag_lexical(text, lexicon)
+    assert [a.category for a, _ in tagged] == ["amazement", "joy"]
+    for clone in CLONES:
+        assert markers.tag_lexical(text, clone(lexicon)) == tagged
+
+
+def test_copies_are_rebuilt_by_init():
+    # A record whose fields fail __init__'s checks cannot be copied into being.
+    evidence = MarkerEvidence(ANGER, "face", 0.0)
+    evidence.__dict__["timestamp"] = math.nan
+    for clone in CLONES:
+        with pytest.raises(ValueError, match="timestamp=nan"):
+            clone(evidence)
 
 
 def test_same_fields_in_another_class_are_unequal():
