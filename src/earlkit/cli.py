@@ -63,7 +63,7 @@ def _cmd_validate(args) -> int:
     failed = False
     for path in _xml_files(root):
         try:
-            doc = parse_document(path.read_bytes(), profile, source_uri=str(path))
+            doc = parse_document(path.read_bytes(), profile)
         except EarlError as exc:
             print(f"{path}: error {exc.code} {exc.message}", file=sys.stderr)
             failed = True
@@ -71,7 +71,7 @@ def _cmd_validate(args) -> int:
         findings = list(doc.warnings)
         for item in doc.items:
             findings.extend(validate_annotation(item, profile).findings)
-        # Parser warnings bypass validate_annotation: escalate both here, once.
+        # --strict escalates parser and validator warnings alike, here only.
         for f in findings:
             severity = "error" if args.strict and f.severity == "warning" else f.severity
             print(f"{path}: {severity} {f.code} {f.message} [{f.location}]", file=sys.stderr)
@@ -184,7 +184,7 @@ def _cmd_stats(args) -> int:
     for path in _xml_files(root):
         counts["files_scanned"] += 1
         try:
-            doc = parse_document(path.read_bytes(), profile, source_uri=str(path))
+            doc = parse_document(path.read_bytes(), profile)
         except EarlError:
             counts["error_count"] += 1
             continue

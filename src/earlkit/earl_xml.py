@@ -53,17 +53,14 @@ _REGULATION_ALIASES = {"hide": "suppress"}
 class AnnotationDocument(_Record):
     """An ordered collection of parsed annotations.
 
-    ``source_uri`` and parser ``warnings`` are bookkeeping and excluded
-    from equality, so round-tripped documents compare equal on the model.
+    Parser ``warnings`` are bookkeeping and excluded from equality, so
+    round-tripped documents compare equal on the model.
     """
 
-    _uncompared = ("source_uri", "warnings")
+    _uncompared = ("warnings",)
 
-    def __init__(
-        self, items: tuple[AnnotationItem, ...] = (), source_uri: str | None = None,
-        warnings: tuple[Finding, ...] = (),
-    ):
-        self.__dict__.update(items=tuple(items), source_uri=source_uri, warnings=tuple(warnings))
+    def __init__(self, items: tuple[AnnotationItem, ...] = (), warnings: tuple[Finding, ...] = ()):
+        self.__dict__.update(items=tuple(items), warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +292,21 @@ def _expat_parse(data: bytes | str, start, end, text, context: str = "") -> None
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.CharacterDataHandler = text
-    try:
-        if isinstance(data, str):
+    if isinstance(data, str):
+        try:
             data = data.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # A lone surrogate, as surrogateescape decoding leaves, has no UTF-8 form.
+            message = f"U+{ord(data[exc.start]):04X} at index {exc.start} is not encodable as UTF-8"
+            raise ParseError("MALFORMED_XML", context + message) from None
+    try:
         parser.Parse(data, True)
     except expat.ExpatError as exc:
         raise ParseError("MALFORMED_XML", f"{context}{exc}") from None
 
 
 def parse_document(
-    data: bytes | str,
-    profile: VocabularyProfile = DEFAULT_PROFILE,
-    source_uri: str | None = None,
+    data: bytes | str, profile: VocabularyProfile = DEFAULT_PROFILE
 ) -> AnnotationDocument:
     """Parse EARL XML into an :class:`AnnotationDocument`.
 
@@ -318,11 +318,7 @@ def parse_document(
     """
     builder = _DocumentBuilder(profile)
     _expat_parse(data, builder.start_element, builder.end_element, builder.character_data)
-    return AnnotationDocument(
-        items=tuple(builder.items),
-        source_uri=source_uri,
-        warnings=tuple(builder.warnings),
-    )
+    return AnnotationDocument(items=tuple(builder.items), warnings=tuple(builder.warnings))
 
 
 # ---------------------------------------------------------------------------

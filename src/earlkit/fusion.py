@@ -4,8 +4,9 @@ Each evidence item contributes weight x probability x intensity to its
 category; scores are normalized by the total weight of all contributing
 sources, so they stay in [0, 1] and are invariant under uniform weight
 scaling.  A temporal state keeps the last observation per source and can
-synthesize decayed stand-ins for sources that have gone quiet, marked as
-predicted so reports can tell observation from inference.
+synthesize decayed stand-ins for sources that have gone quiet.  Each
+stand-in keeps its observation time, so the elapsed time ``now - timestamp``
+tells observation (0) from inference (> 0).
 """
 
 from __future__ import annotations
@@ -29,12 +30,9 @@ from .model import (
 
 
 class MarkerEvidence(_Record):
-    """One per-modality observation feeding the fusion engine; fill_missing sets ``predicted``."""
+    """One per-modality observation feeding the fusion engine."""
 
-    def __init__(
-        self, annotation: EmotionAnnotation, source: str, timestamp: float,
-        available: bool = True, predicted: bool = False,
-    ):
+    def __init__(self, annotation: EmotionAnnotation, source: str, timestamp: float):
         # Fail closed: a NaN passes no comparison, so each range check is
         # written to reject it rather than to let it through.
         a = annotation
@@ -48,10 +46,7 @@ class MarkerEvidence(_Record):
             raise ValueError(f"intensity={a.intensity} outside [0, 1]")
         if not math.isfinite(timestamp):
             raise ValueError(f"timestamp={timestamp} is not a finite time")
-        self.__dict__.update(
-            annotation=annotation, source=source, timestamp=timestamp,
-            available=available, predicted=predicted,
-        )
+        self.__dict__.update(annotation=annotation, source=source, timestamp=timestamp)
 
 
 class FusionConfig(_Record):
@@ -208,11 +203,6 @@ def fuse_instant(
     intensity), divided by the total weight of all evidence.  Output is
     independent of evidence order.
     """
-    for item in evidence:
-        if not item.available:
-            raise FusionError(
-                "UNAVAILABLE_EVIDENCE", f"source {item.source!r} marked unavailable"
-            )
     if not evidence:
         return FusedEstimate(scores={}, dominant=None, ambiguous=False, contributors=())
 
@@ -291,8 +281,9 @@ def fill_missing(
     """Synthesize decayed stand-ins for every remembered source.
 
     Probability decays as p * exp(-lambda * elapsed); items whose decayed
-    probability falls below the drop floor are omitted.  Synthetic items
-    are flagged ``predicted`` so downstream reports can tell them apart.
+    probability falls below the drop floor are omitted.  Each stand-in keeps
+    its observation time, so ``now - timestamp`` is 0 for an item observed
+    at ``now`` and positive for one inferred by decay.
     """
     if not math.isfinite(now):
         raise FusionError("BAD_TIME", f"now={now} is not a finite time")
@@ -321,8 +312,7 @@ def fill_missing(
             a.category, a.dimensions, a.appraisals, a.intensity, decayed, a.regulation,
             a.modality, a.scope,
         )
-        stand_in = MarkerEvidence(annotation, item.source, item.timestamp, item.available, True)
-        synthetic.append(stand_in)
+        synthetic.append(MarkerEvidence(annotation, item.source, item.timestamp))
     return synthetic
 
 

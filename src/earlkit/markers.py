@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -167,10 +167,33 @@ def tag_lexical(text: str, lexicon: Lexicon | None = None) -> list[tuple[Emotion
 
 
 # ---------------------------------------------------------------------------
-# Voice signatures
+# Feature values
 
 UP, DOWN, FLAT = "up", "down", "flat"
 DOWNWARD, UPWARD = "downward", "upward"
+SHORT, MID, LONG = "short", "mid", "long"
+FREQUENT, FEW = "frequent", "few"
+OUTWARD, CLOSE, NEUTRAL = "outward_from_centre", "close_to_centre", "neutral"
+DYNAMIC_HIGH = "dynamic_high"
+SUSTAINED_HIGH = "sustained_high"
+CONTINUOUSLY_LOW = "continuously_low"
+DYNAMIC_VARYING = "dynamic_varying"
+
+# Value -> the values that contradict it, in every field it fills and for
+# both classifiers.  Only genuinely opposed values contradict; mid/neutral
+# never do, and the two high-tension flavors are merely different, not
+# opposed.
+_OPPOSED = {
+    UP: {DOWN}, DOWN: {UP}, DOWNWARD: {UPWARD}, UPWARD: {DOWNWARD},
+    SHORT: {LONG}, LONG: {SHORT}, FREQUENT: {FEW}, FEW: {FREQUENT},
+    OUTWARD: {CLOSE}, CLOSE: {OUTWARD},
+    DYNAMIC_HIGH: {CONTINUOUSLY_LOW}, SUSTAINED_HIGH: {CONTINUOUSLY_LOW},
+    CONTINUOUSLY_LOW: {DYNAMIC_HIGH, SUSTAINED_HIGH},
+}
+
+
+# ---------------------------------------------------------------------------
+# Voice signatures
 
 _DIRECTIONS = (UP, DOWN, FLAT)
 _CONTOURS = (DOWNWARD, UPWARD, FLAT)
@@ -232,8 +255,6 @@ VOICE_PATTERNS: dict[str, dict[str, str]] = {
     "disgust": {},
 }
 
-_OPPOSITE_DIRECTION = {UP: DOWN, DOWN: UP, DOWNWARD: UPWARD, UPWARD: DOWNWARD}
-
 
 class RankedEmotion(_Record):
     def __init__(self, label: str, score: float, matched_features: tuple[str, ...] = ()):
@@ -243,14 +264,13 @@ class RankedEmotion(_Record):
 RankedEmotions = list[RankedEmotion]
 
 
-def _compile(patterns: dict[str, dict[str, str]], fields: tuple[str, ...],
-             opposed: Callable[[str, str], set[str]]) -> tuple:
+def _compile(patterns: dict[str, dict[str, str]], fields: tuple[str, ...]) -> tuple:
     """Scoring table: per emotion, its label, pattern size and one rule
     ``(field index, field name, expected value, opposed values)`` per
     pattern field, in pattern order."""
     return tuple(
         (emotion, len(pattern), tuple(
-            (fields.index(name), name, expected, frozenset(opposed(name, expected)))
+            (fields.index(name), name, expected, frozenset(_OPPOSED.get(expected, ())))
             for name, expected in pattern.items()
         ))
         for emotion, pattern in patterns.items()
@@ -275,10 +295,7 @@ def _classify(values: tuple[str, ...], table: tuple) -> RankedEmotions:
     return sorted(scored, key=lambda r: (-r.score, r.label))
 
 
-_VOICE_TABLE = _compile(
-    VOICE_PATTERNS, VOICE_FIELDS,
-    lambda _name, expected: {_OPPOSITE_DIRECTION[expected]},
-)
+_VOICE_TABLE = _compile(VOICE_PATTERNS, VOICE_FIELDS)
 _voice_values = attrgetter(*VOICE_FIELDS)
 
 
@@ -295,14 +312,6 @@ def classify_voice(v: VoiceFeatureDelta) -> RankedEmotions:
 
 # ---------------------------------------------------------------------------
 # Movement signatures
-
-SHORT, MID, LONG = "short", "mid", "long"
-FREQUENT, FEW = "frequent", "few"
-OUTWARD, CLOSE, NEUTRAL = "outward_from_centre", "close_to_centre", "neutral"
-DYNAMIC_HIGH = "dynamic_high"
-SUSTAINED_HIGH = "sustained_high"
-CONTINUOUSLY_LOW = "continuously_low"
-DYNAMIC_VARYING = "dynamic_varying"
 
 _MOVEMENT_VALUES = {
     "duration": (SHORT, MID, LONG),
@@ -366,33 +375,7 @@ MOVEMENT_PATTERNS: dict[str, dict[str, str]] = {
     },
 }
 
-# Only genuinely opposed values contradict; mid/neutral never do, and the
-# two high-tension flavors are merely different, not opposed.
-_MOVEMENT_OPPOSITES = {
-    ("duration", SHORT): LONG,
-    ("duration", LONG): SHORT,
-    ("tempo_changes", FREQUENT): FEW,
-    ("tempo_changes", FEW): FREQUENT,
-    ("stop_length", SHORT): LONG,
-    ("stop_length", LONG): SHORT,
-    ("spatial_extent", OUTWARD): CLOSE,
-    ("spatial_extent", CLOSE): OUTWARD,
-    ("tension", DYNAMIC_HIGH): CONTINUOUSLY_LOW,
-    ("tension", SUSTAINED_HIGH): CONTINUOUSLY_LOW,
-}
-
-
-def _movement_opposed(name: str, expected: str) -> set[str]:
-    # Opposition is symmetric: low tension is contradicted by either
-    # high-tension flavor.
-    return {
-        b if a == expected else a
-        for (field_name, a), b in _MOVEMENT_OPPOSITES.items()
-        if field_name == name and expected in (a, b)
-    }
-
-
-_MOVEMENT_TABLE = _compile(MOVEMENT_PATTERNS, MOVEMENT_FIELDS, _movement_opposed)
+_MOVEMENT_TABLE = _compile(MOVEMENT_PATTERNS, MOVEMENT_FIELDS)
 _movement_values = attrgetter(*MOVEMENT_FIELDS)
 
 

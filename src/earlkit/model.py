@@ -233,9 +233,6 @@ class ValidationReport(_Record):
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity == "error"]
 
-    def warnings(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity == "warning"]
-
 
 #: The report for an item with no findings; it is immutable, so one is shared.
 _CLEAN = ValidationReport(ok=True, findings=())
@@ -315,15 +312,12 @@ def _check_annotation(
 
 
 def validate_annotation(
-    item: AnnotationItem,
-    profile: VocabularyProfile = DEFAULT_PROFILE,
-    strict: bool = False,
+    item: AnnotationItem, profile: VocabularyProfile = DEFAULT_PROFILE
 ) -> ValidationReport:
     """Check one annotation or complex emotion against a vocabulary profile.
 
     All problems are reported, never raised; findings come back in document
-    order so identical inputs produce identical reports.  With ``strict``
-    every warning is escalated to an error.
+    order so identical inputs produce identical reports.
     """
     findings: list[Finding] = []
     if isinstance(item, ComplexEmotion):
@@ -348,11 +342,6 @@ def validate_annotation(
 
     if not findings:
         return _CLEAN
-    if strict:
-        findings = [
-            Finding("error", f.code, f.message, f.location) if f.severity == "warning" else f
-            for f in findings
-        ]
     ok = not any(f.severity == "error" for f in findings)
     return ValidationReport(ok=ok, findings=tuple(findings))
 

@@ -98,6 +98,14 @@ class TestParse:
             parse_document(b"<emotion category='x'")
         assert exc.value.code == "MALFORMED_XML"
 
+    def test_lone_surrogate_is_malformed_xml(self):
+        # As left by decoding with surrogateescape; it has no UTF-8 form.
+        with pytest.raises(ParseError) as exc:
+            parse_document('<emotion category="a\udcffb"/>')
+        assert (exc.value.code, exc.value.message) == (
+            "MALFORMED_XML", "U+DCFF at index 20 is not encodable as UTF-8"
+        )
+
     def test_unparseable_number(self):
         with pytest.raises(ParseError) as exc:
             parse_document(b'<emotion category="x" intensity="high"/>')
@@ -347,6 +355,13 @@ class TestProfileFile:
         with pytest.raises(ParseError) as exc:
             load_profile(b"<profile>")
         assert exc.value.code == "MALFORMED_XML"
+
+    def test_lone_surrogate_is_malformed_xml(self):
+        with pytest.raises(ParseError) as exc:
+            load_profile("<profile><category>a\udcffb</category></profile>")
+        assert (exc.value.code, exc.value.message) == (
+            "MALFORMED_XML", "profile: U+DCFF at index 20 is not encodable as UTF-8"
+        )
 
     @pytest.mark.parametrize(
         "data",

@@ -90,17 +90,6 @@ class TestFuseInstant:
         assert f.dominant is None
         assert not f.ambiguous
 
-    def test_unavailable_evidence_rejected(self):
-        item = MarkerEvidence(
-            annotation=EmotionAnnotation(category="joy", modality="face"),
-            source="face",
-            timestamp=0.0,
-            available=False,
-        )
-        with pytest.raises(FusionError) as exc:
-            fuse_instant([item])
-        assert exc.value.code == "UNAVAILABLE_EVIDENCE"
-
     def test_weight_override(self):
         cfg = FusionConfig(weight_overrides={"face": 0.5})
         f = fuse_instant([evidence("joy", "face", p=1.0)], cfg)
@@ -254,10 +243,11 @@ class TestTemporal:
         assert exc.value.code == "TIME_REGRESSION"
 
     def test_zero_elapsed_is_identity(self):
-        state = update_temporal(TemporalState(), evidence("joy", "face", p=0.8, t=0.0))
-        (synthetic,) = fill_missing(state, 0.0)
+        state = update_temporal(TemporalState(), evidence("joy", "face", p=0.8, t=1.0))
+        (synthetic,) = fill_missing(state, 1.0)
         assert synthetic.annotation.probability == 0.8
-        assert synthetic.predicted
+        # Observed at now, so elapsed is 0: an observation, not an inference.
+        assert 1.0 - synthetic.timestamp == 0.0
 
     def test_decay_value(self):
         state = update_temporal(TemporalState(), evidence("joy", "face", p=0.8, t=0.0))
@@ -265,6 +255,8 @@ class TestTemporal:
         assert synthetic.annotation.probability == pytest.approx(
             0.8 * math.exp(-1.0), abs=1e-12
         )
+        # The stand-in keeps its observation time, so elapsed is 5.
+        assert synthetic.timestamp == 0.0
 
     def test_everything_but_probability_carried_over(self):
         item = MarkerEvidence(
@@ -280,7 +272,6 @@ class TestTemporal:
             ),
             source="language_voice",
             timestamp=1.5,
-            available=False,
         )
         state = update_temporal(TemporalState(), item)
         (synthetic,) = fill_missing(state, 3.5, FusionConfig(decay_lambda=0.2))
@@ -299,8 +290,6 @@ class TestTemporal:
             ),
             source="language_voice",
             timestamp=1.5,
-            available=False,
-            predicted=True,
         )
 
     def test_decayed_below_floor_dropped(self):
@@ -665,13 +654,7 @@ def reference_fill_missing(state, now, cfg):
             scope=a.scope,
         )
         synthetic.append(
-            MarkerEvidence(
-                annotation=annotation,
-                source=item.source,
-                timestamp=item.timestamp,
-                available=item.available,
-                predicted=True,
-            )
+            MarkerEvidence(annotation=annotation, source=item.source, timestamp=item.timestamp)
         )
     return synthetic
 
@@ -729,10 +712,7 @@ def remembered_items(draw):
             modality=draw(st.sampled_from(["face", "voice", "movement"])),
             scope=draw(scopes),
         )
-        items.append(MarkerEvidence(
-            annotation=annotation, source=source, timestamp=t,
-            available=draw(st.booleans()), predicted=draw(st.booleans()),
-        ))
+        items.append(MarkerEvidence(annotation=annotation, source=source, timestamp=t))
     return items
 
 
@@ -753,20 +733,23 @@ class TestEquivalentToConstructors:
         state = TemporalState()
         for item in items:
             state = update_temporal(state, item)
-        before = [(e.predicted, e.annotation.probability) for e in items]
+        before = [(e.timestamp, e.annotation.probability) for e in items]
         now = state.clock + dt
         got = fill_missing(state, now, cfg)
         want = reference_fill_missing(state, now, cfg)
         assert got == want
         assert [e.source for e in got] == [e.source for e in want]
-        assert all(type(e) is MarkerEvidence and e.predicted for e in got)
+        assert all(type(e) is MarkerEvidence for e in got)
+        # Each stand-in keeps the observation time of the item it stands in for.
+        assert [e.timestamp for e in got] == [
+            state.last_evidence[e.source].timestamp for e in got
+        ]
         assert all(type(e.annotation) is EmotionAnnotation for e in got)
         # The remembered items are left as they were.
-        assert [(e.predicted, e.annotation.probability) for e in items] == before
+        assert [(e.timestamp, e.annotation.probability) for e in items] == before
 
     @given(items=remembered_items(), cfg=configs)
     def test_fuse_instant_scores_are_bit_identical(self, items, cfg):
-        items = [MarkerEvidence(e.annotation, e.source, e.timestamp) for e in items]
         for subset in (items, items[:1], items[::-1]):
             fused = fuse_instant(subset, cfg)
             scores, dominant, ambiguous, contributors = reference_fuse(subset, cfg)
@@ -780,10 +763,8 @@ class TestEquivalentToConstructors:
         for item in items:
             state = update_temporal(state, item)
         now = state.clock + dt
-        fused = fuse_instant([e for e in fill_missing(state, now, cfg) if e.available], cfg)
-        want = fuse_instant(
-            [e for e in reference_fill_missing(state, now, cfg) if e.available], cfg
-        )
+        fused = fuse_instant(fill_missing(state, now, cfg), cfg)
+        want = fuse_instant(reference_fill_missing(state, now, cfg), cfg)
         assert bits(fused.scores) == bits(want.scores)
         assert fused == want
         assert fused.carried == want.carried

@@ -85,13 +85,6 @@ class TestValidateAnnotation:
         assert codes(report, "error") == ["RANGE"]
         assert codes(report, "warning") == ["NOOP_REGULATION"]
 
-    def test_strict_escalates_warnings(self):
-        a = EmotionAnnotation(category="pleasure", regulation={"suppress": 0.0})
-        assert validate_annotation(a).ok
-        strict = validate_annotation(a, strict=True)
-        assert not strict.ok
-        assert codes(strict, "error") == ["NOOP_REGULATION"]
-
     def test_malformed_timespan(self):
         a = EmotionAnnotation(category="pleasure", scope=TimeSpan(2.0, 1.0))
         report = validate_annotation(a)
@@ -222,28 +215,23 @@ class TestSharedCleanReport:
             (EmotionAnnotation(category="pleasure"), EmotionAnnotation(category="pleasure")),
             scope=InlineText("hi"),
         )
-        b = validate_annotation(group, PLEASURE_PROFILE, strict=True)
+        b = validate_annotation(group, PLEASURE_PROFILE)
         assert a is b
         assert (a.ok, a.findings) == (True, ())
         with pytest.raises(FrozenRecordError):
             a.ok = False
 
-    def test_strict_still_escalates_noop_regulation(self):
+    def test_noop_regulation_in_constituent_is_a_warning(self):
         group = ComplexEmotion(
             (
                 EmotionAnnotation(category="pleasure"),
                 EmotionAnnotation(category="pleasure", regulation={"suppress": 0.0}),
             )
         )
-        lenient = validate_annotation(group)
-        assert lenient.ok
-        assert [(f.severity, f.location) for f in lenient.findings] == [
-            ("warning", "complex.constituent[1].suppress")
-        ]
-        strict = validate_annotation(group, strict=True)
-        assert not strict.ok
-        assert [(f.severity, f.code, f.location) for f in strict.findings] == [
-            ("error", "NOOP_REGULATION", "complex.constituent[1].suppress")
+        report = validate_annotation(group)
+        assert report.ok
+        assert [(f.severity, f.code, f.location) for f in report.findings] == [
+            ("warning", "NOOP_REGULATION", "complex.constituent[1].suppress")
         ]
 
     def test_finding_locations(self):

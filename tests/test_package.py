@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import earlkit
-from support import FIXTURES
+from support import FIXTURES, REPO
 
 #: Every name the package exports, by the module it was first exported from.
 EXPORTED = {
@@ -121,6 +121,15 @@ def test_each_command_loads_only_its_layers(argv, code, modules):
     # Records are built without ``dataclasses``; only needs.Decision still
     # is a dataclass.
     assert added_dataclasses == (argv[0] == "decide")
+
+
+def test_benchmark_selfcheck_passes():
+    # The benchmark harness builds records and calls layers by name; a name
+    # or field it uses that goes away fails here before a measuring run.
+    result = subprocess.run(
+        [sys.executable, "perfbench/selfcheck.py"], cwd=REPO, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_bare_import_loads_no_submodule():

@@ -104,9 +104,8 @@ CASES = {
     ),
     MarkerEvidence: (
         lambda: MarkerEvidence(ANGER, "language_voice", 2.0),
-        MarkerEvidence(ANGER, "language_voice", 2.0, predicted=True),
-        f"MarkerEvidence(annotation={ANGER_REPR}, source='language_voice', timestamp=2.0, "
-        "available=True, predicted=False)",
+        MarkerEvidence(ANGER, "language_voice", 3.0),
+        f"MarkerEvidence(annotation={ANGER_REPR}, source='language_voice', timestamp=2.0)",
         False,
     ),
     FusionConfig: (
@@ -136,14 +135,13 @@ CASES = {
         lambda: TemporalState({"face": MarkerEvidence(JOY_FACE, "face", 1.0)}, 1.0),
         TemporalState({"face": MarkerEvidence(JOY_FACE, "face", 1.0)}, 2.0),
         f"TemporalState(last_evidence={{'face': MarkerEvidence(annotation={JOY_FACE_REPR}, "
-        "source='face', timestamp=1.0, available=True, predicted=False)}, clock=1.0)",
+        "source='face', timestamp=1.0)}, clock=1.0)",
         False,
     ),
     AnnotationDocument: (
-        lambda: AnnotationDocument([ANGER], source_uri="doc.xml", warnings=[WARNING]),
+        lambda: AnnotationDocument([ANGER], warnings=[WARNING]),
         AnnotationDocument([ANGER, ANGER]),
-        f"AnnotationDocument(items=({ANGER_REPR},), source_uri='doc.xml', "
-        f"warnings=({WARNING_REPR},))",
+        f"AnnotationDocument(items=({ANGER_REPR},), warnings=({WARNING_REPR},))",
         False,
     ),
     TextSegment: (lambda: TextSegment("hello"), TextSegment("hi"), "TextSegment(text='hello')",
@@ -311,9 +309,7 @@ class TestUncomparedFields:
 
     def test_document_bookkeeping_does_not_affect_equality_or_hash(self):
         doc = AnnotationDocument([InlineText("x")])
-        noted = AnnotationDocument(
-            [InlineText("x")], source_uri="doc.xml", warnings=[Finding("warning", "W", "m", "l")]
-        )
+        noted = AnnotationDocument([InlineText("x")], warnings=[Finding("warning", "W", "m", "l")])
         assert doc == noted and hash(doc) == hash(noted)
         assert doc != AnnotationDocument()
 
@@ -325,6 +321,8 @@ class TestFields:
             "modality", "scope",
         )
         assert Unscoped._fields == ()
+        assert MarkerEvidence._fields == ("annotation", "source", "timestamp")
+        assert AnnotationDocument._fields == ("items", "warnings")
 
     def test_tables_built_at_construction_are_no_fields(self):
         assert FusionConfig._fields == (
