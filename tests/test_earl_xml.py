@@ -2,10 +2,11 @@
 
 import math
 import random
+from xml.parsers import expat
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from earlkit.earl_xml import (
@@ -23,9 +24,13 @@ from earlkit.earl_xml import (
 )
 from earlkit.errors import ParseError, ScopeError
 from earlkit.model import (
+    CLASSIC_APPRAISAL_NAMES,
+    CLASSIC_DIMENSION_NAMES,
+    REGULATION_TYPES,
     UNSCOPED,
     ComplexEmotion,
     EmotionAnnotation,
+    Finding,
     InlineText,
     Reference,
     ReferencedTimeSpan,
@@ -688,4 +693,266 @@ class TestRewriteEquivalence:
         assert (exc.value.code, exc.value.message) == (
             "UNPARSEABLE_NUMBER",
             "attribute hide='bad' is not a number",
+        )
+
+
+# The reader as it was before its handlers became closures, restated: one
+# frame object per open element, its location string built at its start.
+
+_REF_HREF_ATTRS = ("xlink:href", "href")
+_REF_ALIASES = {"hide": "suppress"}
+
+
+class _RefFrame:
+    def __init__(self, kind, attrs, location):
+        self.kind, self.attrs, self.location = kind, attrs, location
+        self.text_parts, self.children = [], []
+
+
+def _ref_kinds(profile):
+    kinds = dict.fromkeys(CLASSIC_APPRAISAL_NAMES, "appraisal")
+    kinds.update(dict.fromkeys(CLASSIC_DIMENSION_NAMES, "dimension"))
+    kinds.update(dict.fromkeys(profile.appraisal_names, "appraisal"))
+    kinds.update(dict.fromkeys(profile.dimension_names, "dimension"))
+    kinds.update(dict.fromkeys(_REF_ALIASES, "alias"))
+    kinds.update(dict.fromkeys(REGULATION_TYPES, "regulation"))
+    kinds.update(dict.fromkeys(_REF_HREF_ATTRS, "uri"))
+    fixed = ("category", "modality", "intensity", "probability", "start", "end")
+    kinds.update(zip(fixed, fixed))
+    return kinds
+
+
+def _ref_number(name, raw):
+    try:
+        return float(raw)
+    except ValueError:
+        raise ParseError("UNPARSEABLE_NUMBER", f"attribute {name}={raw!r} is not a number")
+
+
+class _RefBuilder:
+    def __init__(self, profile):
+        self.kinds = _ref_kinds(profile)
+        self.items, self.warnings, self.stack = [], [], []
+
+    def warn(self, code, message, location):
+        self.warnings.append(Finding("warning", code, message, location))
+
+    def start_element(self, name, attrs):
+        stack = self.stack
+        parent = stack[-1] if stack else None
+        if name == "complex-emotion" and any(f.kind == "complex" for f in stack):
+            raise ParseError(
+                "NESTED_COMPLEX", "complex-emotion may not contain another complex-emotion"
+            )
+        if (parent is None or parent.kind == "container") and name in (
+            "emotion",
+            "complex-emotion",
+        ):
+            kind = "emotion" if name == "emotion" else "complex"
+            stack.append(_RefFrame(kind, attrs, f"item[{len(self.items)}]"))
+        elif parent is None:
+            stack.append(_RefFrame("container", attrs, ""))
+        elif parent.kind == "complex" and name == "emotion":
+            loc = f"{parent.location}.constituent[{len(parent.children)}]"
+            stack.append(_RefFrame("emotion", attrs, loc))
+        else:
+            message = f"element <{name}> is not part of the annotation vocabulary here"
+            self.warn("UNRECOGNIZED_ELEMENT", message, parent.location or "document")
+            stack.append(_RefFrame("ignored", attrs, parent.location))
+
+    def character_data(self, data):
+        if self.stack:
+            self.stack[-1].text_parts.append(data)
+
+    def end_element(self, _name):
+        frame = self.stack.pop()
+        if frame.kind == "ignored":
+            return
+        text = "".join(frame.text_parts)
+        if not text.strip(" \t\n\r"):
+            text = ""
+        if frame.kind == "container":
+            if text:
+                self.warn("STRAY_TEXT", f"text outside annotations: {text.strip()!r}", "document")
+        elif frame.kind == "emotion":
+            annotation = self.annotation(frame, text)
+            if self.stack and self.stack[-1].kind == "complex":
+                self.stack[-1].children.append(annotation)
+            else:
+                self.items.append(annotation)
+        else:
+            self.items.append(self.complex(frame, text))
+
+    def scope(self, uri, start, end, text, loc):
+        if (start is None) != (end is None):
+            self.warn(
+                "INCOMPLETE_TIMESPAN", "start and end must be given together; lone value ignored", loc
+            )
+            start = end = None
+        if start is not None and not end > start:
+            raise ParseError("START_AFTER_END", f"start={start} end={end}")
+        if text and (uri is not None or start is not None):
+            message = "element has both attribute scope and enclosed text; text ignored"
+            self.warn("AMBIGUOUS_SCOPE", message, loc)
+            text = ""
+        if uri is not None and start is not None:
+            return ReferencedTimeSpan(uri, start, end)
+        if uri is not None:
+            return Reference(uri)
+        if start is not None:
+            return TimeSpan(start, end)
+        return InlineText(text) if text else UNSCOPED
+
+    def annotation(self, frame, text):
+        fields = dict.fromkeys(("category", "modality", "uri", "intensity", "probability"))
+        fields.update(start=None, end=None)
+        groups = {"dimension": {}, "appraisal": {}, "regulation": {}}
+        it = iter(frame.attrs)
+        for name, raw in zip(it, it):
+            kind = self.kinds.get(name)
+            if kind is None:
+                try:
+                    groups["appraisal"][name] = float(raw)
+                except ValueError:
+                    message = f"attribute {name}={raw!r} not recognized; dropped"
+                else:
+                    message = f"attribute {name!r} not in profile; kept as appraisal"
+                self.warn("UNKNOWN_ATTRIBUTE", message, frame.location)
+            elif kind in ("category", "modality", "uri"):
+                fields[kind] = raw
+            elif kind in groups:
+                groups[kind][name] = _ref_number(name, raw)
+            elif kind == "alias":
+                value = _ref_number(name, raw)
+                groups["regulation"][_REF_ALIASES[name]] = value
+                message = f"regulation {name!r} read as {_REF_ALIASES[name]!r}"
+                self.warn("REGULATION_ALIAS", message, frame.location)
+            else:
+                fields[kind] = _ref_number(name, raw)
+        return EmotionAnnotation(
+            category=fields["category"],
+            dimensions=groups["dimension"],
+            appraisals=groups["appraisal"],
+            intensity=fields["intensity"],
+            probability=fields["probability"],
+            regulation=groups["regulation"],
+            modality=fields["modality"],
+            scope=self.scope(fields["uri"], fields["start"], fields["end"], text, frame.location),
+        )
+
+    def complex(self, frame, text):
+        uri = start = end = None
+        it = iter(frame.attrs)
+        for name, raw in zip(it, it):
+            if name in _REF_HREF_ATTRS:
+                uri = raw
+            elif name == "start":
+                start = _ref_number(name, raw)
+            elif name == "end":
+                end = _ref_number(name, raw)
+            else:
+                message = f"attribute {name}={raw!r} not recognized on complex-emotion; dropped"
+                self.warn("UNKNOWN_ATTRIBUTE", message, frame.location)
+        scope = self.scope(uri, start, end, text, frame.location)
+        return ComplexEmotion(constituents=tuple(frame.children), scope=scope)
+
+
+def reference_parse(data, profile):
+    builder = _RefBuilder(profile)
+    parser = expat.ParserCreate()
+    parser.ordered_attributes = True
+    parser.buffer_text = True
+    parser.StartElementHandler = builder.start_element
+    parser.EndElementHandler = builder.end_element
+    parser.CharacterDataHandler = builder.character_data
+    if isinstance(data, str):
+        try:
+            data = data.encode()
+        except UnicodeEncodeError as exc:
+            message = f"U+{ord(data[exc.start]):04X} at index {exc.start} is not encodable as UTF-8"
+            raise ParseError("MALFORMED_XML", message)
+    try:
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        raise ParseError("MALFORMED_XML", str(exc))
+    return AnnotationDocument(items=tuple(builder.items), warnings=tuple(builder.warnings))
+
+
+def parse_outcome(parse, data, profile):
+    """What ``parse`` makes of ``data``: its items and warnings, or its error."""
+    try:
+        doc = parse(data, profile)
+    except ParseError as exc:
+        return exc.code, exc.message
+    # The repr keeps NaN comparable and dict order visible.
+    return repr(doc.items), [(w.severity, w.code, w.message, w.location) for w in doc.warnings]
+
+
+# Attribute names that reach every route of the reader: text and numeric
+# fields, classic and profile-claimed descriptors, regulation and its alias,
+# both URI forms, and names nothing claims.  A profile may claim a classic
+# name for the other descriptor kind, or a name a fixed field already owns.
+_RAW_NAMES = (
+    "category", "modality", "intensity", "probability", "start", "end", "arousal", "valence",
+    "suddenness", "goal_conduciveness", "glow", "spark", "amplify", "simulate", "suppress",
+    "hide", "href", "xlink:href", "wobble", "note",
+)
+# Pairs that fill one slot; their reading changed on purpose, so none is drawn.
+_RAW_ONE_SLOT = ({"href", "xlink:href"}, {"suppress", "hide"})
+_RAW_VALUES = (
+    "0.5", "-0.25", "1", "2", "1.0", "0", "-0", " 0.7 ", "1_0", "2e-3", "1e400", "nan", "-inf",
+    "high", "", "face12.jpg", "a &amp; b", "zärtlich",
+)
+_RAW_TEXTS = ("", "\n  ", " \t", "lost words", "x &lt; y", " ", "zärtlich")
+PROFILES = (
+    VocabularyProfile(),
+    VocabularyProfile(
+        dimension_names=frozenset({"glow", "suddenness"}),
+        appraisal_names=frozenset({"spark", "valence"}),
+    ),
+    VocabularyProfile(
+        dimension_names=frozenset({"category", "hide", "simulate"}),
+        appraisal_names=frozenset({"href", "glow"}),
+    ),
+)
+
+
+@st.composite
+def raw_earl(draw):
+    """EARL-like bytes: any nesting of the annotation tags, others and text."""
+
+    def element(tag, depth):
+        names = draw(st.lists(st.sampled_from(_RAW_NAMES), unique=True, max_size=5))
+        if draw(st.sampled_from((False, False, True))):  # a span, or a lone half of one
+            names += [n for n in ("start", "end") if n not in names]
+        if any(pair <= set(names) for pair in _RAW_ONE_SLOT):
+            names = [n for n in names if n not in ("xlink:href", "hide")]
+        attrs = "".join(f' {n}="{draw(st.sampled_from(_RAW_VALUES))}"' for n in names)
+        inner = []
+        for _ in range(draw(st.integers(0, 3 if depth < 4 else 0))):
+            child = draw(st.sampled_from(("emotion", "complex-emotion", "note", "text")))
+            if child == "text":
+                inner.append(draw(st.sampled_from(_RAW_TEXTS)))
+            else:
+                inner.append(element(child, depth + 1))
+        inner.append(draw(st.sampled_from(_RAW_TEXTS)))
+        body = "".join(inner)
+        return f"<{tag}{attrs}>{body}</{tag}>" if body else f"<{tag}{attrs}/>"
+
+    root = draw(st.sampled_from(("earl", "emotion", "complex-emotion", "note")))
+    head = draw(st.sampled_from(("", '<?xml version="1.0" encoding="UTF-8"?>\n')))
+    data = (head + element(root, 0)).encode()
+    if draw(st.sampled_from((False,) * 9 + (True,))):  # malformed after some elements ended
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
+class TestReaderMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(raw_earl(), st.sampled_from(PROFILES), st.booleans())
+    def test_parse_matches_reference(self, data, profile, as_text):
+        if as_text:
+            data = data.decode(errors="surrogateescape")
+        assert parse_outcome(parse_document, data, profile) == parse_outcome(
+            reference_parse, data, profile
         )
