@@ -9,6 +9,13 @@ with or without the ``xlink:`` prefix.
 The serializer emits one canonical form (fixed attribute order, minimal
 digits, two-space indent, UTF-8) so byte-level golden tests are possible;
 ``parse_document(serialize_document(doc))`` equals ``doc``.
+
+The reader is built afresh for each document: three expat handlers that
+are closures over the items, the warnings and a stack of open elements,
+each element a small list.  An element's attributes are read at its end,
+one lookup each in a per-profile table from name to slot, and a warning's
+location such as ``item[3].constituent[1]`` is formatted only when the
+warning is emitted.
 """
 
 from __future__ import annotations
@@ -89,29 +96,29 @@ ScopeTarget = Union[TextSegment, MediaObject, ClipSegment]
 # Parsing
 
 
-class _Frame:
-    __slots__ = ("kind", "attrs", "text_parts", "children", "location")
+# Where an attribute's value goes.  Slots up to _END are fields of an
+# annotation, kept as text below _INTENSITY and as numbers from it on.
+_CATEGORY, _MODALITY, _URI, _INTENSITY, _PROBABILITY, _START, _END = range(7)
+_DIMENSION, _APPRAISAL, _REGULATION, _ALIAS = range(7, 11)
+# For the error that names both attributes giving one value.
+_SAME_SLOT = {"href": "xlink:href", "xlink:href": "href", "hide": "suppress", "suppress": "hide"}
 
-    def __init__(self, kind: str, attrs: list[str], location: str):
-        self.kind = kind  # "container", "emotion", "complex", "ignored"
-        self.attrs = attrs  # flat [name, value, ...]
-        self.text_parts: list[str] = []
-        self.children: list[EmotionAnnotation] = []
-        self.location = location
+# An open element is a list: [kind, attrs, text parts, constituents, item, constituent].
+_CONTAINER, _EMOTION, _COMPLEX, _IGNORED = range(4)
 
 
 @lru_cache(maxsize=8)
-def _attribute_kinds(profile: VocabularyProfile) -> dict[str, str]:
-    # Known emotion attribute -> role; later updates win over earlier ones.
-    kinds = dict.fromkeys(CLASSIC_APPRAISAL_NAMES, "appraisal")
-    kinds.update(dict.fromkeys(CLASSIC_DIMENSION_NAMES, "dimension"))
-    kinds.update(dict.fromkeys(profile.appraisal_names, "appraisal"))
-    kinds.update(dict.fromkeys(profile.dimension_names, "dimension"))
-    kinds.update(dict.fromkeys(_REGULATION_ALIASES, "alias"))
-    kinds.update(dict.fromkeys(REGULATION_TYPES, "regulation"))
-    kinds.update(dict.fromkeys(_HREF_ATTRS, "uri"))
-    fixed = ("category", "modality", "intensity", "probability", "start", "end")
-    kinds.update(zip(fixed, fixed))
+def _attribute_kinds(profile: VocabularyProfile) -> dict[str, int]:
+    # Known emotion attribute -> slot; later updates win over earlier ones.
+    kinds = dict.fromkeys(CLASSIC_APPRAISAL_NAMES, _APPRAISAL)
+    kinds.update(dict.fromkeys(CLASSIC_DIMENSION_NAMES, _DIMENSION))
+    kinds.update(dict.fromkeys(profile.appraisal_names, _APPRAISAL))
+    kinds.update(dict.fromkeys(profile.dimension_names, _DIMENSION))
+    kinds.update(dict.fromkeys(_REGULATION_ALIASES, _ALIAS))
+    kinds.update(dict.fromkeys(REGULATION_TYPES, _REGULATION))
+    kinds.update(dict.fromkeys(_HREF_ATTRS, _URI))
+    kinds.update(category=_CATEGORY, modality=_MODALITY, intensity=_INTENSITY)
+    kinds.update(probability=_PROBABILITY, start=_START, end=_END)
     return kinds
 
 
@@ -123,165 +130,105 @@ def _number(name: str, raw: str) -> float:
         raise ParseError("UNPARSEABLE_NUMBER", message) from None
 
 
-class _DocumentBuilder:
-    def __init__(self, profile: VocabularyProfile):
-        self.kinds = _attribute_kinds(profile)
-        self.items: list[AnnotationItem] = []
-        self.warnings: list[Finding] = []
-        self.stack: list[_Frame] = []
+def _duplicate(name: str) -> ParseError:
+    # Keeping either value would depend on attribute order.
+    message = f"attributes {_SAME_SLOT[name]!r} and {name!r} give one value; neither is kept"
+    return ParseError("DUPLICATE_ATTRIBUTE", message)
 
-    # -- expat handlers -----------------------------------------------------
 
-    def start_element(self, name: str, attrs: list[str]) -> None:
-        stack = self.stack
-        parent = stack[-1] if stack else None
-        if name == COMPLEX_TAG and any(f.kind == "complex" for f in stack):
-            raise ParseError(
-                "NESTED_COMPLEX", "complex-emotion may not contain another complex-emotion"
-            )
-        if (parent is None or parent.kind == "container") and name in (EMOTION_TAG, COMPLEX_TAG):
-            kind = "emotion" if name == EMOTION_TAG else "complex"
-            stack.append(_Frame(kind, attrs, f"item[{len(self.items)}]"))
-        elif parent is None:
-            # Any other root element serves as the document container.
-            stack.append(_Frame("container", attrs, ""))
-        elif parent.kind == "complex" and name == EMOTION_TAG:
-            loc = f"{parent.location}.constituent[{len(parent.children)}]"
-            stack.append(_Frame("emotion", attrs, loc))
+def _warn(warnings: list[Finding], code: str, message: str, frame: list) -> None:
+    item, constituent = frame[4], frame[5]
+    if item is None:
+        location = "document"
+    elif constituent is None:
+        location = f"item[{item}]"
+    else:
+        location = f"item[{item}].constituent[{constituent}]"
+    warnings.append(Finding("warning", code, message, location))
+
+
+def _scope(uri, start, end, text: str, frame: list, warnings: list[Finding]) -> Scope:
+    if (start is None) != (end is None):
+        message = "start and end must be given together; lone value ignored"
+        _warn(warnings, "INCOMPLETE_TIMESPAN", message, frame)
+        start = end = None
+    if start is not None and not end > start:
+        raise ParseError("START_AFTER_END", f"start={start} end={end}")
+    if text and (uri is not None or start is not None):
+        message = "element has both attribute scope and enclosed text; text ignored"
+        _warn(warnings, "AMBIGUOUS_SCOPE", message, frame)
+        text = ""
+    if uri is not None:
+        return Reference(uri) if start is None else ReferencedTimeSpan(uri, start, end)
+    if start is not None:
+        return TimeSpan(start, end)
+    return InlineText(text) if text else UNSCOPED
+
+
+def _annotation(frame: list, text: str, slot_of, warnings: list[Finding]) -> EmotionAnnotation:
+    fields = [None] * (_END + 1)
+    dimensions: dict[str, float] = {}
+    appraisals: dict[str, float] = {}
+    regulation: dict[str, float] = {}
+    it = iter(frame[1])
+    for name, raw in zip(it, it):
+        slot = slot_of(name)
+        if slot is None:
+            try:
+                appraisals[name] = float(raw)
+            except ValueError:
+                message = f"attribute {name}={raw!r} not recognized; dropped"
+            else:
+                message = f"attribute {name!r} not in profile; kept as appraisal"
+            _warn(warnings, "UNKNOWN_ATTRIBUTE", message, frame)
+            continue
+        if slot < _INTENSITY:
+            if slot == _URI and fields[_URI] is not None:
+                raise _duplicate(name)
+            fields[slot] = raw
+            continue
+        try:
+            value = float(raw)
+        except ValueError:
+            message = f"attribute {name}={raw!r} is not a number"
+            raise ParseError("UNPARSEABLE_NUMBER", message) from None
+        if slot <= _END:
+            fields[slot] = value
+        elif slot == _DIMENSION:
+            dimensions[name] = value
+        elif slot == _APPRAISAL:
+            appraisals[name] = value
         else:
-            message = f"element <{name}> is not part of the annotation vocabulary here"
-            self.warn("UNRECOGNIZED_ELEMENT", message, parent.location or "document")
-            stack.append(_Frame("ignored", attrs, parent.location))
+            key = name
+            if slot == _ALIAS:
+                key = _REGULATION_ALIASES[name]
+                _warn(warnings, "REGULATION_ALIAS", f"regulation {name!r} read as {key!r}", frame)
+            if key in regulation:
+                raise _duplicate(name)
+            regulation[key] = value
+    category, modality, uri, intensity, probability, start, end = fields
+    return EmotionAnnotation(
+        category, dimensions, appraisals, intensity, probability, regulation, modality,
+        _scope(uri, start, end, text, frame, warnings),
+    )
 
-    def character_data(self, data: str) -> None:
-        if self.stack:
-            self.stack[-1].text_parts.append(data)
 
-    def end_element(self, _name: str) -> None:
-        frame = self.stack.pop()
-        if frame.kind == "ignored":
-            return
-        text = "".join(frame.text_parts)
-        if not text.strip(" \t\n\r"):
-            text = ""  # pretty-printer whitespace is not inline scope
-        if frame.kind == "container":
-            if text:
-                self.warn("STRAY_TEXT", f"text outside annotations: {text.strip()!r}", "document")
-            return
-        if frame.kind == "emotion":
-            annotation = self._build_annotation(frame, text)
-            if self.stack and self.stack[-1].kind == "complex":
-                self.stack[-1].children.append(annotation)
-            else:
-                self.items.append(annotation)
-        else:  # complex
-            self.items.append(self._build_complex(frame, text))
-
-    # -- construction -------------------------------------------------------
-
-    def warn(self, code: str, message: str, location: str) -> None:
-        self.warnings.append(Finding("warning", code, message, location))
-
-    def _scope(
-        self, uri: str | None, start: float | None, end: float | None, text: str, loc: str
-    ) -> Scope:
-        if (start is None) != (end is None):
-            self.warn(
-                "INCOMPLETE_TIMESPAN",
-                "start and end must be given together; lone value ignored",
-                loc,
-            )
-            start = end = None
-        if start is not None and end is not None and not end > start:
-            raise ParseError("START_AFTER_END", f"start={start} end={end}")
-        if text and (uri is not None or start is not None):
-            self.warn(
-                "AMBIGUOUS_SCOPE",
-                "element has both attribute scope and enclosed text; text ignored",
-                loc,
-            )
-            text = ""
-        if uri is not None and start is not None:
-            return ReferencedTimeSpan(uri, start, end)
-        if uri is not None:
-            return Reference(uri)
-        if start is not None:
-            return TimeSpan(start, end)
-        if text:
-            return InlineText(text)
-        return UNSCOPED
-
-    def _build_annotation(self, frame: _Frame, text: str) -> EmotionAnnotation:
-        category = modality = uri = None
-        intensity = probability = start = end = None
-        dimensions: dict[str, float] = {}
-        appraisals: dict[str, float] = {}
-        regulation: dict[str, float] = {}
-        kinds = self.kinds
-        it = iter(frame.attrs)
-        for name, raw in zip(it, it):
-            kind = kinds.get(name)
-            if kind is None:
-                try:
-                    appraisals[name] = float(raw)
-                except ValueError:
-                    message = f"attribute {name}={raw!r} not recognized; dropped"
-                else:
-                    message = f"attribute {name!r} not in profile; kept as appraisal"
-                self.warn("UNKNOWN_ATTRIBUTE", message, frame.location)
-            elif kind == "category":
-                category = raw
-            elif kind == "modality":
-                modality = raw
-            elif kind == "uri":
-                uri = raw
-            else:
-                value = _number(name, raw)
-                if kind == "dimension":
-                    dimensions[name] = value
-                elif kind == "appraisal":
-                    appraisals[name] = value
-                elif kind == "regulation":
-                    regulation[name] = value
-                elif kind == "intensity":
-                    intensity = value
-                elif kind == "probability":
-                    probability = value
-                elif kind == "start":
-                    start = value
-                elif kind == "end":
-                    end = value
-                else:
-                    canonical = _REGULATION_ALIASES[name]
-                    regulation[canonical] = value
-                    message = f"regulation {name!r} read as {canonical!r}"
-                    self.warn("REGULATION_ALIAS", message, frame.location)
-        return EmotionAnnotation(
-            category=category,
-            dimensions=dimensions,
-            appraisals=appraisals,
-            intensity=intensity,
-            probability=probability,
-            regulation=regulation,
-            modality=modality,
-            scope=self._scope(uri, start, end, text, frame.location),
-        )
-
-    def _build_complex(self, frame: _Frame, text: str) -> ComplexEmotion:
-        uri = start = end = None
-        it = iter(frame.attrs)
-        for name, raw in zip(it, it):
-            if name in _HREF_ATTRS:
-                uri = raw
-            elif name == "start":
-                start = _number(name, raw)
-            elif name == "end":
-                end = _number(name, raw)
-            else:
-                message = f"attribute {name}={raw!r} not recognized on {COMPLEX_TAG}; dropped"
-                self.warn("UNKNOWN_ATTRIBUTE", message, frame.location)
-        scope = self._scope(uri, start, end, text, frame.location)
-        return ComplexEmotion(constituents=tuple(frame.children), scope=scope)
+def _complex(frame: list, text: str, warnings: list[Finding]) -> ComplexEmotion:
+    uri = start = end = None
+    it = iter(frame[1])
+    for name, raw in zip(it, it):
+        if name in _HREF_ATTRS:
+            if uri is not None:
+                raise _duplicate(name)
+            uri = raw
+        elif name == "start":
+            start = _number(name, raw)
+        elif name == "end":
+            end = _number(name, raw)
+        else:
+            message = f"attribute {name}={raw!r} not recognized on {COMPLEX_TAG}; dropped"
+            _warn(warnings, "UNKNOWN_ATTRIBUTE", message, frame)
+    return ComplexEmotion(frame[3], _scope(uri, start, end, text, frame, warnings))
 
 
 def _expat_parse(data: bytes | str, start, end, text, context: str = "") -> None:
@@ -292,17 +239,15 @@ def _expat_parse(data: bytes | str, start, end, text, context: str = "") -> None
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.CharacterDataHandler = text
-    if isinstance(data, str):
-        try:
-            data = data.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            # A lone surrogate, as surrogateescape decoding leaves, has no UTF-8 form.
-            message = f"U+{ord(data[exc.start]):04X} at index {exc.start} is not encodable as UTF-8"
-            raise ParseError("MALFORMED_XML", context + message) from None
     try:
+        # expat reads a str as the text it is, whatever encoding it declares.
         parser.Parse(data, True)
     except expat.ExpatError as exc:
         raise ParseError("MALFORMED_XML", f"{context}{exc}") from None
+    except UnicodeEncodeError as exc:
+        # A lone surrogate, as surrogateescape decoding leaves, has no UTF-8 form.
+        bad = f"U+{ord(exc.object[exc.start]):04X} at index {exc.start}"
+        raise ParseError("MALFORMED_XML", f"{context}{bad} is not encodable as UTF-8") from None
 
 
 def parse_document(
@@ -314,11 +259,66 @@ def parse_document(
     and ``complex-emotion`` elements, or a single annotation element on its
     own.  Which attributes count as dimensions versus appraisals is decided
     by ``profile``; unknown numeric attributes are kept as appraisals with a
-    warning, so no input attribute is ever dropped silently.
+    warning, so no input attribute is ever dropped silently.  Two attributes
+    that give one value (``href`` and ``xlink:href``, ``suppress`` and
+    ``hide``) raise ``DUPLICATE_ATTRIBUTE``.
     """
-    builder = _DocumentBuilder(profile)
-    _expat_parse(data, builder.start_element, builder.end_element, builder.character_data)
-    return AnnotationDocument(items=tuple(builder.items), warnings=tuple(builder.warnings))
+    slot_of = _attribute_kinds(profile).get
+    items: list[AnnotationItem] = []
+    warnings: list[Finding] = []
+    stack: list[list] = []
+    open_complex = 0  # real complex-emotion elements open, not ignored ones
+
+    def start_element(name: str, attrs: list[str]) -> None:
+        nonlocal open_complex
+        if name == COMPLEX_TAG and open_complex:
+            raise ParseError(
+                "NESTED_COMPLEX", "complex-emotion may not contain another complex-emotion"
+            )
+        parent = stack[-1] if stack else None
+        top = parent is None or parent[0] == _CONTAINER
+        if top and name == EMOTION_TAG:
+            frame = [_EMOTION, attrs, [], None, len(items), None]
+        elif top and name == COMPLEX_TAG:
+            open_complex += 1
+            frame = [_COMPLEX, attrs, [], [], len(items), None]
+        elif parent is None:
+            # Any other root element serves as the document container.
+            frame = [_CONTAINER, attrs, [], None, None, None]
+        elif parent[0] == _COMPLEX and name == EMOTION_TAG:
+            frame = [_EMOTION, attrs, [], None, parent[4], len(parent[3])]
+        else:
+            message = f"element <{name}> is not part of the annotation vocabulary here"
+            _warn(warnings, "UNRECOGNIZED_ELEMENT", message, parent)
+            frame = [_IGNORED, attrs, [], None, parent[4], parent[5]]
+        stack.append(frame)
+
+    def character_data(data: str) -> None:
+        if stack:
+            stack[-1][2].append(data)
+
+    def end_element(_name: str) -> None:
+        nonlocal open_complex
+        frame = stack.pop()
+        kind = frame[0]
+        if kind == _IGNORED:
+            return
+        text = "".join(frame[2])
+        if text and not text.strip(" \t\n\r"):
+            text = ""  # pretty-printer whitespace is not inline scope
+        if kind == _COMPLEX:
+            open_complex -= 1
+            items.append(_complex(frame, text, warnings))
+        elif kind == _CONTAINER:
+            if text:
+                _warn(warnings, "STRAY_TEXT", f"text outside annotations: {text.strip()!r}", frame)
+        elif frame[5] is None:
+            items.append(_annotation(frame, text, slot_of, warnings))
+        else:
+            stack[-1][3].append(_annotation(frame, text, slot_of, warnings))
+
+    _expat_parse(data, start_element, end_element, character_data)
+    return AnnotationDocument(items, warnings)
 
 
 # ---------------------------------------------------------------------------

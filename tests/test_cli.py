@@ -373,7 +373,7 @@ class TestCliEdges:
 
     def test_strict_escalates_parser_and_validator_warnings_once(self, tmp_path):
         path = tmp_path / "w.xml"
-        path.write_bytes(b'<emotion category="x" hide="0.3" suppress="0"/>')
+        path.write_bytes(b'<emotion category="x" hide="0"/>')
         lines = [
             f"{path}: {{}} REGULATION_ALIAS regulation 'hide' read as 'suppress' [item[0]]",
             f"{path}: {{}} NOOP_REGULATION suppress=0 has no effect [annotation.suppress]",
@@ -383,6 +383,15 @@ class TestCliEdges:
         code, _, err = run_cli(["validate", path, "--strict"])
         assert (code, err.splitlines()) == (2, [line.format("error") for line in lines])
 
+    def test_two_attributes_for_one_value_is_an_error(self, tmp_path):
+        path = tmp_path / "d.xml"
+        path.write_bytes(b'<emotion category="a" href="one.wav" xlink:href="two.wav"/>')
+        code, _, err = run_cli(["validate", path])
+        assert (code, err) == (
+            2,
+            f"{path}: error DUPLICATE_ATTRIBUTE attributes 'href' and 'xlink:href'"
+            " give one value; neither is kept\n",
+        )
 
 
 ANGRY = FIXTURES / "streams" / "jack_angry.stream"
