@@ -2,11 +2,12 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earlkit.errors import LexiconError, MarkerError
@@ -27,7 +28,7 @@ from earlkit.markers import (
     tag_lexical,
     tokenize,
 )
-from earlkit.model import InlineText
+from earlkit.model import EmotionAnnotation, InlineText
 
 
 def voice_from_pattern(pattern: dict) -> VoiceFeatureDelta:
@@ -276,6 +277,71 @@ class TestTagLexical:
 
     def test_tokenizer_strips_punctuation_and_case(self):
         assert tokenize("Joyful, HAPPY!! radiant...") == ["joyful", "happy", "radiant"]
+
+
+# The tagger as first written, restated: split on non-letters and drop empty
+# tokens; match phrases with one consumed flag per token, then single words
+# on the tokens no phrase consumed.
+def reference_tokenize(text):
+    return [t for t in re.split(r"[^a-z]+", text.lower()) if t]
+
+
+def reference_tag_lexical(text, lexicon):
+    tokens = reference_tokenize(text)
+    consumed = [False] * len(tokens)
+    hits = {}
+    for parts, emotion in lexicon._phrases:
+        n = len(parts)
+        for i in range(len(tokens) - n + 1):
+            if tokens[i : i + n] == parts and not any(consumed[i : i + n]):
+                hits.setdefault(emotion, []).extend(parts)
+                consumed[i : i + n] = [True] * n
+    for token, used in zip(tokens, consumed):
+        if not used and token in lexicon._single:
+            hits.setdefault(lexicon._single[token], []).append(token)
+    total = sum(len(matched) for matched in hits.values())
+    return [
+        (
+            EmotionAnnotation(
+                category=emotion, modality="language",
+                intensity=min(1.0, len(hits[emotion]) / 3),
+                probability=len(hits[emotion]) / total, scope=InlineText(text),
+            ),
+            hits[emotion],
+        )
+        for emotion in sorted(hits)
+    ]
+
+
+# Phrases that overlap one another and single words, in two emotions.
+_OVERLAPPING = load_lexicon(
+    "a: goose bumps, bumps ahead, goose bumps ahead, happy\n"
+    "b: bumps, goose, ahead goose, sad\n"
+)
+_WORDS = (
+    sorted(m for ms in default_lexicon().entries.values() for m in ms)
+    + ["goose bumps", "goose", "bumps", "ahead", "goose, bumps", "Goose\tBUMPS", "goose-bumps"]
+    + ["the", "not", "a", "I", "so", "very", "", "it's"]
+    + [",", "!", "...", "  ", "\n", "-", "'", "3", "_"]
+    + ["Happy!", "SAD", "pRoUd", "zärtlich", "naïve", "Straße", "ÅNGRY", "İt", "sadé", "ﬁery"]
+)
+_SEPARATORS = st.sampled_from([" ", "", ",", ", ", "\n", "-", "é", "  "])
+
+
+class TestTaggerMatchesReference:
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.tuples(st.sampled_from(_WORDS), _SEPARATORS), max_size=30),
+        st.sampled_from([default_lexicon(), _OVERLAPPING]),
+    )
+    def test_tag_lexical_matches_reference(self, words, lexicon):
+        text = "".join(word + sep for word, sep in words)
+        assert tokenize(text) == reference_tokenize(text)
+        got = tag_lexical(text, lexicon)
+        want = reference_tag_lexical(text, lexicon)
+        assert got == want
+        # The repr shows the types and the order of the matched tokens too.
+        assert repr(got) == repr(want)
 
 
 class TestClassifyVoice:
