@@ -6,13 +6,16 @@ sources, so they stay in [0, 1] and are invariant under uniform weight
 scaling.  A temporal state keeps the last observation per source and can
 synthesize decayed stand-ins for sources that have gone quiet.  Each
 stand-in keeps its observation time, so the elapsed time ``now - timestamp``
-tells observation (0) from inference (> 0).
+tells observation (0) from inference (> 0).  An item whose probability does
+not change is its own stand-in: records are immutable, so it is returned as
+it is.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import FusionError, read_lines
@@ -25,7 +28,6 @@ from .model import (
     Scope,
     _Record,
     base_weight_for_source,
-    effective_probability,
 )
 
 
@@ -182,16 +184,24 @@ class CarriedDetail(_Record):
 
 
 def _dominant(scores: dict[str, float], epsilon: float) -> tuple[str | None, bool]:
+    # One pass: the top category (the first name among equal scores) and
+    # the runner-up score, as sorting by (-score, name) would rank them.
     if not scores:
         return None, False
-    ranked = sorted(scores, key=lambda c: (-scores[c], c))
-    dominant = ranked[0]
-    ambiguous = len(ranked) > 1 and scores[dominant] - scores[ranked[1]] < epsilon
-    return dominant, ambiguous
+    entries = iter(scores.items())
+    dominant, top = next(entries)
+    second = None
+    for category, score in entries:
+        if score > top or (score == top and category < dominant):
+            second = top
+            dominant, top = category, score
+        elif second is None or score > second:
+            second = score
+    return dominant, second is not None and top - second < epsilon
 
 
-def _processing_order(e: MarkerEvidence) -> tuple:
-    return e.source, e.timestamp, e.annotation.category
+# Sources, then time, then category: the tuple compares at C speed.
+_processing_order = attrgetter("source", "timestamp", "annotation.category")
 
 
 def fuse_instant(
@@ -283,7 +293,9 @@ def fill_missing(
     Probability decays as p * exp(-lambda * elapsed); items whose decayed
     probability falls below the drop floor are omitted.  Each stand-in keeps
     its observation time, so ``now - timestamp`` is 0 for an item observed
-    at ``now`` and positive for one inferred by decay.
+    at ``now`` and positive for one inferred by decay.  An item whose
+    probability does not change, as for one observed at ``now`` that carries
+    a probability, is returned as it is, not copied.
     """
     if not math.isfinite(now):
         raise FusionError("BAD_TIME", f"now={now} is not a finite time")
@@ -292,21 +304,25 @@ def fill_missing(
             "TIME_REGRESSION", f"now={now} behind clock t={state.clock}"
         )
     synthetic = []
-    remembered = state.last_evidence
     decay_lambda, drop_floor = cfg.decay_lambda, cfg.drop_floor
-    for source in sorted(remembered):
-        item = remembered[source]
-        a = item.annotation
+    for source, item in sorted(state.last_evidence.items()):
         elapsed = now - item.timestamp
         if elapsed < 0.0:
             raise FusionError(
                 "TIME_REGRESSION", f"now={now} behind {source!r} evidence at t={item.timestamp}"
             )
-        decayed = effective_probability(a)
+        a = item.annotation
+        p = a.probability
+        decayed = 1.0 if p is None else p
         # With lambda 0 p is kept: 0 * an overflowed elapsed time is NaN.
-        if decay_lambda:
+        # With elapsed 0 it is kept too: exp(-0.0) is exactly 1.0.
+        if decay_lambda and elapsed:
             decayed *= math.exp(-decay_lambda * elapsed)
         if decayed < drop_floor:
+            continue
+        if decayed == p:
+            # Nothing changes, so the immutable item is its own stand-in.
+            synthetic.append(item)
             continue
         annotation = EmotionAnnotation(
             a.category, a.dimensions, a.appraisals, a.intensity, decayed, a.regulation,

@@ -25,12 +25,12 @@ from .model import (  # noqa: F401  (re-exported for callers of this module)
 # ---------------------------------------------------------------------------
 # Lexical markers
 
-_TOKEN_RE = re.compile(r"[^a-z]+")
+_words = re.compile(r"[a-z]+").findall
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-letter boundaries."""
-    return [t for t in _TOKEN_RE.split(text.lower()) if t]
+    return _words(text.lower())
 
 
 class Lexicon(_Record):
@@ -129,29 +129,29 @@ def tag_lexical(text: str, lexicon: Lexicon | None = None) -> list[tuple[Emotion
         lexicon = default_lexicon()
     tokens = tokenize(text)
     hits: dict[str, list[str]] = {}
-    consumed = [False] * len(tokens)
-
+    free = tokens
     heads = lexicon._phrase_heads
-    starts: dict[str, list[int]] = {}
-    for i, token in enumerate(tokens):
-        if token in heads:
-            starts.setdefault(token, []).append(i)
-    if starts:
+    if not heads.isdisjoint(tokens):
+        consumed = [False] * len(tokens)
+        starts: dict[str, list[int]] = {}
+        for i, token in enumerate(tokens):
+            if token in heads:
+                starts.setdefault(token, []).append(i)
         for parts, emotion in lexicon._phrases:
             n = len(parts)
             for i in starts.get(parts[0], ()):
                 if tokens[i : i + n] == parts and not any(consumed[i : i + n]):
                     hits.setdefault(emotion, []).extend(parts)
                     consumed[i : i + n] = [True] * n
+        free = [token for token, used in zip(tokens, consumed) if not used]
     single = lexicon._single
-    for i, token in enumerate(tokens):
-        if consumed[i]:
-            continue
-        emotion = single.get(token)
-        if emotion is not None:
-            hits.setdefault(emotion, []).append(token)
+    for token in filter(single.__contains__, free):
+        hits.setdefault(single[token], []).append(token)
+    if not hits:
+        return []
 
-    total = sum(len(matched) for matched in hits.values())
+    total = sum(map(len, hits.values()))
+    scope = InlineText(text)
     results = []
     for emotion in sorted(hits):
         matched = hits[emotion]
@@ -160,7 +160,7 @@ def tag_lexical(text: str, lexicon: Lexicon | None = None) -> list[tuple[Emotion
             modality="language",
             intensity=min(1.0, len(matched) / 3),
             probability=len(matched) / total,
-            scope=InlineText(text),
+            scope=scope,
         )
         results.append((annotation, matched))
     return results
@@ -290,9 +290,11 @@ def _classify(values: tuple[str, ...], table: tuple) -> RankedEmotions:
             elif value in opposed:
                 net -= 1
         score = min(1.0, max(0.0, net / size)) if size else 0.0
-        scored.append(RankedEmotion(emotion, score, tuple(matched)))
-    # Descending score, alphabetical among ties.
-    return sorted(scored, key=lambda r: (-r.score, r.label))
+        scored.append((-score, emotion, tuple(matched)))
+    # Descending score, alphabetical among ties; labels are distinct, so
+    # the plain tuples never compare their matched fields.
+    scored.sort()
+    return [RankedEmotion(emotion, -negated, matched) for negated, emotion, matched in scored]
 
 
 _VOICE_TABLE = _compile(VOICE_PATTERNS, VOICE_FIELDS)

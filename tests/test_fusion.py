@@ -307,6 +307,39 @@ class TestTemporal:
         assert fuse_instant(fill_missing(state, 3.0)) == fuse_instant(items)
 
 
+class TestStandInReuse:
+    """An item whose probability does not change is returned as it is."""
+
+    def test_item_observed_now_is_its_own_stand_in(self):
+        observed = evidence("joy", "face", p=0.8, t=3.0, dimensions={"arousal": 0.2})
+        old = evidence("anger", "language_voice", p=0.9, t=1.0)
+        state = update_temporal(update_temporal(TemporalState(), old), observed)
+        fresh, stale = fill_missing(state, 3.0, FusionConfig(decay_lambda=0.2))
+        assert fresh is observed
+        # The decayed one is a new record, as before.
+        assert stale is not old and stale.annotation.probability < 0.9
+
+    @pytest.mark.parametrize("decay_lambda", [0.0, 0.2])
+    def test_item_without_probability_gets_a_new_record(self, decay_lambda):
+        item = evidence("joy", "face", t=2.0)
+        state = update_temporal(TemporalState(), item)
+        (stand_in,) = fill_missing(state, 2.0, FusionConfig(decay_lambda=decay_lambda))
+        assert stand_in is not item
+        assert stand_in.annotation.probability == 1.0
+        assert stand_in == reference_fill_missing(state, 2.0, FusionConfig())[0]
+
+    def test_decay_that_rounds_to_one_equals_the_reference(self):
+        item = evidence("joy", "face", p=0.7, i=0.4, t=1.0)
+        state = update_temporal(TemporalState(), item)
+        now = math.nextafter(1.0, 2.0)
+        cfg = FusionConfig(decay_lambda=0.2)
+        assert math.exp(-cfg.decay_lambda * (now - 1.0)) == 1.0
+        (stand_in,) = fill_missing(state, now, cfg)
+        (want,) = reference_fill_missing(state, now, cfg)
+        assert stand_in == want
+        assert stand_in.annotation.probability.hex() == want.annotation.probability.hex()
+
+
 class TestToComplexEmotion:
     def test_two_categories_become_complex(self):
         f = fuse_instant(
@@ -749,6 +782,32 @@ class TestEquivalentToConstructors:
         assert [(e.timestamp, e.annotation.probability) for e in items] == before
 
     @given(items=remembered_items(), cfg=configs)
+    @example(  # all three scores equal
+        items=[evidence("anger", "face", p=0.5, i=0.5),
+               evidence("joy", "language_voice", p=0.5, i=0.5),
+               evidence("fear", "movement_kinematic", p=0.5, i=0.5)],
+        cfg=FusionConfig(weight_overrides={"movement_kinematic": 1.0}),
+    )
+    @example(  # a tie at the top, with and without a margin to miss
+        items=[evidence("joy", "face", p=0.8), evidence("anger", "language_voice", p=0.8),
+               evidence("fear", "movement_kinematic", p=0.5)],
+        cfg=FusionConfig(),
+    )
+    @example(
+        items=[evidence("joy", "face", p=0.8), evidence("anger", "language_voice", p=0.8),
+               evidence("fear", "movement_kinematic", p=0.5)],
+        cfg=FusionConfig(ambiguity_epsilon=0.0),
+    )
+    @example(  # the runner-up comes after a lower score
+        items=[evidence("joy", "face", p=0.9), evidence("grief", "language_voice", p=0.1),
+               evidence("anger", "movement_kinematic", p=0.85)],
+        cfg=FusionConfig(weight_overrides={"movement_kinematic": 1.0}),
+    )
+    @example(  # a tie for second place
+        items=[evidence("joy", "face", p=0.9), evidence("grief", "language_voice", p=0.4),
+               evidence("anger", "movement_kinematic", p=0.4)],
+        cfg=FusionConfig(weight_overrides={"movement_kinematic": 1.0}),
+    )
     def test_fuse_instant_scores_are_bit_identical(self, items, cfg):
         for subset in (items, items[:1], items[::-1]):
             fused = fuse_instant(subset, cfg)
