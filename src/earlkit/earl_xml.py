@@ -20,6 +20,7 @@ warning is emitted.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from pathlib import Path
 from typing import Union
@@ -122,9 +123,29 @@ def _attribute_kinds(profile: VocabularyProfile) -> dict[str, int]:
     return kinds
 
 
+# The lexical space of xs:double (XML Schema 1.1 Part 2), around it the
+# whitespace its collapse facet strips.  float() reads a superset: digit
+# group underscores, non-ASCII digits and spaces, and nan, inf and infinity
+# in any case.
+_DOUBLE = re.compile(
+    r"[ \t\n\r]*(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[Ee][+-]?[0-9]+)?|[+-]?INF|NaN)[ \t\n\r]*"
+)
+
+
+def _double(raw: str) -> float:
+    """``float(raw)`` for an xs:double; ValueError for anything else."""
+    value = float(raw)
+    # Each text float() reads outside xs:double has an underscore, a
+    # non-ASCII character or a value that is not finite (inf - inf is NaN,
+    # and NaN is true); only such a value takes the second look.
+    if ("_" in raw or not raw.isascii() or value - value) and not _DOUBLE.fullmatch(raw):
+        raise ValueError(raw)
+    return value
+
+
 def _number(name: str, raw: str) -> float:
     try:
-        return float(raw)
+        return _double(raw)
     except ValueError:
         message = f"attribute {name}={raw!r} is not a number"
         raise ParseError("UNPARSEABLE_NUMBER", message) from None
@@ -175,7 +196,7 @@ def _annotation(frame: list, text: str, slot_of, warnings: list[Finding]) -> Emo
         slot = slot_of(name)
         if slot is None:
             try:
-                appraisals[name] = float(raw)
+                appraisals[name] = _double(raw)
             except ValueError:
                 message = f"attribute {name}={raw!r} not recognized; dropped"
             else:
@@ -188,7 +209,9 @@ def _annotation(frame: list, text: str, slot_of, warnings: list[Finding]) -> Emo
             fields[slot] = raw
             continue
         try:
-            value = float(raw)
+            value = float(raw)  # _double, inlined
+            if ("_" in raw or not raw.isascii() or value - value) and not _DOUBLE.fullmatch(raw):
+                raise ValueError(raw)
         except ValueError:
             message = f"attribute {name}={raw!r} is not a number"
             raise ParseError("UNPARSEABLE_NUMBER", message) from None
@@ -310,6 +333,11 @@ def parse_document(
             open_complex -= 1
             items.append(_complex(frame, text, warnings))
         elif kind == _CONTAINER:
+            it = iter(frame[1])
+            for name, raw in zip(it, it):
+                if name != "xmlns" and not name.startswith("xmlns:"):
+                    message = f"attribute {name}={raw!r} not recognized on the container; dropped"
+                    _warn(warnings, "UNKNOWN_ATTRIBUTE", message, frame)
             if text:
                 _warn(warnings, "STRAY_TEXT", f"text outside annotations: {text.strip()!r}", frame)
         elif frame[5] is None:
@@ -325,6 +353,10 @@ def parse_document(
 # Serialization
 
 
+# The repr of a value that is not finite, as xs:double spells it.
+_NON_FINITE = {"nan": "NaN", "inf": "INF", "-inf": "-INF"}
+
+
 def format_number(value: float) -> str:
     """Render a float with minimal digits: drop trailing zeros, keep exactness."""
     # Below 1e16 the repr of an integral float ends in ".0"; above, it has
@@ -332,7 +364,7 @@ def format_number(value: float) -> str:
     text = repr(float(value))
     if text[-2:] == ".0":
         return "0" if text == "-0.0" else text[:-2]
-    return text
+    return _NON_FINITE.get(text, text)
 
 
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from xml.parsers import expat
 from xml.sax.saxutils import escape
 
@@ -539,6 +540,26 @@ class TestParseEdges:
         ]
         assert doc.warnings[1].message == "text outside annotations: 'lost words'"
 
+    def test_container_attributes_are_warned(self):
+        data = (
+            b'<earl category="joy" href="clip.wav" start="1" end="2" xmlns="urn:earl"'
+            b' xmlns:xlink="urn:x">lost<emotion category="a"/></earl>'
+        )
+        doc = parse_document(data)
+        assert doc.items == (EmotionAnnotation(category="a"),)
+        assert [(w.code, w.message, w.location) for w in doc.warnings] == [
+            ("UNKNOWN_ATTRIBUTE", f"attribute {name}={raw!r} not recognized on the container;"
+             " dropped", "document")
+            for name, raw in [("category", "joy"), ("href", "clip.wav"), ("start", "1"),
+                              ("end", "2")]
+        ] + [("STRAY_TEXT", "text outside annotations: 'lost'", "document")]
+
+    def test_namespace_declarations_on_the_container_are_not_warned(self):
+        data = b'<note xmlns="urn:earl" xmlns:xlink="urn:x" xmlnsfoo="1"/>'
+        assert [w.message for w in parse_document(data).warnings] == [
+            "attribute xmlnsfoo='1' not recognized on the container; dropped"
+        ]
+
     def test_constituent_standoff_scope_parses_and_fails_validation(self):
         from earlkit.model import validate_annotation
 
@@ -588,6 +609,55 @@ class TestUnicodeAndNumbers:
         doc = AnnotationDocument(items=(a,))
         assert parse_document(serialize_document(doc)) == doc
 
+    @pytest.mark.parametrize(
+        "raw",
+        ["0.0_1", "1_000", "nan", "inf", "-inf", "Infinity", "-NaN", "+nan",
+         "\N{ARABIC-INDIC DIGIT ONE}", "\N{FULLWIDTH DIGIT ONE}", "\N{NO-BREAK SPACE}1"],
+    )
+    @pytest.mark.parametrize("attribute", ["arousal", "probability", "suppress", "hide"])
+    def test_numbers_outside_xs_double_are_unparseable(self, raw, attribute):
+        # float() reads every one of these.
+        float(raw)
+        with pytest.raises(ParseError) as exc:
+            parse_document(f'<emotion category="x" {attribute}="{raw}"/>'.encode())
+        assert (exc.value.code, exc.value.message) == (
+            "UNPARSEABLE_NUMBER", f"attribute {attribute}={raw!r} is not a number"
+        )
+
+    @pytest.mark.parametrize("where", ["emotion", "complex-emotion"])
+    def test_underscored_span_is_unparseable(self, where):
+        with pytest.raises(ParseError) as exc:
+            parse_document(f'<{where} category="x" start="1_000" end="2_000"/>'.encode())
+        assert exc.value.code == "UNPARSEABLE_NUMBER"
+        assert exc.value.message == "attribute start='1_000' is not a number"
+
+    def test_unknown_attribute_outside_xs_double_is_dropped(self):
+        doc = parse_document(b'<emotion category="x" glow="1_0" spark=" -INF "/>')
+        assert doc.items[0].appraisals == {"spark": -math.inf}
+        assert [w.message for w in doc.warnings] == [
+            "attribute glow='1_0' not recognized; dropped",
+            "attribute 'spark' not in profile; kept as appraisal",
+        ]
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [("NaN", math.nan), ("INF", math.inf), ("-INF", -math.inf), ("+INF", math.inf),
+         ("1e400", math.inf), ("-1E400", -math.inf), (" \t1.", 1.0), (".5", 0.5),
+         ("+1E-3", 0.001), ("-0", -0.0)],
+    )
+    def test_xs_double_spellings_are_read(self, raw, value):
+        doc = parse_document(f'<emotion category="x" arousal="{raw}"/>'.encode())
+        assert repr(doc.items[0].dimensions["arousal"]) == repr(value)
+
+    def test_non_finite_values_round_trip(self):
+        a = EmotionAnnotation(
+            category="x", dimensions={"arousal": math.inf, "valence": -math.inf},
+            appraisals={"odd": math.nan},
+        )
+        data = serialize_document(AnnotationDocument(items=(a,)))
+        assert b'arousal="INF" odd="NaN" valence="-INF"' in data
+        assert repr(parse_document(data).items) == repr((a,))
+
     def test_negative_zero_serializes_as_zero(self):
         a = EmotionAnnotation(category="x", dimensions={"arousal": -0.0})
         data = serialize_document(AnnotationDocument(items=(a,)))
@@ -604,7 +674,11 @@ _ATTR_ENTITIES = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
 
 def reference_format_number(value):
     value = float(value)
-    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "INF" if value > 0 else "-INF"
+    if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
 
@@ -808,9 +882,21 @@ def _ref_kinds(profile):
     return kinds
 
 
+# XML Schema 1.1 Part 2, 3.3.5: a decimal or scientific numeral, or INF, +INF,
+# -INF or NaN, after the collapse facet has stripped XML whitespace.
+_REF_NUMERAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?", re.ASCII)
+
+
+def _ref_double(raw):
+    text = raw.strip(" \t\n\r")
+    if text in ("INF", "+INF", "-INF", "NaN") or _REF_NUMERAL.fullmatch(text):
+        return float(text)
+    raise ValueError(raw)
+
+
 def _ref_number(name, raw):
     try:
-        return float(raw)
+        return _ref_double(raw)
     except ValueError:
         raise ParseError("UNPARSEABLE_NUMBER", f"attribute {name}={raw!r} is not a number")
 
@@ -858,6 +944,11 @@ class _RefBuilder:
         if not text.strip(" \t\n\r"):
             text = ""
         if frame.kind == "container":
+            it = iter(frame.attrs)
+            for name, raw in zip(it, it):
+                if name != "xmlns" and not name.startswith("xmlns:"):
+                    message = f"attribute {name}={raw!r} not recognized on the container; dropped"
+                    self.warn("UNKNOWN_ATTRIBUTE", message, "document")
             if text:
                 self.warn("STRAY_TEXT", f"text outside annotations: {text.strip()!r}", "document")
         elif frame.kind == "emotion":
@@ -897,7 +988,7 @@ class _RefBuilder:
             kind = self.kinds.get(name)
             if kind is None:
                 try:
-                    groups["appraisal"][name] = float(raw)
+                    groups["appraisal"][name] = _ref_double(raw)
                 except ValueError:
                     message = f"attribute {name}={raw!r} not recognized; dropped"
                 else:
@@ -980,17 +1071,21 @@ def parse_outcome(parse, data, profile):
 _RAW_NAMES = (
     "category", "modality", "intensity", "probability", "arousal", "valence", "suddenness",
     "goal_conduciveness", "glow", "spark", "amplify", "simulate", "suppress", "hide", "href",
-    "xlink:href", "wobble", "note",
+    "xlink:href", "wobble", "note", "xmlns", "xmlns:xlink",
 )
 # Pairs that fill one slot; their reading changed on purpose, so none is drawn.
 _RAW_ONE_SLOT = ({"href", "xlink:href"}, {"suppress", "hide"})
-_RAW_TEXT_NAMES = {"category", "modality", "href", "xlink:href", "note"}
+_RAW_TEXT_NAMES = {"category", "modality", "href", "xlink:href", "note", "xmlns", "xmlns:xlink"}
 _RAW_WORDS = ("high", "", "face12.jpg", "a &amp; b", "zärtlich")
 # Mostly numbers that parse and spans that hold, so that most documents
-# get past their first few elements.
+# get past their first few elements.  float() reads the last six, but they
+# are no xs:double.
 _RAW_NUMBERS = (
-    "0.5", "-0.25", "1", "2", "1.0", "0", "-0", " 0.7 ", "1_0", "2e-3", "1e400", "nan", "-inf",
-) * 30 + _RAW_WORDS
+    ("0.5", "-0.25", "1", "2", "1.0", "0", "-0", " 0.7 ", "2e-3", "1e400", "NaN", "-INF", "+INF")
+    * 30
+    + _RAW_WORDS
+    + ("1_0", "nan", "-inf", "Infinity", "\N{ARABIC-INDIC DIGIT ONE}", "\N{NO-BREAK SPACE}1")
+)
 _RAW_SPANS = (
     ("",) * 40
     + (' start="0" end="1"', ' start="0.5" end="2e0"', ' end="3" start="1"') * 3
