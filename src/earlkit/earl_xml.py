@@ -126,9 +126,11 @@ def _attribute_kinds(profile: VocabularyProfile) -> dict[str, int]:
 # The lexical space of xs:double (XML Schema 1.1 Part 2), around it the
 # whitespace its collapse facet strips.  float() reads a superset: digit
 # group underscores, non-ASCII digits and spaces, and nan, inf and infinity
-# in any case.
-_DOUBLE = re.compile(
-    r"[ \t\n\r]*(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[Ee][+-]?[0-9]+)?|[+-]?INF|NaN)[ \t\n\r]*"
+# in any case.  Compiled by re's cache on the first second look, so an
+# import does not pay for it.
+_DOUBLE = (
+    r"[ \t\n\r]*(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[Ee][+-]?[0-9]+)?|[+-]?INF|NaN)"
+    r"[ \t\n\r]*"
 )
 
 
@@ -138,7 +140,7 @@ def _double(raw: str) -> float:
     # Each text float() reads outside xs:double has an underscore, a
     # non-ASCII character or a value that is not finite (inf - inf is NaN,
     # and NaN is true); only such a value takes the second look.
-    if ("_" in raw or not raw.isascii() or value - value) and not _DOUBLE.fullmatch(raw):
+    if ("_" in raw or not raw.isascii() or value - value) and not re.fullmatch(_DOUBLE, raw):
         raise ValueError(raw)
     return value
 
@@ -210,7 +212,7 @@ def _annotation(frame: list, text: str, slot_of, warnings: list[Finding]) -> Emo
             continue
         try:
             value = float(raw)  # _double, inlined
-            if ("_" in raw or not raw.isascii() or value - value) and not _DOUBLE.fullmatch(raw):
+            if ("_" in raw or not raw.isascii() or value - value) and not re.fullmatch(_DOUBLE, raw):
                 raise ValueError(raw)
         except ValueError:
             message = f"attribute {name}={raw!r} is not a number"
