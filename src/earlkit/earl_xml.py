@@ -362,11 +362,15 @@ _NON_FINITE = {"nan": "NaN", "inf": "INF", "-inf": "-INF"}
 def format_number(value: float) -> str:
     """Render a float with minimal digits: drop trailing zeros, keep exactness."""
     # Below 1e16 the repr of an integral float ends in ".0"; above, it has
-    # an exponent.
+    # an exponent.  Only a value that is not finite ends in a letter.  One
+    # character is read at a time: a slice would build a new string.
     text = repr(float(value))
-    if text[-2:] == ".0":
+    last = text[-1]
+    if last == "0" and text[-2] == ".":
         return "0" if text == "-0.0" else text[:-2]
-    return _NON_FINITE.get(text, text)
+    if last > "9":
+        return _NON_FINITE[text]
+    return text
 
 
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
