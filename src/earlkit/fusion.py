@@ -231,7 +231,7 @@ def fuse_instant(
         contributors.append((source, weight))
         a = item.annotation
         category = a.category
-        # effective_probability and effective_intensity, inlined.
+        # A missing probability or intensity counts as 1.0 (model.effective_intensity).
         p = 1.0 if a.probability is None else a.probability
         i = 1.0 if a.intensity is None else a.intensity
         mass[category] = mass.get(category, 0.0) + weight * p * i

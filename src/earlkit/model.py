@@ -351,11 +351,6 @@ def effective_intensity(a: EmotionAnnotation) -> float:
     return 1.0 if a.intensity is None else a.intensity
 
 
-def effective_probability(a: EmotionAnnotation) -> float:
-    """Probability with the unqualified-annotation default of 1.0 applied."""
-    return 1.0 if a.probability is None else a.probability
-
-
 def dominant_constituent(c: ComplexEmotion) -> EmotionAnnotation:
     """Return the constituent with the highest intensity.
 
