@@ -284,9 +284,11 @@ def parse_document(
     and ``complex-emotion`` elements, or a single annotation element on its
     own.  Which attributes count as dimensions versus appraisals is decided
     by ``profile``; unknown numeric attributes are kept as appraisals with a
-    warning, so no input attribute is ever dropped silently.  Two attributes
-    that give one value (``href`` and ``xlink:href``, ``suppress`` and
-    ``hide``) raise ``DUPLICATE_ATTRIBUTE``.
+    warning, so no input attribute is ever dropped silently; the container's
+    own attributes, ``xmlns`` and ``xmlns:*`` aside, are warned about too.
+    Two attributes that give one value (``href`` and ``xlink:href``,
+    ``suppress`` and ``hide``) raise ``DUPLICATE_ATTRIBUTE``, and a number
+    outside the lexical space of ``xs:double`` raises ``UNPARSEABLE_NUMBER``.
     """
     slot_of = _attribute_kinds(profile).get
     items: list[AnnotationItem] = []
