@@ -29,8 +29,19 @@ _words = re.compile(r"[a-z]+").findall
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-letter boundaries."""
-    return _words(text.lower())
+    """Lowercase and split into words: maximal runs of letters and combining marks.
+
+    Every other character separates words, so a marker never matches part
+    of a longer word such as ``sadé`` (also when the accent is a separate
+    combining mark) or ``İrritated``.  ASCII text takes a regex fast path
+    that gives the same words.
+    """
+    text = text.lower()
+    if text.isascii():
+        return _words(text)
+    from unicodedata import category  # deferred: only non-ASCII text needs it
+
+    return "".join(c if category(c)[0] in "LM" else " " for c in text).split()
 
 
 class Lexicon(_Record):
@@ -277,7 +288,13 @@ def _compile(patterns: dict[str, dict[str, str]], fields: tuple[str, ...]) -> tu
     )
 
 
-def _classify(values: tuple[str, ...], table: tuple) -> RankedEmotions:
+@functools.cache
+def _ranked(label: str, score: float, matched_features: tuple[str, ...]) -> RankedEmotion:
+    """The one shared record for these fields; records are immutable."""
+    return RankedEmotion(label, score, matched_features)
+
+
+def _classify(values: tuple[str, ...], table: tuple) -> tuple[RankedEmotion, ...]:
     scored = []
     for emotion, size, rules in table:
         matched = []
@@ -294,11 +311,20 @@ def _classify(values: tuple[str, ...], table: tuple) -> RankedEmotions:
     # Descending score, alphabetical among ties; labels are distinct, so
     # the plain tuples never compare their matched fields.
     scored.sort()
-    return [RankedEmotion(emotion, -negated, matched) for negated, emotion, matched in scored]
+    return tuple(_ranked(emotion, -negated, matched) for negated, emotion, matched in scored)
 
 
 _VOICE_TABLE = _compile(VOICE_PATTERNS, VOICE_FIELDS)
 _voice_values = attrgetter(*VOICE_FIELDS)
+
+
+# Each classifier ranks a feature tuple once and keeps the result: at most
+# 2,187 voice and 405 movement tuples exist, and their rankings share 706
+# records.  The memo fills on use, since ranking every tuple at import
+# would slow every CLI start.
+@functools.cache
+def _voice_ranking(values: tuple[str, ...]) -> tuple[RankedEmotion, ...]:
+    return _classify(values, _VOICE_TABLE)
 
 
 def classify_voice(v: VoiceFeatureDelta) -> RankedEmotions:
@@ -307,9 +333,10 @@ def classify_voice(v: VoiceFeatureDelta) -> RankedEmotions:
     Match credit and contradiction penalty are symmetric: each pattern field
     the observation matches counts +1, each where it points the opposite way
     counts -1, flat counts nothing, and the sum is divided by pattern size
-    and clamped to [0, 1].
+    and clamped to [0, 1].  Each call returns a new list; its records are
+    immutable and shared with every other ranking that holds the same one.
     """
-    return _classify(_voice_values(v), _VOICE_TABLE)
+    return list(_voice_ranking(_voice_values(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +408,14 @@ _MOVEMENT_TABLE = _compile(MOVEMENT_PATTERNS, MOVEMENT_FIELDS)
 _movement_values = attrgetter(*MOVEMENT_FIELDS)
 
 
+@functools.cache
+def _movement_ranking(values: tuple[str, ...]) -> tuple[RankedEmotion, ...]:
+    return _classify(values, _MOVEMENT_TABLE)
+
+
 def classify_movement(m: MovementDescriptor) -> RankedEmotions:
-    """Rank the four movement-signed emotions; scoring as in classify_voice."""
-    return _classify(_movement_values(m), _MOVEMENT_TABLE)
+    """Rank the four movement-signed emotions; scoring and result as in classify_voice."""
+    return list(_movement_ranking(_movement_values(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 import itertools
 import os
-import re
 import subprocess
 import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from earlkit import markers
 from earlkit.errors import LexiconError, MarkerError
 from earlkit.markers import (
     MOVEMENT_PATTERNS,
@@ -90,6 +91,21 @@ def reference_rank(descriptor, patterns, opposites) -> list[RankedEmotion]:
         score = min(1.0, max(0.0, net / len(pattern))) if pattern else 0.0
         ranked.append(RankedEmotion(label, score, tuple(matched)))
     return sorted(ranked, key=lambda r: (-r.score, r.label))
+
+
+# The classifiers' memo: voice rankings, movement rankings, shared records.
+MEMOS = (markers._voice_ranking, markers._movement_ranking, markers._ranked)
+
+
+def clear_memo():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def assert_same_ranking(got, want, descriptor):
+    assert got == want, descriptor
+    # The repr shows the field types too (1 and 1.0 compare equal).
+    assert repr(got) == repr(want), descriptor
 
 
 class TestBehaviorMap:
@@ -279,11 +295,72 @@ class TestTagLexical:
         assert tokenize("Joyful, HAPPY!! radiant...") == ["joyful", "happy", "radiant"]
 
 
-# The tagger as first written, restated: split on non-letters and drop empty
-# tokens; match phrases with one consumed flag per token, then single words
-# on the tokens no phrase consumed.
+_SINGLE_MARKERS = sorted(
+    m for ms in default_lexicon().entries.values() for m in ms if " " not in m
+)
+
+
+class TestWholeWordsOnly:
+    # A marker never matches part of a longer word: letters and combining
+    # marks of any script belong to the word.
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("sadé Straße naïve contentó", ["sadé", "straße", "naïve", "contentó"]),
+            (unicodedata.normalize("NFD", "sadé contentó"), ["sade\u0301", "contento\u0301"]),
+            ("İrritated", ["i\u0307rritated"]),
+            ("ÅNGRY — sad, ﬁery!", ["ångry", "sad", "ﬁery"]),
+            ("happy2sad_proud", ["happy", "sad", "proud"]),
+            ("глад happy", ["глад", "happy"]),
+        ],
+    )
+    def test_tokenize_keeps_letters_and_marks_together(self, text, words):
+        assert tokenize(text) == words
+
+    @pytest.mark.parametrize(
+        "text",
+        ["sadé contentó", unicodedata.normalize("NFD", "sadé contentó"), "İrritated",
+         "Angryé", "ñsad", "happyß", "proudō"],
+    )
+    def test_accented_words_tag_nothing(self, text):
+        assert tag_lexical(text) == []
+
+    def test_a_marker_beside_a_non_letter_still_matches(self):
+        ((a, tokens),) = tag_lexical("«sad»—1sad² sad…")
+        assert (a.category, tokens) == ("sadness", ["sad", "sad", "sad"])
+
+    @given(
+        marker=st.sampled_from(_SINGLE_MARKERS),
+        extra=st.text(st.characters(categories=("L", "M")), min_size=1, max_size=3),
+        before=st.booleans(),
+    )
+    def test_marker_joined_to_letters_or_marks_does_not_match(self, marker, extra, before):
+        word = extra + marker if before else marker + extra
+        assert tokenize(word) == [word.lower()]
+        assert all(marker not in tokens for _, tokens in tag_lexical(word))
+
+    def test_custom_lexicon_keeps_non_ascii_markers_whole(self):
+        lexicon = load_lexicon("joy: zärtlich, naïve")
+        assert lexicon.entries["joy"] == {"zärtlich", "naïve"}
+        assert [t for _, t in tag_lexical("Zärtlich und naïve", lexicon)] == [
+            ["zärtlich", "naïve"]
+        ]
+        assert tag_lexical("z rtlich na ve", lexicon) == []
+
+
+# The tagger restated: a word is a maximal run of letters and combining marks
+# in the lowercased text, whatever its script; match phrases with one
+# consumed flag per token, then single words on the tokens no phrase
+# consumed.
 def reference_tokenize(text):
-    return [t for t in re.split(r"[^a-z]+", text.lower()) if t]
+    tokens, word = [], []
+    for char in text.lower() + " ":
+        if unicodedata.category(char).startswith(("L", "M")):
+            word.append(char)
+        elif word:
+            tokens.append("".join(word))
+            word = []
+    return tokens
 
 
 def reference_tag_lexical(text, lexicon):
@@ -324,8 +401,9 @@ _WORDS = (
     + ["the", "not", "a", "I", "so", "very", "", "it's"]
     + [",", "!", "...", "  ", "\n", "-", "'", "3", "_"]
     + ["Happy!", "SAD", "pRoUd", "zärtlich", "naïve", "Straße", "ÅNGRY", "İt", "sadé", "ﬁery"]
+    + ["sade\u0301", "İrritated", "глад", "٣"]
 )
-_SEPARATORS = st.sampled_from([" ", "", ",", ", ", "\n", "-", "é", "  "])
+_SEPARATORS = st.sampled_from([" ", "", ",", ", ", "\n", "-", "é", "  ", "\u0301", "—"])
 
 
 class TestTaggerMatchesReference:
@@ -396,10 +474,11 @@ class TestClassifyVoice:
             VoiceFeatureDelta(mean_f0="sideways")
 
     def test_matches_documented_rule_on_every_input(self):
+        clear_memo()
         for v in all_voice_inputs():
-            assert classify_voice(v) == reference_rank(
-                v, VOICE_PATTERNS, lambda _name: VOICE_OPPOSITES
-            ), v
+            want = reference_rank(v, VOICE_PATTERNS, lambda _name: VOICE_OPPOSITES)
+            assert_same_ranking(classify_voice(v), want, v)
+            assert_same_ranking(classify_voice(v), want, v)
 
 
 class TestClassifyMovement:
@@ -432,10 +511,68 @@ class TestClassifyMovement:
             MovementDescriptor(tension="rigid")
 
     def test_matches_documented_rule_on_every_input(self):
+        clear_memo()
         for m in all_movement_inputs():
-            assert classify_movement(m) == reference_rank(
-                m, MOVEMENT_PATTERNS, MOVEMENT_OPPOSITES.__getitem__
-            ), m
+            want = reference_rank(m, MOVEMENT_PATTERNS, MOVEMENT_OPPOSITES.__getitem__)
+            assert_same_ranking(classify_movement(m), want, m)
+            assert_same_ranking(classify_movement(m), want, m)
+
+
+class TestClassifierMemo:
+    # Each feature tuple is ranked once; later calls copy the kept ranking
+    # into a new list of the same immutable records.
+    @pytest.mark.parametrize(
+        "classify, descriptor",
+        [(classify_voice, VoiceFeatureDelta(mean_f0="up", f0_contour="downward")),
+         (classify_movement, MovementDescriptor(tension="dynamic_high"))],
+        ids=["voice", "movement"],
+    )
+    def test_calls_return_new_lists_of_the_same_records(self, classify, descriptor):
+        clear_memo()
+        first = classify(descriptor)
+        second = classify(descriptor._replace())
+        assert type(first) is type(second) is list
+        assert first is not second
+        assert first == second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+
+    @pytest.mark.parametrize(
+        "classify, descriptor",
+        [(classify_voice, VoiceFeatureDelta(mean_f0="up")),
+         (classify_movement, MovementDescriptor(duration="long"))],
+        ids=["voice", "movement"],
+    )
+    def test_mutating_a_result_leaves_the_next_unchanged(self, classify, descriptor):
+        want = classify(descriptor).copy()  # a snapshot, should the memo share its list
+        got = classify(descriptor)
+        got.reverse()
+        got.append(RankedEmotion("rage", 1.0))
+        del got[0]
+        got[0] = None
+        assert classify(descriptor) == want
+
+    def test_memo_is_bounded_by_the_feature_tuples(self):
+        clear_memo()
+        rankings = [classify_voice(v) for v in all_voice_inputs()]
+        rankings += [classify_movement(m) for m in all_movement_inputs()]
+        rankings += [classify_voice(v) for v in all_voice_inputs()]
+        rankings += [classify_movement(m) for m in all_movement_inputs()]
+        sizes = [memo.cache_info().currsize for memo in MEMOS]
+        assert sizes[0] <= 2187
+        assert sizes[1] <= 405
+        assert sizes[2] <= 706
+        assert len({id(r) for ranking in rankings for r in ranking}) <= 706
+
+    def test_importing_earlkit_leaves_the_memo_empty(self):
+        script = (
+            "import earlkit, earlkit.markers as m\n"
+            "print([f.cache_info().currsize for f in"
+            " (m._voice_ranking, m._movement_ranking, m._ranked)])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[0, 0, 0]"
 
 
 class TestSourceWeights:
