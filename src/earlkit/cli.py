@@ -135,8 +135,13 @@ def _fused_estimate(args):
     )
 
     cfg = FusionConfig() if args.config is None else _load(args.config, load_config)
+    profile = None
+    if args.profile is not None:
+        from .earl_xml import load_profile
+
+        profile = _load(args.profile, load_profile)
     state = TemporalState()
-    for evidence in _load(args.evidence, load_stream):
+    for evidence in _load(args.evidence, load_stream, profile):
         state = update_temporal(state, evidence)
     at = state.clock if args.at is None else args.at
     return fuse_instant(fill_missing(state, at, cfg), cfg), cfg
@@ -214,6 +219,9 @@ def _cmd_stats(args) -> int:
 # entry point
 
 
+_STREAM_PROFILE_HELP = "vocabulary profile XML file; a stream category outside it is an error"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="earlkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -239,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evidence", required=True, help="stream file: 't source category p i'")
     p.add_argument("--config", help="fusion config file (key=value)")
     p.add_argument("--at", type=float, help="fusion time (default: last timestamp)")
+    p.add_argument("--profile", help=_STREAM_PROFILE_HELP)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("decide", help="fuse evidence and decide resource access")
@@ -247,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--config", help="fusion config file (key=value)")
     p.add_argument("--at", type=float)
+    p.add_argument("--profile", help=_STREAM_PROFILE_HELP)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("stats", help="summarize a corpus")

@@ -26,6 +26,7 @@ from .model import (
     ComplexEmotion,
     EmotionAnnotation,
     Scope,
+    VocabularyProfile,
     _Record,
     base_weight_for_source,
 )
@@ -120,12 +121,17 @@ def load_config(data: bytes | str) -> FusionConfig:
     return cfg
 
 
-def load_stream(data: bytes | str) -> list[MarkerEvidence]:
+def load_stream(
+    data: bytes | str, profile: VocabularyProfile | None = None
+) -> list[MarkerEvidence]:
     """Read a recorded evidence stream, one item per line in file order.
 
     Line format: ``t source category p i``, whitespace separated, where
     ``source`` is a capture source (its modality is implied) and ``t``,
     ``p`` and ``i`` are numbers that :class:`MarkerEvidence` accepts.
+    Given a ``profile``, a category outside it is an error too: a label
+    that no rule knows, such as ``Anger`` for ``anger``, would otherwise
+    be fused as a category of its own and could turn a deny into an allow.
     """
     stream = []
     for line_no, line in read_lines(data, FusionError, "BAD_STREAM"):
@@ -136,6 +142,10 @@ def load_stream(data: bytes | str) -> list[MarkerEvidence]:
         modality = SOURCE_MODALITY.get(source)
         if modality is None:
             raise FusionError("BAD_STREAM", f"line {line_no}: unknown source {source!r}")
+        if profile is not None and not profile.allows_category(category):
+            raise FusionError(
+                "BAD_STREAM", f"line {line_no}: category {category!r} not in profile"
+            )
         try:
             timestamp, probability, intensity = float(t_raw), float(p_raw), float(i_raw)
         except ValueError:

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from earlkit.errors import FusionError
+from earlkit.fusion import load_stream
 from earlkit.markers import MOVEMENT_FIELDS, VOICE_FIELDS
 from earlkit.model import BEHAVIOR_FOR_EMOTION, SOURCE_WEIGHTS
 from support import FIXTURES, golden, run_cli
@@ -396,6 +398,7 @@ class TestCliEdges:
 
 ANGRY = FIXTURES / "streams" / "jack_angry.stream"
 POLICY = FIXTURES / "policies" / "hazardous_tool.policy"
+BEHAVIORS = FIXTURES / "profiles" / "behaviors.xml"
 
 
 def decide(evidence=ANGRY, *extra):
@@ -403,6 +406,61 @@ def decide(evidence=ANGRY, *extra):
         ["decide", "--evidence", evidence, "--resource", "hazardous-tool", "--policy", POLICY,
          *extra]
     )
+
+
+class TestStreamProfile:
+    # A label no behavior knows is fused as a category of its own, so
+    # without --profile these streams are allowed where `anger` is denied.
+    @staticmethod
+    def labelled(tmp_path, label):
+        stream = tmp_path / "s.stream"
+        stream.write_text(
+            f"0 language_voice {label} 0.9 0.9\n0.5 movement_kinetic {label} 0.8 0.9\n"
+        )
+        return stream
+
+    @pytest.mark.parametrize("label", ["Anger", "rage", "surprise"])
+    def test_category_outside_the_profile_exits_2(self, tmp_path, label):
+        stream = self.labelled(tmp_path, label)
+        assert decide(stream)[:2] == (0, "allow\tno rule matched\n")
+        message = f"earlkit: BAD_STREAM: {stream}: line 1: category {label!r} not in profile\n"
+        assert decide(stream, "--profile", BEHAVIORS) == (2, "", message)
+        assert run_cli(["fuse", "--evidence", stream, "--profile", BEHAVIORS]) == (2, "", message)
+
+    def test_known_category_is_still_denied(self, tmp_path):
+        stream = self.labelled(tmp_path, "anger")
+        assert decide(stream, "--profile", BEHAVIORS) == decide(stream)
+        assert decide(stream)[0] == 3
+
+    def test_unknown_label_cannot_dilute_a_known_one(self, tmp_path):
+        # The extra source pulls anger below the rule's 0.6 threshold.
+        stream = tmp_path / "s.stream"
+        stream.write_text(ANGRY.read_text() + "0.5 face Anger 0.9 0.9\n")
+        assert decide(stream)[0] == 0
+        assert decide(stream, "--profile", BEHAVIORS) == (
+            2, "", f"earlkit: BAD_STREAM: {stream}: line 4: category 'Anger' not in profile\n"
+        )
+
+    def test_profile_that_allows_every_category_changes_nothing(self, tmp_path):
+        profile = tmp_path / "p.xml"
+        profile.write_text(
+            "<profile><category>sadness</category><category>grief</category></profile>"
+        )
+        calm = FIXTURES / "streams" / "jack_calm.stream"
+        for extra in [(), ("--at", "3")]:
+            assert decide(ANGRY, "--profile", BEHAVIORS, *extra) == decide(ANGRY, *extra)
+            assert decide(calm, "--profile", profile, *extra) == decide(calm, *extra)
+        fuse = ["fuse", "--evidence", ANGRY]
+        assert run_cli([*fuse, "--profile", BEHAVIORS]) == (0, golden("fuse_jack.xml"), "")
+
+    def test_unreadable_profile_exits_2(self, tmp_path):
+        profile = tmp_path / "p.xml"
+        profile.write_text("<profile><categories>anger</categories></profile>")
+        code, out, err = decide(ANGRY, "--profile", profile)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"earlkit: UNKNOWN_PROFILE_ELEMENT: {profile}: ")
+        code, out, err = decide(ANGRY, "--profile", tmp_path / "missing.xml")
+        assert (code, out) == (2, "")
 
 
 class TestFailClosedInputs:
@@ -572,6 +630,20 @@ FEATURE_FILES = line_file(
         st.sampled_from(["up", "down", "flat", "downward", "short", "long", "neutral", "sideways"]),
     ).map("=".join)
 )
+PROFILE_CATEGORIES = st.frozensets(CATEGORIES, max_size=4)
+
+
+def profile_file(categories) -> bytes:
+    return "".join(
+        ["<profile>", *(f"<category>{c}</category>" for c in sorted(categories)), "</profile>"]
+    ).encode()
+
+
+PROFILE_FILES = st.one_of(
+    PROFILE_CATEGORIES.map(profile_file),
+    st.just(b"<profile><categories>anger</categories></profile>"),
+    st.just(b"<profile><category>ang\xffer</category></profile>"),
+)
 LEXICON_FILES = line_file(
     st.tuples(
         st.sampled_from(["joy", "fear", "rage", ""]),
@@ -606,16 +678,20 @@ def bad_stream_line(draw):
 class TestGeneratedFiles:
     @settings(deadline=None)
     @given(stream=STREAM_FILES, config=CONFIG_FILES, policy=POLICY_FILES,
-           features=FEATURE_FILES, lexicon=LEXICON_FILES)
-    def test_every_run_exits_0_2_or_3(self, stream, config, policy, features, lexicon):
+           features=FEATURE_FILES, lexicon=LEXICON_FILES, profile=PROFILE_FILES)
+    def test_every_run_exits_0_2_or_3(self, stream, config, policy, features, lexicon, profile):
         with tempfile.TemporaryDirectory() as tmp:
             files = {}
             for name, data in [("stream", stream), ("config", config), ("policy", policy),
-                               ("features", features), ("lexicon", lexicon)]:
+                               ("features", features), ("lexicon", lexicon),
+                               ("profile", profile)]:
                 files[name] = Path(tmp) / name
                 files[name].write_bytes(data)
             runs = [
                 (["fuse", "--evidence", files["stream"]], (0, 2)),
+                (["fuse", "--evidence", files["stream"], "--profile", files["profile"]], (0, 2)),
+                (["decide", "--evidence", files["stream"], "--resource", "hazardous-tool",
+                  "--policy", POLICY, "--profile", files["profile"]], (0, 2, 3)),
                 (["fuse", "--evidence", ANGRY, "--config", files["config"]], (0, 2)),
                 (["decide", "--evidence", files["stream"], "--resource", "hazardous-tool",
                   "--policy", files["policy"]], (0, 2, 3)),
@@ -630,6 +706,31 @@ class TestGeneratedFiles:
                 code, out, err = run_cli(argv)
                 assert code in codes, (argv, err)
                 assert (out == "") == (code == 2), (argv, out, err)
+
+    @settings(deadline=None)
+    @given(stream=STREAM_FILES, categories=PROFILE_CATEGORIES)
+    def test_profile_only_rejects_categories_outside_it(self, stream, categories):
+        try:
+            streamed = {e.annotation.category for e in load_stream(stream)}
+        except FusionError:
+            streamed = None
+        with tempfile.TemporaryDirectory() as tmp:
+            evidence, profile = Path(tmp) / "stream", Path(tmp) / "profile.xml"
+            evidence.write_bytes(stream)
+            profile.write_bytes(profile_file(categories))
+            for argv in (["fuse", "--evidence", evidence],
+                         ["decide", "--evidence", evidence, "--resource", "hazardous-tool",
+                          "--policy", POLICY]):
+                plain = run_cli(argv)
+                code, out, err = run_cli([*argv, "--profile", profile])
+                if streamed is None:
+                    assert (code, out) == (2, "") and plain[0] == 2, err
+                elif not categories or streamed <= categories:  # empty: the wildcard
+                    assert (code, out, err) == plain
+                else:
+                    assert (code, out) == (2, ""), err
+                    assert err.startswith(f"earlkit: BAD_STREAM: {evidence}: line "), err
+                    assert err.endswith(" not in profile\n"), err
 
     @settings(deadline=None)
     @given(resource=st.one_of(
