@@ -19,7 +19,7 @@ _EXPORTS = {
             "DEFAULT_PROFILE", "REGULATION_TYPES", "UNSCOPED", "ComplexEmotion",
             "EmotionAnnotation", "Finding", "InlineText", "Reference", "ReferencedTimeSpan",
             "Scope", "TimeSpan", "Unscoped", "ValidationReport", "VocabularyProfile",
-            "dominant_constituent", "validate_annotation", "base_weight_for_source",
+            "validate_annotation", "base_weight_for_source",
             "behavior_for_emotion",
         ),
         "earl_xml": (

@@ -241,7 +241,7 @@ def fuse_instant(
         contributors.append((source, weight))
         a = item.annotation
         category = a.category
-        # A missing probability or intensity counts as 1.0 (model.effective_intensity).
+        # A missing probability or intensity counts as 1.0.
         p = 1.0 if a.probability is None else a.probability
         i = 1.0 if a.intensity is None else a.intensity
         mass[category] = mass.get(category, 0.0) + weight * p * i

@@ -346,20 +346,6 @@ def validate_annotation(
     return ValidationReport(ok=ok, findings=tuple(findings))
 
 
-def effective_intensity(a: EmotionAnnotation) -> float:
-    """Intensity with the unqualified-annotation default of 1.0 applied."""
-    return 1.0 if a.intensity is None else a.intensity
-
-
-def dominant_constituent(c: ComplexEmotion) -> EmotionAnnotation:
-    """Return the constituent with the highest intensity.
-
-    Missing intensity counts as 1.0; ties go to the earliest constituent
-    in document order.
-    """
-    return max(c.constituents, key=effective_intensity)
-
-
 # ---------------------------------------------------------------------------
 # Shared marker tables (re-exported by ``markers``); here so fusion, needs
 # and the CLI stream reader need not load the classifiers.

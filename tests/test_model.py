@@ -1,14 +1,11 @@
-"""Domain-type validation and dominance rules."""
+"""Domain types: construction, immutability and validation."""
 
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from earlkit.model import (
     UNSCOPED,
-    effective_intensity,
     ComplexEmotion,
     EmotionAnnotation,
     FrozenRecordError,
@@ -16,7 +13,6 @@ from earlkit.model import (
     Reference,
     TimeSpan,
     VocabularyProfile,
-    dominant_constituent,
     validate_annotation,
 )
 
@@ -128,59 +124,6 @@ class TestValidateAnnotation:
                 assert -1.0 <= value <= 1.0
             for value in a.regulation.values():
                 assert 0.0 <= value <= 1.0
-
-
-class TestDominantConstituent:
-    def test_major_pleasure_minor_worry(self):
-        c = ComplexEmotion(
-            constituents=(
-                EmotionAnnotation(category="pleasure", intensity=0.7),
-                EmotionAnnotation(category="worry", intensity=0.5),
-            )
-        )
-        assert dominant_constituent(c).category == "pleasure"
-
-    def test_tie_breaks_to_document_order(self):
-        c = ComplexEmotion(
-            constituents=(
-                EmotionAnnotation(category="a", intensity=0.4),
-                EmotionAnnotation(category="b", intensity=0.4),
-            )
-        )
-        assert dominant_constituent(c).category == "a"
-
-    def test_missing_intensity_defaults_to_one(self):
-        c = ComplexEmotion(
-            constituents=(
-                EmotionAnnotation(category="a"),
-                EmotionAnnotation(category="b", intensity=0.9),
-            )
-        )
-        assert dominant_constituent(c).category == "a"
-
-    @given(
-        intensities=st.lists(
-            st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=2, max_size=6
-        ),
-        extras=st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), max_size=4),
-    )
-    def test_appending_weaker_constituents_keeps_dominant(self, intensities, extras):
-        base = ComplexEmotion(
-            constituents=tuple(
-                EmotionAnnotation(category=f"c{i}", intensity=v)
-                for i, v in enumerate(intensities)
-            )
-        )
-        dominant = dominant_constituent(base)
-        weaker = [v for v in extras if v < effective_intensity(dominant)]
-        grown = ComplexEmotion(
-            constituents=base.constituents
-            + tuple(
-                EmotionAnnotation(category=f"x{i}", intensity=v)
-                for i, v in enumerate(weaker)
-            )
-        )
-        assert dominant_constituent(grown) == dominant
 
 
 class TestValidationEdges:

@@ -19,7 +19,7 @@ EXPORTED = {
     "model": (
         "DEFAULT_PROFILE REGULATION_TYPES UNSCOPED ComplexEmotion EmotionAnnotation Finding"
         " InlineText Reference ReferencedTimeSpan Scope TimeSpan Unscoped ValidationReport"
-        " VocabularyProfile dominant_constituent validate_annotation"
+        " VocabularyProfile validate_annotation"
     ),
     "earl_xml": (
         "AnnotationDocument ClipSegment MediaObject ScopeTarget TextSegment load_profile"
