@@ -224,19 +224,29 @@ def fuse_instant(
     independent of evidence order.
     """
     if not evidence:
-        return FusedEstimate(scores={}, dominant=None, ambiguous=False, contributors=())
+        return FusedEstimate({}, None, False, ())
 
     # Deterministic processing order keeps carried-detail merges (and the
-    # contributors listing) permutation invariant.
-    ordered = sorted(evidence, key=_processing_order)
-    weight_for = cfg.weight_for
+    # contributors listing) permutation invariant.  Strictly ascending
+    # sources already are that order, as fill_missing's output always is,
+    # so only other input is sorted.
+    ordered = evidence
+    previous = evidence[0].source
+    for item in evidence[1:]:
+        if not previous < item.source:
+            ordered = sorted(evidence, key=_processing_order)
+            break
+        previous = item.source
+    weights = cfg._weights
     total_weight = 0.0
     mass: dict[str, float] = {}
     carried: dict[str, CarriedDetail] = {}
     contributors = []
     for item in ordered:
         source = item.source
-        weight = weight_for(source)
+        weight = weights.get(source)
+        if weight is None:
+            weight = base_weight_for_source(source)  # raises UNKNOWN_SOURCE
         total_weight += weight
         contributors.append((source, weight))
         a = item.annotation
@@ -261,13 +271,7 @@ def fuse_instant(
         raise FusionError("WEIGHT_OVERFLOW", f"evidence weights sum to {total_weight}")
     scores = {category: value / total_weight for category, value in mass.items()}
     dominant, ambiguous = _dominant(scores, cfg.ambiguity_epsilon)
-    return FusedEstimate(
-        scores=scores,
-        dominant=dominant,
-        ambiguous=ambiguous,
-        contributors=tuple(contributors),
-        carried=carried,
-    )
+    return FusedEstimate(scores, dominant, ambiguous, tuple(contributors), carried)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +304,9 @@ def fill_missing(
 ) -> list[MarkerEvidence]:
     """Synthesize decayed stand-ins for every remembered source.
 
+    The result holds at most one item per remembered source, in ascending
+    source order, whatever order the state's keys were inserted in: that
+    is :func:`fuse_instant`'s processing order, so it fuses them unsorted.
     Probability decays as p * exp(-lambda * elapsed); items whose decayed
     probability falls below the drop floor are omitted.  Each stand-in keeps
     its observation time, so ``now - timestamp`` is 0 for an item observed
@@ -364,14 +371,13 @@ def to_complex_emotion(
         )
 
     def constituent(category: str, item_scope: Scope) -> EmotionAnnotation:
-        detail = estimate.carried.get(category, CarriedDetail())
+        probability = estimate.scores[category]
+        detail = estimate.carried.get(category)
+        if detail is None:
+            return EmotionAnnotation(category, None, None, None, probability, None, None, item_scope)
         return EmotionAnnotation(
-            category=category,
-            dimensions=dict(detail.dimensions),
-            appraisals=dict(detail.appraisals),
-            regulation=dict(detail.regulation),
-            probability=estimate.scores[category],
-            scope=item_scope,
+            category, dict(detail.dimensions), dict(detail.appraisals), None, probability,
+            dict(detail.regulation), None, item_scope,
         )
 
     if len(qualifying) == 1:

@@ -29,18 +29,22 @@ _words = re.compile(r"[a-z]+").findall
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split into words: maximal runs of letters and combining marks.
+    """Lowercase, normalize to NFC and split into words: maximal runs of
+    letters and combining marks.
 
     Every other character separates words, so a marker never matches part
     of a longer word such as ``sadé`` (also when the accent is a separate
-    combining mark) or ``İrritated``.  ASCII text takes a regex fast path
+    combining mark) or ``İrritated``.  Markers go through this function
+    too, so a composed and a decomposed spelling of one word match each
+    other.  ASCII text, which NFC leaves as it is, takes a regex fast path
     that gives the same words.
     """
     text = text.lower()
     if text.isascii():
         return _words(text)
-    from unicodedata import category  # deferred: only non-ASCII text needs it
+    from unicodedata import category, normalize  # deferred: only non-ASCII text needs them
 
+    text = normalize("NFC", text)
     return "".join(c if category(c)[0] in "LM" else " " for c in text).split()
 
 
@@ -166,12 +170,9 @@ def tag_lexical(text: str, lexicon: Lexicon | None = None) -> list[tuple[Emotion
     results = []
     for emotion in sorted(hits):
         matched = hits[emotion]
+        n = len(matched)
         annotation = EmotionAnnotation(
-            category=emotion,
-            modality="language",
-            intensity=min(1.0, len(matched) / 3),
-            probability=len(matched) / total,
-            scope=scope,
+            emotion, None, None, min(1.0, n / 3), n / total, None, "language", scope
         )
         results.append((annotation, matched))
     return results
@@ -222,10 +223,16 @@ class VoiceFeatureDelta(_Record):
             "mean_energy": mean_energy, "high_freq_energy": high_freq_energy,
             "f0_contour": f0_contour, "articulation_rate": articulation_rate,
         }
-        for name, value in values.items():
-            allowed = _CONTOURS if name == "f0_contour" else _DIRECTIONS
-            if value not in allowed:
-                raise ValueError(f"{name}={value!r}; expected one of {allowed}")
+        # One test for the common case; the walk below only names the bad field.
+        if not (
+            mean_f0 in _DIRECTIONS and f0_range in _DIRECTIONS and f0_variability in _DIRECTIONS
+            and mean_energy in _DIRECTIONS and high_freq_energy in _DIRECTIONS
+            and f0_contour in _CONTOURS and articulation_rate in _DIRECTIONS
+        ):
+            for name, value in values.items():
+                allowed = _CONTOURS if name == "f0_contour" else _DIRECTIONS
+                if value not in allowed:
+                    raise ValueError(f"{name}={value!r}; expected one of {allowed}")
         self.__dict__.update(values)
 
 
@@ -342,12 +349,13 @@ def classify_voice(v: VoiceFeatureDelta) -> RankedEmotions:
 # ---------------------------------------------------------------------------
 # Movement signatures
 
+_LENGTHS = (SHORT, MID, LONG)
+_TEMPOS = (FREQUENT, FEW, NEUTRAL)
+_EXTENTS = (OUTWARD, CLOSE, NEUTRAL)
+_TENSIONS = (DYNAMIC_HIGH, SUSTAINED_HIGH, CONTINUOUSLY_LOW, DYNAMIC_VARYING, NEUTRAL)
 _MOVEMENT_VALUES = {
-    "duration": (SHORT, MID, LONG),
-    "tempo_changes": (FREQUENT, FEW, NEUTRAL),
-    "stop_length": (SHORT, MID, LONG),
-    "spatial_extent": (OUTWARD, CLOSE, NEUTRAL),
-    "tension": (DYNAMIC_HIGH, SUSTAINED_HIGH, CONTINUOUSLY_LOW, DYNAMIC_VARYING, NEUTRAL),
+    "duration": _LENGTHS, "tempo_changes": _TEMPOS, "stop_length": _LENGTHS,
+    "spatial_extent": _EXTENTS, "tension": _TENSIONS,
 }
 
 
@@ -366,11 +374,16 @@ class MovementDescriptor(_Record):
             "duration": duration, "tempo_changes": tempo_changes, "stop_length": stop_length,
             "spatial_extent": spatial_extent, "tension": tension,
         }
-        for name, value in values.items():
-            if value not in _MOVEMENT_VALUES[name]:
-                raise ValueError(
-                    f"{name}={value!r}; expected one of {_MOVEMENT_VALUES[name]}"
-                )
+        # One test for the common case; the walk below only names the bad field.
+        if not (
+            duration in _LENGTHS and tempo_changes in _TEMPOS and stop_length in _LENGTHS
+            and spatial_extent in _EXTENTS and tension in _TENSIONS
+        ):
+            for name, value in values.items():
+                if value not in _MOVEMENT_VALUES[name]:
+                    raise ValueError(
+                        f"{name}={value!r}; expected one of {_MOVEMENT_VALUES[name]}"
+                    )
         self.__dict__.update(values)
 
 

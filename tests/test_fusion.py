@@ -7,10 +7,10 @@ import pickle
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from earlkit.errors import FusionError
+from earlkit.errors import EarlError, FusionError, MarkerError
 from earlkit.fusion import (
     FusionConfig,
     MarkerEvidence,
@@ -827,6 +827,167 @@ class TestEquivalentToConstructors:
         assert bits(fused.scores) == bits(want.scores)
         assert fused == want
         assert fused.carried == want.carried
+
+
+# ---------------------------------------------------------------------------
+# fuse_instant against its definition: sort into (source, timestamp, category)
+# order, then fold, whatever order the evidence came in.
+
+
+def reference_fold(items, cfg):
+    """(scores, dominant, ambiguous, contributors, carried) by the sorted fold,
+    with the carried detail merged as plain (dimensions, appraisals,
+    regulation) item lists; raises as fuse_instant does."""
+    if not items:
+        return [], None, False, (), {}
+    ordered = sorted(items, key=lambda e: (e.source, e.timestamp, e.annotation.category))
+    total, mass, contributors, carried = 0.0, {}, [], {}
+    for item in ordered:
+        if item.source not in SOURCE_WEIGHTS:
+            raise MarkerError("UNKNOWN_SOURCE", f"{item.source!r} is not a capture source")
+        weight = cfg.weight_overrides.get(item.source, SOURCE_WEIGHTS[item.source])
+        total += weight
+        contributors.append((item.source, weight))
+        a = item.annotation
+        p = 1.0 if a.probability is None else a.probability
+        i = 1.0 if a.intensity is None else a.intensity
+        mass[a.category] = mass.get(a.category, 0.0) + weight * p * i
+        if a.dimensions or a.appraisals or a.regulation:
+            merged = carried.setdefault(a.category, ({}, {}, {}))
+            for into, new in zip(merged, (a.dimensions, a.appraisals, a.regulation)):
+                into.update(new)
+    if total == 0.0:
+        raise FusionError("ZERO_WEIGHT", "all evidence sources have weight 0")
+    if total == math.inf:
+        raise FusionError("WEIGHT_OVERFLOW", f"evidence weights sum to {total}")
+    scores = {category: value / total for category, value in mass.items()}
+    ranked = sorted(scores, key=lambda c: (-scores[c], c))
+    ambiguous = len(ranked) > 1 and scores[ranked[0]] - scores[ranked[1]] < cfg.ambiguity_epsilon
+    carried = {c: tuple(list(d.items()) for d in merged) for c, merged in carried.items()}
+    return bits(scores), ranked[0], ambiguous, tuple(contributors), carried
+
+
+def fused_fields(items, cfg):
+    """fuse_instant's result in reference_fold's terms; FusedEstimate
+    equality leaves ``carried`` out, and compares scores by value."""
+    estimate = fuse_instant(items, cfg)
+    carried = {
+        c: tuple(list(d.items()) for d in (detail.dimensions, detail.appraisals, detail.regulation))
+        for c, detail in estimate.carried.items()
+    }
+    return (
+        bits(estimate.scores), estimate.dominant, estimate.ambiguous, estimate.contributors,
+        carried,
+    )
+
+
+def outcome(fuse, items, cfg):
+    """What ``fuse`` returns, or the type and code of the error it raises."""
+    try:
+        return fuse(items, cfg)
+    except EarlError as exc:
+        return type(exc), exc.code
+
+
+# Mostly known sources, so that most draws fuse; "telepathy" is no source.
+_EVIDENCE_SOURCES = st.sampled_from(SOURCES * 3 + ["telepathy"])
+# Weights that are 0 for some sources and overflow the total for others.
+_ODD_WEIGHTS = st.floats(min_value=0.0, max_value=5.0) | st.sampled_from([0.0, 1e308, 1.7e308])
+
+
+@st.composite
+def evidence_lists(draw):
+    """Evidence with repeated or distinct sources, shared timestamps and
+    descriptors, in ascending, descending or shuffled processing order."""
+    if draw(st.booleans()):
+        sources = draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=4, unique=True))
+    else:
+        sources = draw(st.lists(_EVIDENCE_SOURCES, min_size=1, max_size=6))
+    items = []
+    for source in sources:
+        annotation = EmotionAnnotation(
+            category=draw(st.sampled_from(["anger", "joy", "fear"])),
+            dimensions=draw(descriptors),
+            appraisals=draw(descriptors),
+            intensity=draw(st.none() | unit),
+            probability=draw(st.none() | unit),
+            regulation=draw(
+                st.dictionaries(st.sampled_from(["suppress", "amplify"]), unit, max_size=2)
+            ),
+            modality="face",
+        )
+        t = draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=30.0))
+        items.append(MarkerEvidence(annotation=annotation, source=source, timestamp=t))
+    key = lambda e: (e.source, e.timestamp, e.annotation.category)  # noqa: E731
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if order == "shuffled":
+        return draw(st.permutations(items))
+    return sorted(items, key=key, reverse=order == "descending")
+
+
+odd_configs = st.builds(
+    FusionConfig,
+    ambiguity_epsilon=unit,
+    weight_overrides=st.dictionaries(st.sampled_from(SOURCES), _ODD_WEIGHTS),
+)
+
+
+class TestFuseInstantMatchesSortedFold:
+    @settings(max_examples=300)
+    @given(items=evidence_lists(), cfg=configs | odd_configs)
+    @example(  # distinct sources, already in order: the unsorted path
+        items=[evidence("joy", "face", p=0.5, dimensions={"arousal": 0.2}),
+               evidence("joy", "language_voice", p=0.5, dimensions={"arousal": -0.4})],
+        cfg=FusionConfig(),
+    )
+    @example(  # one source twice: equal sources are sorted by time, then category
+        items=[evidence("joy", "face", t=1.0, regulation={"suppress": 0.2}),
+               evidence("anger", "face", t=1.0, regulation={"suppress": 0.9}),
+               evidence("fear", "face", t=0.0)],
+        cfg=FusionConfig(),
+    )
+    @example(  # an unknown source is raised before a zero total weight
+        items=[evidence("joy", "face"), evidence("joy", "telepathy")],
+        cfg=FusionConfig(weight_overrides={"face": 0.0}),
+    )
+    @example(  # ZERO_WEIGHT
+        items=[evidence("joy", "face")], cfg=FusionConfig(weight_overrides={"face": 0.0})
+    )
+    @example(  # WEIGHT_OVERFLOW
+        items=[evidence("joy", "face"), evidence("joy", "language_voice")],
+        cfg=FusionConfig(weight_overrides={"face": 1.7e308, "language_voice": 1e308}),
+    )
+    def test_equals_the_sorted_fold(self, items, cfg):
+        for ordered in (items, items[::-1]):
+            assert outcome(fused_fields, ordered, cfg) == outcome(reference_fold, ordered, cfg)
+
+
+@st.composite
+def states(draw):
+    """A temporal state built through update_temporal, or one built directly
+    with its keys inserted in any order."""
+    items = draw(remembered_items())
+    if draw(st.booleans()):
+        state = TemporalState()
+        for item in items:
+            state = update_temporal(state, item)
+        return state
+    keyed = draw(st.permutations([(item.source, item) for item in items]))
+    return TemporalState(last_evidence=dict(keyed), clock=max(i.timestamp for i in items))
+
+
+class TestFillMissingOrder:
+    @given(state=states(), dt=st.floats(min_value=0.0, max_value=20.0), cfg=configs)
+    def test_one_item_per_source_in_ascending_source_order(self, state, dt, cfg):
+        now = state.clock + dt
+        got = fill_missing(state, now, cfg)
+        sources = [item.source for item in got]
+        assert all(a < b for a, b in zip(sources, sources[1:]))
+        assert set(sources) <= set(state.last_evidence)
+        # Insertion order does not show.
+        resorted = TemporalState(dict(sorted(state.last_evidence.items())), state.clock)
+        assert fill_missing(resorted, now, cfg) == got
+        assert outcome(fused_fields, got, cfg) == outcome(reference_fold, got, cfg)
 
 
 class TestWeightTable:

@@ -307,7 +307,7 @@ class TestWholeWordsOnly:
         "text, words",
         [
             ("sadé Straße naïve contentó", ["sadé", "straße", "naïve", "contentó"]),
-            (unicodedata.normalize("NFD", "sadé contentó"), ["sade\u0301", "contento\u0301"]),
+            (unicodedata.normalize("NFD", "sadé contentó"), ["sad\u00e9", "content\u00f3"]),
             ("İrritated", ["i\u0307rritated"]),
             ("ÅNGRY — sad, ﬁery!", ["ångry", "sad", "ﬁery"]),
             ("happy2sad_proud", ["happy", "sad", "proud"]),
@@ -336,7 +336,7 @@ class TestWholeWordsOnly:
     )
     def test_marker_joined_to_letters_or_marks_does_not_match(self, marker, extra, before):
         word = extra + marker if before else marker + extra
-        assert tokenize(word) == [word.lower()]
+        assert tokenize(word) == [unicodedata.normalize("NFC", word.lower())]
         assert all(marker not in tokens for _, tokens in tag_lexical(word))
 
     def test_custom_lexicon_keeps_non_ascii_markers_whole(self):
@@ -347,14 +347,30 @@ class TestWholeWordsOnly:
         ]
         assert tag_lexical("z rtlich na ve", lexicon) == []
 
+    @pytest.mark.parametrize("marker_form, text_form", [("NFC", "NFD"), ("NFD", "NFC")])
+    def test_composed_and_decomposed_spellings_match(self, marker_form, text_form):
+        lexicon = load_lexicon(unicodedata.normalize(marker_form, "joy: zärtlich, naïve"))
+        text = unicodedata.normalize(text_form, "Zärtlich und NAÏVE")
+        assert text != unicodedata.normalize(marker_form, text)
+        ((annotation, tokens),) = tag_lexical(text, lexicon)
+        assert annotation.category == "joy"
+        assert tokens == ["zärtlich", "naïve"]
+        # The scope keeps the text as it was given.
+        assert annotation.scope == InlineText(text)
+
+    @pytest.mark.parametrize("form", ["NFC", "NFD"])
+    def test_normalizing_joins_no_new_word_to_a_marker(self, form):
+        for text in ("İrritated", "sadé"):
+            assert tag_lexical(unicodedata.normalize(form, text)) == []
+
 
 # The tagger restated: a word is a maximal run of letters and combining marks
-# in the lowercased text, whatever its script; match phrases with one
-# consumed flag per token, then single words on the tokens no phrase
-# consumed.
+# in the lowercased text, normalized to NFC, whatever its script; match
+# phrases with one consumed flag per token, then single words on the tokens
+# no phrase consumed.
 def reference_tokenize(text):
     tokens, word = [], []
-    for char in text.lower() + " ":
+    for char in unicodedata.normalize("NFC", text.lower()) + " ":
         if unicodedata.category(char).startswith(("L", "M")):
             word.append(char)
         elif word:
@@ -420,6 +436,73 @@ class TestTaggerMatchesReference:
         assert got == want
         # The repr shows the types and the order of the matched tokens too.
         assert repr(got) == repr(want)
+
+
+# The values each descriptor field accepts, restated, and values no field
+# accepts; with the other fields' values these are the invalid ones.
+VOICE_ALLOWED = {
+    name: ("downward", "upward", "flat") if name == "f0_contour" else ("up", "down", "flat")
+    for name in VoiceFeatureDelta._fields
+}
+MOVEMENT_ALLOWED = {
+    "duration": ("short", "mid", "long"),
+    "tempo_changes": ("frequent", "few", "neutral"),
+    "stop_length": ("short", "mid", "long"),
+    "spatial_extent": ("outward_from_centre", "close_to_centre", "neutral"),
+    "tension": ("dynamic_high", "sustained_high", "continuously_low", "dynamic_varying", "neutral"),
+}
+_JUNK = ["sideways", "", "UP", "flat ", None, 1, 0.0, ("up",)]
+DESCRIPTORS = pytest.mark.parametrize(
+    "descriptor, allowed",
+    [(VoiceFeatureDelta, VOICE_ALLOWED), (MovementDescriptor, MOVEMENT_ALLOWED)],
+    ids=["voice", "movement"],
+)
+
+
+CANDIDATES = sorted(
+    {v for fields in (VOICE_ALLOWED, MOVEMENT_ALLOWED) for ok in fields.values() for v in ok}
+) + _JUNK
+
+
+class TestDescriptorCheck:
+    @DESCRIPTORS
+    def test_every_invalid_field_value_is_named(self, descriptor, allowed):
+        for name, ok in allowed.items():
+            for value in CANDIDATES:
+                if value in ok:
+                    continue
+                with pytest.raises(ValueError) as exc:
+                    descriptor(**{name: value})
+                assert str(exc.value) == f"{name}={value!r}; expected one of {ok}"
+
+    @DESCRIPTORS
+    @given(data=st.data())
+    def test_check_matches_the_restated_rule(self, descriptor, allowed, data):
+        values = {
+            name: data.draw(st.sampled_from(CANDIDATES), label=name)
+            for name in allowed
+        }
+        bad = [name for name, ok in allowed.items() if values[name] not in ok]
+        if not bad:
+            record = descriptor(**values)
+            assert {name: getattr(record, name) for name in allowed} == values
+            return
+        # The first bad field in field order is the one named.
+        name = bad[0]
+        with pytest.raises(ValueError) as exc:
+            descriptor(*values.values())
+        assert str(exc.value) == f"{name}={values[name]!r}; expected one of {allowed[name]}"
+
+    @DESCRIPTORS
+    def test_every_valid_tuple_constructs(self, descriptor, allowed):
+        assert descriptor._fields == tuple(allowed)
+        count = 0
+        for values in itertools.product(*allowed.values()):
+            record = descriptor(*values)
+            assert tuple(getattr(record, name) for name in allowed) == values
+            assert descriptor(**dict(zip(allowed, values))) == record
+            count += 1
+        assert count == {VoiceFeatureDelta: 2187, MovementDescriptor: 405}[descriptor]
 
 
 class TestClassifyVoice:
