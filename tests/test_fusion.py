@@ -834,13 +834,17 @@ class TestEquivalentToConstructors:
 # order, then fold, whatever order the evidence came in.
 
 
+def processing_key(item):
+    return item.source, item.timestamp, item.annotation.category
+
+
 def reference_fold(items, cfg):
     """(scores, dominant, ambiguous, contributors, carried) by the sorted fold,
     with the carried detail merged as plain (dimensions, appraisals,
     regulation) item lists; raises as fuse_instant does."""
     if not items:
         return [], None, False, (), {}
-    ordered = sorted(items, key=lambda e: (e.source, e.timestamp, e.annotation.category))
+    ordered = sorted(items, key=processing_key)
     total, mass, contributors, carried = 0.0, {}, [], {}
     for item in ordered:
         if item.source not in SOURCE_WEIGHTS:
@@ -918,11 +922,10 @@ def evidence_lists(draw):
         )
         t = draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=30.0))
         items.append(MarkerEvidence(annotation=annotation, source=source, timestamp=t))
-    key = lambda e: (e.source, e.timestamp, e.annotation.category)  # noqa: E731
     order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
     if order == "shuffled":
         return draw(st.permutations(items))
-    return sorted(items, key=key, reverse=order == "descending")
+    return sorted(items, key=processing_key, reverse=order == "descending")
 
 
 odd_configs = st.builds(
