@@ -13,7 +13,7 @@ _EXPORTS = {
     for module, names in {
         "errors": (
             "EarlError", "FusionError", "LexiconError", "MarkerError", "ParseError",
-            "PolicyError", "ScopeError",
+            "PolicyError",
         ),
         "model": (
             "DEFAULT_PROFILE", "REGULATION_TYPES", "UNSCOPED", "ComplexEmotion",
@@ -23,8 +23,7 @@ _EXPORTS = {
             "behavior_for_emotion",
         ),
         "earl_xml": (
-            "AnnotationDocument", "ClipSegment", "MediaObject", "ScopeTarget", "TextSegment",
-            "load_profile", "parse_document", "resolve_scope", "serialize_document",
+            "AnnotationDocument", "load_profile", "parse_document", "serialize_document",
         ),
         "markers": (
             "Lexicon", "MovementDescriptor", "RankedEmotion", "VoiceFeatureDelta",

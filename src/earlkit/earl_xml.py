@@ -1,4 +1,4 @@
-"""Reading and writing EARL XML, plus stand-off scope resolution.
+"""Reading and writing EARL XML.
 
 The parser is built on expat with namespace processing switched off:
 published EARL snippets routinely use ``xlink:href`` without declaring the
@@ -21,12 +21,10 @@ warning is emitted.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
-from pathlib import Path
-from typing import Union
+from functools import lru_cache, partial
 from xml.parsers import expat
 
-from .errors import ParseError, ScopeError
+from .errors import ParseError
 from .model import (
     CLASSIC_APPRAISAL_NAMES,
     CLASSIC_DIMENSION_NAMES,
@@ -45,7 +43,6 @@ from .model import (
     Unscoped,
     VocabularyProfile,
     _Record,
-    _scope_problems,
 )
 
 ROOT_TAG = "earl"
@@ -69,28 +66,6 @@ class AnnotationDocument(_Record):
 
     def __init__(self, items: tuple[AnnotationItem, ...] = (), warnings: tuple[Finding, ...] = ()):
         self.__dict__.update(items=tuple(items), warnings=tuple(warnings))
-
-
-# ---------------------------------------------------------------------------
-# Scope targets
-
-
-class TextSegment(_Record):
-    def __init__(self, text: str):
-        self.__dict__.update(text=text)
-
-
-class MediaObject(_Record):
-    def __init__(self, uri: str, exists: bool):
-        self.__dict__.update(uri=uri, exists=exists)
-
-
-class ClipSegment(_Record):
-    def __init__(self, uri: str | None, start: float, end: float):
-        self.__dict__.update(uri=uri, start=start, end=end)
-
-
-ScopeTarget = Union[TextSegment, MediaObject, ClipSegment]
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +380,33 @@ def _scope_attrs(scope: Scope) -> str:
     return out
 
 
+# Descriptor names found to read back, a memo bounded so that names that
+# never repeat cannot grow it without end.
+_WRITABLE_NAMES: set[str] = set()
+_REGULATION_NAMES = frozenset(REGULATION_TYPES)
+_unwritable = partial(ParseError, "UNSERIALIZABLE_NAME")
+
+
+def _check_names(a: EmotionAnnotation) -> None:
+    """Raise UNSERIALIZABLE_NAME for a name of ``a`` that would not read back
+    as what it names; remember the descriptor names that would."""
+    if both := a.dimensions.keys() & a.appraisals.keys():
+        raise _unwritable(f"descriptor {min(both)!r} is both a dimension and an appraisal")
+    if bad := a.regulation.keys() - _REGULATION_NAMES:
+        raise _unwritable(f"regulation {min(bad)!r} is not one of {'/'.join(REGULATION_TYPES)}")
+    for name in sorted({*a.dimensions, *a.appraisals} - _WRITABLE_NAMES):
+        # The reader decides: not an XML name to expat, or one it reads as
+        # another field (probability, hide, ...), and the value is lost.
+        try:
+            back = parse_document(f'<{EMOTION_TAG} {name}="0"/>').items[0]
+        except ParseError:
+            back = None
+        if back is None or {**back.dimensions, **back.appraisals} != {name: 0.0}:
+            raise _unwritable(f"descriptor {name!r} is no XML name or reads back as another field")
+        if len(_WRITABLE_NAMES) < 4096:
+            _WRITABLE_NAMES.add(name)
+
+
 def _emotion_markup(a: EmotionAnnotation) -> str:
     parts = [f"<{EMOTION_TAG}"]
     if a.category is not None:
@@ -412,6 +414,12 @@ def _emotion_markup(a: EmotionAnnotation) -> str:
     descriptors = a.dimensions
     if a.appraisals:
         descriptors = {**descriptors, **a.appraisals} if descriptors else a.appraisals
+    # Set lookups only, unless a name is new or both kinds of descriptor.
+    if not (
+        _WRITABLE_NAMES.issuperset(descriptors) and _REGULATION_NAMES.issuperset(a.regulation)
+        and len(descriptors) == len(a.dimensions) + len(a.appraisals)
+    ):
+        _check_names(a)
     for name in sorted(descriptors):
         parts.append(f' {name}="{format_number(descriptors[name])}"')
     if a.intensity is not None:
@@ -445,7 +453,7 @@ def _complex_markup(c: ComplexEmotion) -> str:
 
 
 def serialize_document(doc: AnnotationDocument) -> bytes:
-    """Emit canonical EARL XML bytes; a character XML cannot hold raises UNSERIALIZABLE_CHAR."""
+    """Emit canonical EARL XML bytes; UNSERIALIZABLE_CHAR or _NAME for what would not read back."""
     head = '<?xml version="1.0" encoding="UTF-8"?>\n'
     if not doc.items:
         return f"{head}<{ROOT_TAG}/>\n".encode()
@@ -465,39 +473,6 @@ def serialize_document(doc: AnnotationDocument) -> bytes:
             return data
         bad = next(c for c in xml if c in _UNWRITABLE)
     raise ParseError("UNSERIALIZABLE_CHAR", f"U+{ord(bad):04X} cannot be written in XML")
-
-
-# ---------------------------------------------------------------------------
-# Scope resolution
-
-
-def resolve_scope(item: AnnotationItem, corpus_root: str | Path) -> ScopeTarget:
-    """Resolve an annotation's scope against files under ``corpus_root``.
-
-    References may not escape the corpus directory; existence of the
-    referenced media is checked, not required.
-    """
-    scope = item.scope
-    if problems := _scope_problems(scope):
-        raise ScopeError("MALFORMED_SCOPE", problems[0])
-    if isinstance(scope, Unscoped):
-        raise ScopeError("UNSCOPED", "annotation has no scope to resolve")
-    if isinstance(scope, InlineText):
-        return TextSegment(scope.text)
-    if isinstance(scope, TimeSpan):
-        return ClipSegment(None, scope.start, scope.end)
-
-    root = Path(corpus_root).resolve()
-    candidate = (root / scope.uri).resolve()
-    try:
-        inside = candidate.is_relative_to(root)
-    except ValueError:  # pragma: no cover - windows drive mismatch
-        inside = False
-    if not inside:
-        raise ScopeError("PATH_ESCAPE", f"{scope.uri!r} resolves outside the corpus root")
-    if isinstance(scope, ReferencedTimeSpan):
-        return ClipSegment(scope.uri, scope.start, scope.end)
-    return MediaObject(scope.uri, candidate.exists())
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,6 @@ class ParseError(EarlError):
     """Raised for unreadable EARL XML input."""
 
 
-class ScopeError(EarlError):
-    """Raised when a scope cannot be resolved against a corpus."""
-
-
 class LexiconError(EarlError):
     """Raised for malformed lexicon files."""
 
@@ -42,25 +38,20 @@ class PolicyError(EarlError):
     """Raised for malformed policy files."""
 
 
-def decode_text(data: bytes | str, error: type[EarlError], code: str) -> str:
-    """``data`` as UTF-8 text; a bad byte raises ``error(code, "line N: ...")``."""
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise error(code, f"line {line}: not UTF-8 text ({exc.reason})") from None
-
-
 def read_lines(data: bytes | str, error: type[EarlError], code: str) -> Iterator[tuple[int, str]]:
     """``(line_no, line)`` for each line of a line-format file that says something.
 
+    Bytes are read as UTF-8; a bad byte raises ``error(code, "line N: ...")``.
     ``#`` starts a comment; comments and surrounding space are stripped and
-    blank lines skipped.  Lines are numbered from 1; decoding as in
-    :func:`decode_text`.
+    blank lines skipped.  Lines are numbered from 1.
     """
-    for line_no, line in enumerate(decode_text(data, error, code).splitlines(), 1):
+    if not isinstance(data, str):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise error(code, f"line {line}: not UTF-8 text ({exc.reason})") from None
+    for line_no, line in enumerate(data.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
             yield line_no, line

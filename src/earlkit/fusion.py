@@ -85,10 +85,6 @@ class FusionConfig(_Record):
                 raise ValueError(f"weight.{source}={weight} must be finite and >= 0")
         self.__dict__.update(values)
 
-    def weight_for(self, source: str) -> float:
-        weight = self._weights.get(source)
-        return base_weight_for_source(source) if weight is None else weight
-
 
 def load_config(data: bytes | str) -> FusionConfig:
     """Read a flat ``key=value`` config file; all keys optional.

@@ -17,10 +17,6 @@ from types import MappingProxyType
 
 from .errors import LexiconError, MarkerError, read_lines
 from .model import EmotionAnnotation, InlineText, _Record
-from .model import (  # noqa: F401  (re-exported for callers of this module)
-    BEHAVIOR_FOR_EMOTION, EMOTION_ALIASES, SOURCE_MODALITY, SOURCE_WEIGHTS,
-    base_weight_for_source, behavior_for_emotion,
-)
 
 # ---------------------------------------------------------------------------
 # Lexical markers
@@ -279,9 +275,6 @@ class RankedEmotion(_Record):
         self.__dict__.update(label=label, score=score, matched_features=matched_features)
 
 
-RankedEmotions = list[RankedEmotion]
-
-
 def _compile(patterns: dict[str, dict[str, str]], fields: tuple[str, ...]) -> tuple:
     """Scoring table: per emotion, its label, pattern size and one rule
     ``(field index, field name, expected value, opposed values)`` per
@@ -334,7 +327,7 @@ def _voice_ranking(values: tuple[str, ...]) -> tuple[RankedEmotion, ...]:
     return _classify(values, _VOICE_TABLE)
 
 
-def classify_voice(v: VoiceFeatureDelta) -> RankedEmotions:
+def classify_voice(v: VoiceFeatureDelta) -> list[RankedEmotion]:
     """Rank the five vocally-signed emotions against a feature delta.
 
     Match credit and contradiction penalty are symmetric: each pattern field
@@ -426,7 +419,7 @@ def _movement_ranking(values: tuple[str, ...]) -> tuple[RankedEmotion, ...]:
     return _classify(values, _MOVEMENT_TABLE)
 
 
-def classify_movement(m: MovementDescriptor) -> RankedEmotions:
+def classify_movement(m: MovementDescriptor) -> list[RankedEmotion]:
     """Rank the four movement-signed emotions; scoring and result as in classify_voice."""
     return list(_movement_ranking(_movement_values(m)))
 

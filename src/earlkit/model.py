@@ -347,8 +347,8 @@ def validate_annotation(
 
 
 # ---------------------------------------------------------------------------
-# Shared marker tables (re-exported by ``markers``); here so fusion, needs
-# and the CLI stream reader need not load the classifiers.
+# Marker tables shared by fusion, needs and the stream reader; here so that
+# none of them loads the classifiers.
 
 #: Basic emotion -> motivated behavior (MacLean's classification).
 BEHAVIOR_FOR_EMOTION = {

@@ -22,17 +22,20 @@ from earlkit.fusion import (
 )
 from earlkit.markers import (
     MOVEMENT_PATTERNS,
-    SOURCE_WEIGHTS,
     VOICE_PATTERNS,
     MovementDescriptor,
     VoiceFeatureDelta,
-    behavior_for_emotion,
     classify_movement,
     classify_voice,
     default_lexicon,
     tag_lexical,
 )
-from earlkit.model import EmotionAnnotation, validate_annotation
+from earlkit.model import (
+    SOURCE_WEIGHTS,
+    EmotionAnnotation,
+    behavior_for_emotion,
+    validate_annotation,
+)
 from earlkit.needs import infer_needs
 
 import generators

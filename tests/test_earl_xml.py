@@ -1,4 +1,4 @@
-"""Parser, serializer, scope resolution, and profile file tests."""
+"""Parser, serializer and profile file tests."""
 
 import math
 import random
@@ -10,20 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from earlkit import earl_xml
 from earlkit.earl_xml import (
     _attr,
     _text,
     AnnotationDocument,
-    ClipSegment,
-    MediaObject,
-    TextSegment,
     format_number,
     load_profile,
     parse_document,
-    resolve_scope,
     serialize_document,
 )
-from earlkit.errors import ParseError, ScopeError
+from earlkit.errors import ParseError
 from earlkit.model import (
     CLASSIC_APPRAISAL_NAMES,
     CLASSIC_DIMENSION_NAMES,
@@ -292,6 +289,110 @@ class TestSerialize:
         assert format_number(0.9405233862724746) == "0.9405233862724746"
 
 
+# Names the reader gives a meaning of its own, and names it routes by default.
+SPECIAL_NAMES = sorted(
+    {"category", "modality", "intensity", "probability", "start", "end", "href", "xlink:href",
+     "hide", "xmlns", *REGULATION_TYPES, *CLASSIC_DIMENSION_NAMES, *CLASSIC_APPRAISAL_NAMES}
+)
+NAMES = st.one_of(
+    st.sampled_from(SPECIAL_NAMES),
+    st.from_regex(r"[A-Za-z_:][A-Za-z0-9_.:-]{0,5}", fullmatch=True),
+    st.text(st.characters(exclude_categories=()), max_size=4),
+)
+VALUES = st.floats(-1.0, 1.0)
+SCOPES = st.sampled_from([UNSCOPED, Reference("a.jpg"), TimeSpan(1.0, 2.0)])
+
+# The six names the writer wrote unchecked, and what went wrong on read-back.
+UNWRITABLE = {
+    "not-an-xml-name": ({'a"b': 0.5}, {}, {}, "descriptor 'a\"b' is no XML name"),
+    "read-as-probability": ({"probability": 0.5}, {}, {}, "descriptor 'probability' is no"),
+    "read-as-suppress": ({"hide": 0.5}, {}, {}, "descriptor 'hide' is no XML name"),
+    "duplicate-attribute": (
+        {"suppress": 0.5}, {}, {"suppress": 0.5}, "descriptor 'suppress' is no XML name",
+    ),
+    "dimension-and-appraisal": (
+        {"x": 0.1}, {"x": 0.2}, {}, "descriptor 'x' is both a dimension and an appraisal",
+    ),
+    "regulation-not-a-type": ({}, {}, {"x y": 0.5}, "regulation 'x y' is not one of"),
+}
+
+
+def _reads_back(doc: AnnotationDocument, data: bytes) -> bool:
+    # Under a profile listing the document's own descriptor names.
+    (a,) = doc.items
+    profile = VocabularyProfile(dimension_names=a.dimensions, appraisal_names=a.appraisals)
+    try:
+        return parse_document(data, profile) == doc
+    except ParseError:
+        return False
+
+
+class TestNames:
+    @pytest.mark.parametrize("case", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+    def test_names_that_would_not_read_back_are_refused(self, case):
+        dimensions, appraisals, regulation, message = case
+        a = EmotionAnnotation("joy", dimensions, appraisals, regulation=regulation)
+        for _ in range(2):  # a refused name is not remembered as writable
+            with pytest.raises(ParseError) as exc:
+                serialize_document(AnnotationDocument(items=(a,)))
+            assert exc.value.code == "UNSERIALIZABLE_NAME"
+            assert exc.value.message.startswith(message)
+
+    def test_a_refused_constituent_refuses_the_document(self):
+        bad = EmotionAnnotation("joy", {"intensity": 0.5})
+        doc = AnnotationDocument(items=(ComplexEmotion((EmotionAnnotation("fear"), bad)),))
+        with pytest.raises(ParseError) as exc:
+            serialize_document(doc)
+        assert exc.value.code == "UNSERIALIZABLE_NAME"
+
+    @given(
+        st.dictionaries(NAMES, VALUES, max_size=3),
+        st.dictionaries(NAMES, VALUES, max_size=3),
+        st.dictionaries(st.one_of(st.sampled_from(REGULATION_TYPES), NAMES), VALUES, max_size=2),
+        SCOPES,
+    )
+    @settings(max_examples=300)
+    @example(*UNWRITABLE["not-an-xml-name"][:3], UNSCOPED)
+    @example(*UNWRITABLE["read-as-probability"][:3], UNSCOPED)
+    @example(*UNWRITABLE["read-as-suppress"][:3], UNSCOPED)
+    @example(*UNWRITABLE["duplicate-attribute"][:3], UNSCOPED)
+    @example(*UNWRITABLE["dimension-and-appraisal"][:3], UNSCOPED)
+    @example(*UNWRITABLE["regulation-not-a-type"][:3], UNSCOPED)
+    @example({"start": 0.5}, {}, {}, TimeSpan(1.0, 2.0))
+    @example({}, {"href": 0.5}, {}, UNSCOPED)
+    @example({"arousal": 0.5}, {"valence": 0.5, "xmlns": 0.25}, {"amplify": 0.5}, UNSCOPED)
+    def test_written_names_read_back(self, dimensions, appraisals, regulation, scope):
+        a = EmotionAnnotation("joy", dimensions, appraisals, regulation=regulation, scope=scope)
+        doc = AnnotationDocument(items=(a,))
+        try:
+            before = reference_serialize(doc)  # the writer as it was, names unchecked
+        except UnicodeEncodeError:  # a lone surrogate
+            before = b""
+        try:
+            data = serialize_document(doc)
+        except ParseError as exc:
+            # Refused exactly when the unchecked bytes would not read back.
+            assert exc.code == "UNSERIALIZABLE_NAME"
+            assert not _reads_back(doc, before)
+        else:
+            assert _reads_back(doc, data)
+            assert data == before
+
+    def test_memo_of_writable_names_is_bounded(self):
+        memo = earl_xml._WRITABLE_NAMES
+        try:
+            for n in range(4200):
+                a = EmotionAnnotation("joy", {f"d{n}": 0.5})
+                serialize_document(AnnotationDocument(items=(a,)))
+            assert len(memo) == 4096
+            # Past the bound, each name is still checked.
+            bad = EmotionAnnotation("joy", {"end": 1.0})
+            with pytest.raises(ParseError):
+                serialize_document(AnnotationDocument(items=(bad,)))
+        finally:
+            memo.clear()
+
+
 class TestRoundTrip:
     def test_random_documents_survive(self):
         rng = random.Random(7)
@@ -322,62 +423,6 @@ class TestRoundTrip:
                 report = validate_annotation(item)
                 assert not report.ok
                 assert expected in {f.code for f in report.errors()}
-
-
-class TestResolveScope:
-    def test_reference_with_file_present(self, tmp_path):
-        (tmp_path / "face12.jpg").write_bytes(b"\xff\xd8")
-        a = EmotionAnnotation(category="x", scope=Reference("face12.jpg"))
-        assert resolve_scope(a, tmp_path) == MediaObject("face12.jpg", True)
-
-    def test_reference_with_file_absent(self, tmp_path):
-        a = EmotionAnnotation(category="x", scope=Reference("gone.png"))
-        assert resolve_scope(a, tmp_path) == MediaObject("gone.png", False)
-
-    def test_inline_text(self, tmp_path):
-        a = EmotionAnnotation(category="x", scope=InlineText("Hello!"))
-        assert resolve_scope(a, tmp_path) == TextSegment("Hello!")
-
-    def test_path_escape(self, tmp_path):
-        a = EmotionAnnotation(category="x", scope=Reference("../secret"))
-        with pytest.raises(ScopeError) as exc:
-            resolve_scope(a, tmp_path)
-        assert exc.value.code == "PATH_ESCAPE"
-
-    def test_time_spans(self, tmp_path):
-        a = EmotionAnnotation(category="x", scope=TimeSpan(0.4, 1.3))
-        assert resolve_scope(a, tmp_path) == ClipSegment(None, 0.4, 1.3)
-        b = EmotionAnnotation(category="x", scope=ReferencedTimeSpan("c.mp4", 1.0, 2.0))
-        assert resolve_scope(b, tmp_path) == ClipSegment("c.mp4", 1.0, 2.0)
-
-    def test_unscoped(self, tmp_path):
-        with pytest.raises(ScopeError) as exc:
-            resolve_scope(EmotionAnnotation(category="x"), tmp_path)
-        assert exc.value.code == "UNSCOPED"
-
-    @pytest.mark.parametrize(
-        "scope, problem",
-        [
-            (Reference(""), "reference URI is empty"),
-            (TimeSpan(2.0, 1.0), "time span end 1.0 must exceed start 2.0"),
-            (TimeSpan(math.nan, 1.0), "time span end 1.0 must exceed start nan"),
-            (TimeSpan(-1.0, 1.0), "time span start is negative"),
-            (ReferencedTimeSpan("", 0.0, 1.0), "reference URI is empty"),
-        ],
-        ids=["empty-uri", "end-before-start", "nan-start", "negative-start", "empty-clip-uri"],
-    )
-    def test_malformed_scope_is_not_resolved(self, tmp_path, scope, problem):
-        a = EmotionAnnotation(category="x", scope=scope)
-        assert [f.message for f in validate_annotation(a).errors()] == [problem]
-        with pytest.raises(ScopeError) as exc:
-            resolve_scope(a, tmp_path)
-        assert (exc.value.code, exc.value.message) == ("MALFORMED_SCOPE", problem)
-
-    def test_empty_href_is_not_the_corpus_root(self, tmp_path):
-        (item,) = parse_document(b'<emotion category="x" xlink:href=""/>').items
-        with pytest.raises(ScopeError) as exc:
-            resolve_scope(item, tmp_path)
-        assert exc.value.code == "MALFORMED_SCOPE"
 
 
 class TestProfileFile:

@@ -22,8 +22,8 @@ from earlkit.fusion import (
     to_complex_emotion,
     update_temporal,
 )
-from earlkit.markers import SOURCE_WEIGHTS
 from earlkit.model import (
+    SOURCE_WEIGHTS,
     UNSCOPED,
     ComplexEmotion,
     EmotionAnnotation,
@@ -1002,8 +1002,9 @@ class TestWeightTable:
         overrides["face"] = 0.1
         overrides["language_voice"] = 0.0
         assert cfg.weight_overrides == {"face": 0.8}
-        assert cfg.weight_for("language_voice") == 1.0
-        assert bits(fuse_instant(items, cfg).scores) == bits(before.scores)
+        after = fuse_instant(items, cfg)
+        assert after.contributors == (("face", 0.8), ("language_voice", 1.0))
+        assert bits(after.scores) == bits(before.scores)
 
     def test_overrides_are_read_only(self):
         cfg = FusionConfig(weight_overrides={"face": 0.8})
@@ -1029,7 +1030,8 @@ class TestWeightTable:
         assert all(getattr(cfg, name) != getattr(default, name) for name in cfg._fields)
         twin = clone(cfg)
         assert twin == cfg
-        assert twin.weight_for("movement_kinetic") == 0.5
+        items = [evidence("joy", "face", p=0.9), evidence("anger", "movement_kinetic", p=0.6)]
+        assert fuse_instant(items, twin).contributors == (("face", 1.0), ("movement_kinetic", 0.5))
 
     def test_unknown_source_still_raises(self):
         from earlkit.errors import MarkerError

@@ -19,8 +19,6 @@ from earlkit.markers import (
     MovementDescriptor,
     RankedEmotion,
     VoiceFeatureDelta,
-    base_weight_for_source,
-    behavior_for_emotion,
     classify_movement,
     classify_voice,
     default_lexicon,
@@ -29,7 +27,12 @@ from earlkit.markers import (
     tag_lexical,
     tokenize,
 )
-from earlkit.model import EmotionAnnotation, InlineText
+from earlkit.model import (
+    EmotionAnnotation,
+    InlineText,
+    base_weight_for_source,
+    behavior_for_emotion,
+)
 
 
 def voice_from_pattern(pattern: dict) -> VoiceFeatureDelta:

@@ -11,6 +11,7 @@ from earlkit.model import (
     FrozenRecordError,
     InlineText,
     Reference,
+    ReferencedTimeSpan,
     TimeSpan,
     VocabularyProfile,
     validate_annotation,
@@ -149,6 +150,21 @@ class TestValidationEdges:
         a = EmotionAnnotation(category="x", intensity=float("nan"))
         report = validate_annotation(a)
         assert [f.code for f in report.errors()] == ["RANGE"]
+
+    @pytest.mark.parametrize(
+        "scope, problem",
+        [
+            (Reference(""), "reference URI is empty"),
+            (TimeSpan(2.0, 1.0), "time span end 1.0 must exceed start 2.0"),
+            (TimeSpan(float("nan"), 1.0), "time span end 1.0 must exceed start nan"),
+            (TimeSpan(-1.0, 1.0), "time span start is negative"),
+            (ReferencedTimeSpan("", 0.0, 1.0), "reference URI is empty"),
+        ],
+        ids=["empty-uri", "end-before-start", "nan-start", "negative-start", "empty-clip-uri"],
+    )
+    def test_malformed_scope_messages(self, scope, problem):
+        a = EmotionAnnotation(category="x", scope=scope)
+        assert [f.message for f in validate_annotation(a).errors()] == [problem]
 
 
 class TestSharedCleanReport:

@@ -14,21 +14,17 @@ from support import FIXTURES, REPO
 #: Every name the package exports, by the module it was first exported from.
 EXPORTED = {
     "errors": (
-        "EarlError FusionError LexiconError MarkerError ParseError PolicyError ScopeError"
+        "EarlError FusionError LexiconError MarkerError ParseError PolicyError"
     ),
     "model": (
         "DEFAULT_PROFILE REGULATION_TYPES UNSCOPED ComplexEmotion EmotionAnnotation Finding"
         " InlineText Reference ReferencedTimeSpan Scope TimeSpan Unscoped ValidationReport"
-        " VocabularyProfile validate_annotation"
+        " VocabularyProfile validate_annotation base_weight_for_source behavior_for_emotion"
     ),
-    "earl_xml": (
-        "AnnotationDocument ClipSegment MediaObject ScopeTarget TextSegment load_profile"
-        " parse_document resolve_scope serialize_document"
-    ),
+    "earl_xml": "AnnotationDocument load_profile parse_document serialize_document",
     "markers": (
-        "Lexicon MovementDescriptor RankedEmotion VoiceFeatureDelta base_weight_for_source"
-        " behavior_for_emotion classify_movement classify_voice default_lexicon load_lexicon"
-        " tag_lexical load_features"
+        "Lexicon MovementDescriptor RankedEmotion VoiceFeatureDelta classify_movement"
+        " classify_voice default_lexicon load_lexicon tag_lexical load_features"
     ),
     "fusion": (
         "FusedEstimate FusionConfig MarkerEvidence TemporalState fill_missing fuse_instant"
@@ -62,15 +58,6 @@ class TestLazyExports:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             earlkit.no_such_name  # noqa: B018
-
-    def test_marker_tables_are_shared_with_markers(self):
-        from earlkit import markers, model
-
-        for name in (
-            "BEHAVIOR_FOR_EMOTION", "EMOTION_ALIASES", "SOURCE_MODALITY", "SOURCE_WEIGHTS",
-            "base_weight_for_source", "behavior_for_emotion",
-        ):
-            assert getattr(markers, name) is getattr(model, name), name
 
 
 # Runs one command in a fresh interpreter and reports its exit code, the
@@ -165,3 +152,22 @@ def test_records_are_built_only_by_their_init():
                 ]
     assert calls == []
     assert hooks == ["model.py: _Record.__reduce__"]
+
+
+def test_only_the_cli_touches_the_filesystem():
+    # The library reads and writes bytes and text it is given; only the CLI
+    # opens files, so no other module imports pathlib or os.
+    found = []
+    for path in sorted(Path(earlkit.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {module}" for module in modules
+                if module.split(".")[0] in ("pathlib", "os")
+            ]
+    assert [line for line in found if not line.startswith("cli.py:")] == []

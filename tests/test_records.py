@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from earlkit import earl_xml, fusion, markers, model, needs
-from earlkit.earl_xml import AnnotationDocument, ClipSegment, MediaObject, TextSegment
+from earlkit.earl_xml import AnnotationDocument
 from earlkit.fusion import (
     CarriedDetail,
     FusedEstimate,
@@ -144,16 +144,6 @@ CASES = {
         f"AnnotationDocument(items=({ANGER_REPR},), warnings=({WARNING_REPR},))",
         False,
     ),
-    TextSegment: (lambda: TextSegment("hello"), TextSegment("hi"), "TextSegment(text='hello')",
-                  True),
-    MediaObject: (
-        lambda: MediaObject("clip.avi", True), MediaObject("clip.avi", False),
-        "MediaObject(uri='clip.avi', exists=True)", True,
-    ),
-    ClipSegment: (
-        lambda: ClipSegment(None, 0.5, 1.0), ClipSegment("clip.avi", 0.5, 1.0),
-        "ClipSegment(uri=None, start=0.5, end=1.0)", True,
-    ),
     Lexicon: (
         lambda: Lexicon({"joy": {"glad"}, "fear": {"goose bumps"}}),
         Lexicon({"joy": {"glad"}}),
@@ -285,8 +275,7 @@ def test_copies_are_rebuilt_by_init():
 
 
 def test_same_fields_in_another_class_are_unequal():
-    assert InlineText("hi") != TextSegment("hi")
-    assert ClipSegment("clip.avi", 0.5, 1.0) != ReferencedTimeSpan("clip.avi", 0.5, 1.0)
+    assert InlineText("hi") != Reference("hi")
 
 
 def test_frozen_error_is_an_attribute_error():
@@ -341,7 +330,8 @@ class TestReplace:
     def test_replace_changes_one_field(self):
         cfg = FusionConfig(weight_overrides={"face": 0.5})
         changed = cfg._replace(decay_lambda=0.5)
-        assert (changed.decay_lambda, changed.weight_for("face")) == (0.5, 0.5)
+        fused = fusion.fuse_instant([MarkerEvidence(JOY_FACE, "face", 1.0)], changed)
+        assert (changed.decay_lambda, fused.contributors) == (0.5, (("face", 0.5),))
         assert changed == FusionConfig(decay_lambda=0.5, weight_overrides={"face": 0.5})
         assert cfg._replace() == cfg
 
