@@ -338,6 +338,22 @@ class TestNames:
             assert exc.value.code == "UNSERIALIZABLE_NAME"
             assert exc.value.message.startswith(message)
 
+    @pytest.mark.parametrize("kind", ["dimension", "appraisal"])
+    @pytest.mark.parametrize("name", [
+        "category", "modality", "intensity", "probability", "start", "end",
+        "href", "xlink:href", "hide", *REGULATION_TYPES,
+    ])
+    def test_names_the_reader_routes_elsewhere_are_refused(self, name, kind):
+        descriptors = {name: 0.5}
+        a = (EmotionAnnotation("joy", dimensions=descriptors) if kind == "dimension"
+             else EmotionAnnotation("joy", appraisals=descriptors))
+        with pytest.raises(ParseError) as exc:
+            serialize_document(AnnotationDocument(items=(a,)))
+        assert (exc.value.code, exc.value.message) == (
+            "UNSERIALIZABLE_NAME",
+            f"descriptor {name!r} is no XML name or reads back as another field",
+        )
+
     def test_a_refused_constituent_refuses_the_document(self):
         bad = EmotionAnnotation("joy", {"intensity": 0.5})
         doc = AnnotationDocument(items=(ComplexEmotion((EmotionAnnotation("fear"), bad)),))
