@@ -29,6 +29,7 @@ from .model import (
     CLASSIC_APPRAISAL_NAMES,
     CLASSIC_DIMENSION_NAMES,
     DEFAULT_PROFILE,
+    FIELD_ATTRIBUTES,
     REGULATION_TYPES,
     UNSCOPED,
     AnnotationItem,
@@ -78,6 +79,12 @@ _CATEGORY, _MODALITY, _URI, _INTENSITY, _PROBABILITY, _START, _END = range(7)
 _DIMENSION, _APPRAISAL, _REGULATION, _ALIAS = range(7, 11)
 # For the error that names both attributes giving one value.
 _SAME_SLOT = {"href": "xlink:href", "xlink:href": "href", "hide": "suppress", "suppress": "hide"}
+# The slot of each name in FIELD_ATTRIBUTES.
+_FIELD_SLOTS = {
+    "category": _CATEGORY, "modality": _MODALITY, "href": _URI, "xlink:href": _URI,
+    "intensity": _INTENSITY, "probability": _PROBABILITY, "start": _START, "end": _END,
+    "hide": _ALIAS, **dict.fromkeys(REGULATION_TYPES, _REGULATION),
+}
 
 # An open element is a list: [kind, attrs, text parts, constituents, item, constituent].
 _CONTAINER, _EMOTION, _COMPLEX, _IGNORED = range(4)
@@ -90,11 +97,7 @@ def _attribute_kinds(profile: VocabularyProfile) -> dict[str, int]:
     kinds.update(dict.fromkeys(CLASSIC_DIMENSION_NAMES, _DIMENSION))
     kinds.update(dict.fromkeys(profile.appraisal_names, _APPRAISAL))
     kinds.update(dict.fromkeys(profile.dimension_names, _DIMENSION))
-    kinds.update(dict.fromkeys(_REGULATION_ALIASES, _ALIAS))
-    kinds.update(dict.fromkeys(REGULATION_TYPES, _REGULATION))
-    kinds.update(dict.fromkeys(_HREF_ATTRS, _URI))
-    kinds.update(category=_CATEGORY, modality=_MODALITY, intensity=_INTENSITY)
-    kinds.update(probability=_PROBABILITY, start=_START, end=_END)
+    kinds.update({name: _FIELD_SLOTS[name] for name in FIELD_ATTRIBUTES})
     return kinds
 
 

@@ -43,10 +43,11 @@ class MarkerEvidence(_Record):
             raise ValueError("evidence annotation must carry a category")
         if a.modality is None:
             raise ValueError("evidence annotation must carry a modality")
-        if a.probability is not None and not 0.0 <= a.probability <= 1.0:
-            raise ValueError(f"probability={a.probability} outside [0, 1]")
-        if a.intensity is not None and not 0.0 <= a.intensity <= 1.0:
-            raise ValueError(f"intensity={a.intensity} outside [0, 1]")
+        p, i = a.probability, a.intensity
+        if p is not None and not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability={p} outside [0, 1]")
+        if i is not None and not 0.0 <= i <= 1.0:
+            raise ValueError(f"intensity={i} outside [0, 1]")
         if not math.isfinite(timestamp):
             raise ValueError(f"timestamp={timestamp} is not a finite time")
         self.__dict__.update(annotation=annotation, source=source, timestamp=timestamp)
@@ -157,35 +158,14 @@ def load_stream(
 
 
 class FusedEstimate(_Record):
-    """Per-category fused scores plus the dominance/ambiguity verdict.
-
-    ``carried`` preserves descriptor and regulation detail from the
-    underlying evidence so EARL output can echo it; it does not affect
-    scores or equality.
-    """
-
-    _uncompared = ("carried",)
+    """Per-category fused scores plus the dominance/ambiguity verdict."""
 
     def __init__(
         self, scores: dict[str, float], dominant: str | None, ambiguous: bool,
         contributors: tuple[tuple[str, float], ...],
-        carried: dict[str, CarriedDetail] | None = None,
     ):
         self.__dict__.update(
-            scores=scores, dominant=dominant, ambiguous=ambiguous,
-            contributors=contributors, carried={} if carried is None else carried,
-        )
-
-
-class CarriedDetail(_Record):
-    def __init__(
-        self, dimensions: dict[str, float] | None = None,
-        appraisals: dict[str, float] | None = None, regulation: dict[str, float] | None = None,
-    ):
-        self.__dict__.update(
-            dimensions={} if dimensions is None else dimensions,
-            appraisals={} if appraisals is None else appraisals,
-            regulation={} if regulation is None else regulation,
+            scores=scores, dominant=dominant, ambiguous=ambiguous, contributors=contributors
         )
 
 
@@ -222,13 +202,15 @@ def fuse_instant(
     if not evidence:
         return FusedEstimate({}, None, False, ())
 
-    # Deterministic processing order keeps carried-detail merges (and the
-    # contributors listing) permutation invariant.  Strictly ascending
-    # sources already are that order, as fill_missing's output always is,
-    # so only other input is sorted.
+    # A fixed processing order keeps the contributors and the floating-point
+    # sums independent of input order.  Strictly ascending sources already
+    # are that order, as fill_missing's output always is, so only other
+    # input is sorted.  The check is a pass of its own, so that an unknown
+    # source is named in processing order too.
     ordered = evidence
-    previous = evidence[0].source
-    for item in evidence[1:]:
+    items = iter(evidence)
+    previous = next(items).source
+    for item in items:
         if not previous < item.source:
             ordered = sorted(evidence, key=_processing_order)
             break
@@ -236,7 +218,6 @@ def fuse_instant(
     weights = cfg._weights
     total_weight = 0.0
     mass: dict[str, float] = {}
-    carried: dict[str, CarriedDetail] = {}
     contributors = []
     for item in ordered:
         source = item.source
@@ -251,13 +232,6 @@ def fuse_instant(
         p = 1.0 if a.probability is None else a.probability
         i = 1.0 if a.intensity is None else a.intensity
         mass[category] = mass.get(category, 0.0) + weight * p * i
-        if a.dimensions or a.appraisals or a.regulation:
-            detail = carried.get(category, CarriedDetail())
-            carried[category] = CarriedDetail(
-                dimensions={**detail.dimensions, **a.dimensions},
-                appraisals={**detail.appraisals, **a.appraisals},
-                regulation={**detail.regulation, **a.regulation},
-            )
 
     if total_weight == 0.0:
         raise FusionError("ZERO_WEIGHT", "all evidence sources have weight 0")
@@ -267,7 +241,7 @@ def fuse_instant(
         raise FusionError("WEIGHT_OVERFLOW", f"evidence weights sum to {total_weight}")
     scores = {category: value / total_weight for category, value in mass.items()}
     dominant, ambiguous = _dominant(scores, cfg.ambiguity_epsilon)
-    return FusedEstimate(scores, dominant, ambiguous, tuple(contributors), carried)
+    return FusedEstimate(scores, dominant, ambiguous, tuple(contributors))
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +258,20 @@ class TemporalState(_Record):
 
 
 def update_temporal(state: TemporalState, evidence: MarkerEvidence) -> TemporalState:
-    """Absorb one observation, replacing the previous one for its source."""
-    if evidence.timestamp < state.clock:
-        raise FusionError(
-            "TIME_REGRESSION",
-            f"evidence at t={evidence.timestamp} behind clock t={state.clock}",
-        )
+    """Absorb one observation, replacing the previous one for its source.
+
+    Sources stay in ascending order: a new one that sorts before the last
+    rebuilds the dict sorted, as only the first events of a subject do."""
+    t = evidence.timestamp
+    if t < state.clock:
+        raise FusionError("TIME_REGRESSION", f"evidence at t={t} behind clock t={state.clock}")
+    source = evidence.source
     updated = dict(state.last_evidence)
-    updated[evidence.source] = evidence
-    return TemporalState(last_evidence=updated, clock=evidence.timestamp)
+    resort = source not in updated and updated and source < next(reversed(updated))
+    updated[source] = evidence
+    if resort:
+        updated = dict(sorted(updated.items()))
+    return TemporalState(updated, t)
 
 
 def fill_missing(
@@ -301,8 +280,9 @@ def fill_missing(
     """Synthesize decayed stand-ins for every remembered source.
 
     The result holds at most one item per remembered source, in ascending
-    source order, whatever order the state's keys were inserted in: that
-    is :func:`fuse_instant`'s processing order, so it fuses them unsorted.
+    source order, the order :func:`update_temporal` keeps (a state built
+    otherwise is sorted here): that is :func:`fuse_instant`'s processing
+    order, so it fuses them unsorted.
     Probability decays as p * exp(-lambda * elapsed); items whose decayed
     probability falls below the drop floor are omitted.  Each stand-in keeps
     its observation time, so ``now - timestamp`` is 0 for an item observed
@@ -316,9 +296,18 @@ def fill_missing(
         raise FusionError(
             "TIME_REGRESSION", f"now={now} behind clock t={state.clock}"
         )
+    remembered = state.last_evidence
+    entries = remembered.items()
+    keys = iter(remembered)
+    previous = next(keys, None)
+    for source in keys:
+        if not previous < source:
+            entries = sorted(entries)
+            break
+        previous = source
     synthetic = []
     decay_lambda, drop_floor = cfg.decay_lambda, cfg.drop_floor
-    for source, item in sorted(state.last_evidence.items()):
+    for source, item in entries:
         elapsed = now - item.timestamp
         if elapsed < 0.0:
             raise FusionError(
@@ -356,29 +345,17 @@ def to_complex_emotion(
     constituent threshold become constituents carrying their score as
     probability, strongest first.  One qualifying category collapses to a
     simple annotation."""
+    scores = estimate.scores
     qualifying = sorted(
-        (c for c, s in estimate.scores.items() if s >= cfg.constituent_threshold),
-        key=lambda c: (-estimate.scores[c], c),
+        (c for c, s in scores.items() if s >= cfg.constituent_threshold),
+        key=lambda c: (-scores[c], c),
     )
     if not qualifying:
         raise FusionError(
-            "NO_SIGNAL",
-            f"no category reaches the {cfg.constituent_threshold} threshold",
+            "NO_SIGNAL", f"no category reaches the {cfg.constituent_threshold} threshold"
         )
-
-    def constituent(category: str, item_scope: Scope) -> EmotionAnnotation:
-        probability = estimate.scores[category]
-        detail = estimate.carried.get(category)
-        if detail is None:
-            return EmotionAnnotation(category, None, None, None, probability, None, None, item_scope)
-        return EmotionAnnotation(
-            category, dict(detail.dimensions), dict(detail.appraisals), None, probability,
-            dict(detail.regulation), None, item_scope,
-        )
-
-    if len(qualifying) == 1:
-        return constituent(qualifying[0], scope)
-    return ComplexEmotion(
-        constituents=tuple(constituent(c, UNSCOPED) for c in qualifying),
-        scope=scope,
+    inner = UNSCOPED if len(qualifying) > 1 else scope
+    constituents = tuple(
+        EmotionAnnotation(c, None, None, None, scores[c], None, None, inner) for c in qualifying
     )
+    return ComplexEmotion(constituents, scope) if len(constituents) > 1 else constituents[0]

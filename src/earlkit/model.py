@@ -22,6 +22,13 @@ from .errors import MarkerError
 
 REGULATION_TYPES = ("simulate", "suppress", "amplify", "attenuate")
 
+#: Attribute names the EARL reader reads into a field of the annotation (``hide``
+#: as ``suppress``), so no dimension or appraisal can be written under one.
+FIELD_ATTRIBUTES = frozenset(
+    {"category", "modality", "intensity", "probability", "start", "end", "href", "xlink:href",
+     "hide", *REGULATION_TYPES}
+)
+
 #: Dimension and appraisal values live on a signed unit scale.
 DESCRIPTOR_RANGE = (-1.0, 1.0)
 #: Intensity, probability and regulation values live on the unit interval.
@@ -271,16 +278,29 @@ def _check_annotation(
         message = f"category {a.category!r} not in profile"
         _emit(out, index, "UNKNOWN_CATEGORY", message, ".category")
 
+    # The writer's name rules that a set test can tell; whether a name is an
+    # XML name only the writer's parser can.
+    dimensions, appraisals = a.dimensions, a.appraisals
+    for descriptors in (dimensions, appraisals):
+        if descriptors and not FIELD_ATTRIBUTES.isdisjoint(descriptors):
+            for name in sorted(FIELD_ATTRIBUTES.intersection(descriptors)):
+                message = f"descriptor {name!r} reads back as another field"
+                _emit(out, index, "UNSERIALIZABLE_NAME", message, f".{name}")
+    if dimensions and appraisals and not dimensions.keys().isdisjoint(appraisals):
+        for name in filter(appraisals.__contains__, dimensions):
+            message = f"descriptor {name!r} is both a dimension and an appraisal"
+            _emit(out, index, "UNSERIALIZABLE_NAME", message, f".{name}")
+
     # A range check ``lo <= value <= hi`` also fails for NaN, as intended.
     lo, hi = DESCRIPTOR_RANGE
     allowed = profile.dimension_names
-    for name, value in a.dimensions.items():
+    for name, value in dimensions.items():
         if allowed and name not in allowed:
             _emit(out, index, "UNKNOWN_DIMENSION", f"dimension {name!r} not in profile", f".{name}")
         if not lo <= value <= hi:
             _emit(out, index, "RANGE", f"{name}={value} outside [{lo}, {hi}]", f".{name}")
     allowed = profile.appraisal_names
-    for name, value in a.appraisals.items():
+    for name, value in appraisals.items():
         if allowed and name not in allowed:
             _emit(out, index, "UNKNOWN_APPRAISAL", f"appraisal {name!r} not in profile", f".{name}")
         if not lo <= value <= hi:

@@ -115,14 +115,11 @@ def decide_access(
         strength = _strength(scores, rule.behavior)
         if strength >= rule.threshold:
             note = "; ambiguous estimate" if estimate.ambiguous else ""
-            return Decision(
-                verdict="deny",
-                rationale=(
-                    f"rule '{rule.resource} deny_when {rule.behavior} >= "
-                    f"{rule.threshold}' triggered: {rule.behavior}={strength:.4f}{note}"
-                ),
-                rule=rule,
+            rationale = (
+                f"rule '{rule.resource} deny_when {rule.behavior} >= "
+                f"{rule.threshold}' triggered: {rule.behavior}={strength:.4f}{note}"
             )
+            return Decision("deny", rationale, rule)
     return _ALLOW_AMBIGUOUS if estimate.ambiguous else _ALLOW
 
 

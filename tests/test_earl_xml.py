@@ -24,6 +24,7 @@ from earlkit.errors import ParseError
 from earlkit.model import (
     CLASSIC_APPRAISAL_NAMES,
     CLASSIC_DIMENSION_NAMES,
+    FIELD_ATTRIBUTES,
     REGULATION_TYPES,
     UNSCOPED,
     ComplexEmotion,
@@ -327,6 +328,18 @@ def _reads_back(doc: AnnotationDocument, data: bytes) -> bool:
         return False
 
 
+def _one_attribute(name: str) -> bool:
+    """Whether expat reads ``name="0"`` as exactly that one attribute."""
+    attributes = []
+    parser = expat.ParserCreate()
+    parser.StartElementHandler = lambda _tag, attrs: attributes.append(attrs)
+    try:
+        parser.Parse(f'<e {name}="0"/>', True)
+    except (expat.ExpatError, UnicodeEncodeError):
+        return False
+    return attributes == [{name: "0"}]
+
+
 class TestNames:
     @pytest.mark.parametrize("case", UNWRITABLE.values(), ids=UNWRITABLE.keys())
     def test_names_that_would_not_read_back_are_refused(self, case):
@@ -393,6 +406,29 @@ class TestNames:
         else:
             assert _reads_back(doc, data)
             assert data == before
+
+    def test_every_field_name_has_a_slot(self):
+        assert earl_xml._FIELD_SLOTS.keys() == FIELD_ATTRIBUTES
+
+    @given(st.dictionaries(NAMES, VALUES, max_size=3), st.dictionaries(NAMES, VALUES, max_size=3))
+    @settings(max_examples=300)
+    @example(*UNWRITABLE["not-an-xml-name"][:2])
+    @example(*UNWRITABLE["read-as-probability"][:2])
+    @example(*UNWRITABLE["dimension-and-appraisal"][:2])
+    @example({"x": 0.1}, {"hide": 0.2})
+    def test_validator_agrees_with_the_writer(self, dimensions, appraisals):
+        a = EmotionAnnotation("joy", dimensions, appraisals)
+        reported = [f for f in validate_annotation(a).findings if f.code == "UNSERIALIZABLE_NAME"]
+        assert all(f.severity == "error" for f in reported)
+        try:
+            serialize_document(AnnotationDocument(items=(a,)))
+        except ParseError as exc:
+            assert exc.code == "UNSERIALIZABLE_NAME"
+            # What the validator leaves to the writer: a name expat reads as
+            # something other than one attribute.
+            assert reported or not all(map(_one_attribute, {*dimensions, *appraisals}))
+        else:
+            assert reported == []
 
     def test_memo_of_writable_names_is_bounded(self):
         memo = earl_xml._WRITABLE_NAMES

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from earlkit.earl_xml import AnnotationDocument, parse_document, serialize_document
 from earlkit.errors import EarlError, FusionError, MarkerError
 from earlkit.fusion import (
     FusionConfig,
@@ -372,18 +373,6 @@ class TestToComplexEmotion:
         with pytest.raises(FusionError) as exc:
             to_complex_emotion(f)
         assert exc.value.code == "NO_SIGNAL"
-
-    def test_regulation_and_descriptors_carried_through(self):
-        item = evidence(
-            "pleasure",
-            "face",
-            p=0.9,
-            regulation={"simulate": 0.8},
-            dimensions={"arousal": 0.3},
-        )
-        out = to_complex_emotion(fuse_instant([item]))
-        assert out.regulation == {"simulate": 0.8}
-        assert out.dimensions == {"arousal": 0.3}
 
 
 class TestConfigFile:
@@ -826,7 +815,6 @@ class TestEquivalentToConstructors:
         want = fuse_instant(reference_fill_missing(state, now, cfg), cfg)
         assert bits(fused.scores) == bits(want.scores)
         assert fused == want
-        assert fused.carried == want.carried
 
 
 # ---------------------------------------------------------------------------
@@ -839,13 +827,12 @@ def processing_key(item):
 
 
 def reference_fold(items, cfg):
-    """(scores, dominant, ambiguous, contributors, carried) by the sorted fold,
-    with the carried detail merged as plain (dimensions, appraisals,
-    regulation) item lists; raises as fuse_instant does."""
+    """(scores, dominant, ambiguous, contributors) by the sorted fold; raises
+    as fuse_instant does."""
     if not items:
-        return [], None, False, (), {}
+        return [], None, False, ()
     ordered = sorted(items, key=processing_key)
-    total, mass, contributors, carried = 0.0, {}, [], {}
+    total, mass, contributors = 0.0, {}, []
     for item in ordered:
         if item.source not in SOURCE_WEIGHTS:
             raise MarkerError("UNKNOWN_SOURCE", f"{item.source!r} is not a capture source")
@@ -856,10 +843,6 @@ def reference_fold(items, cfg):
         p = 1.0 if a.probability is None else a.probability
         i = 1.0 if a.intensity is None else a.intensity
         mass[a.category] = mass.get(a.category, 0.0) + weight * p * i
-        if a.dimensions or a.appraisals or a.regulation:
-            merged = carried.setdefault(a.category, ({}, {}, {}))
-            for into, new in zip(merged, (a.dimensions, a.appraisals, a.regulation)):
-                into.update(new)
     if total == 0.0:
         raise FusionError("ZERO_WEIGHT", "all evidence sources have weight 0")
     if total == math.inf:
@@ -867,22 +850,14 @@ def reference_fold(items, cfg):
     scores = {category: value / total for category, value in mass.items()}
     ranked = sorted(scores, key=lambda c: (-scores[c], c))
     ambiguous = len(ranked) > 1 and scores[ranked[0]] - scores[ranked[1]] < cfg.ambiguity_epsilon
-    carried = {c: tuple(list(d.items()) for d in merged) for c, merged in carried.items()}
-    return bits(scores), ranked[0], ambiguous, tuple(contributors), carried
+    return bits(scores), ranked[0], ambiguous, tuple(contributors)
 
 
 def fused_fields(items, cfg):
     """fuse_instant's result in reference_fold's terms; FusedEstimate
-    equality leaves ``carried`` out, and compares scores by value."""
+    equality compares scores by value."""
     estimate = fuse_instant(items, cfg)
-    carried = {
-        c: tuple(list(d.items()) for d in (detail.dimensions, detail.appraisals, detail.regulation))
-        for c, detail in estimate.carried.items()
-    }
-    return (
-        bits(estimate.scores), estimate.dominant, estimate.ambiguous, estimate.contributors,
-        carried,
-    )
+    return bits(estimate.scores), estimate.dominant, estimate.ambiguous, estimate.contributors
 
 
 def outcome(fuse, items, cfg):
@@ -991,6 +966,104 @@ class TestFillMissingOrder:
         resorted = TemporalState(dict(sorted(state.last_evidence.items())), state.clock)
         assert fill_missing(resorted, now, cfg) == got
         assert outcome(fused_fields, got, cfg) == outcome(reference_fold, got, cfg)
+
+
+def sorted_fill_missing(state, now, cfg):
+    """fill_missing as it was when it sorted every state's sources."""
+    if not math.isfinite(now):
+        raise FusionError("BAD_TIME", f"now={now} is not a finite time")
+    if now < state.clock:
+        raise FusionError("TIME_REGRESSION", f"now={now} behind clock t={state.clock}")
+    synthetic = []
+    for source, item in sorted(state.last_evidence.items()):
+        elapsed = now - item.timestamp
+        if elapsed < 0.0:
+            raise FusionError(
+                "TIME_REGRESSION", f"now={now} behind {source!r} evidence at t={item.timestamp}"
+            )
+        a = item.annotation
+        p = a.probability
+        decayed = 1.0 if p is None else p
+        if cfg.decay_lambda and elapsed:
+            decayed *= math.exp(-cfg.decay_lambda * elapsed)
+        if decayed < cfg.drop_floor:
+            continue
+        if decayed == p:
+            synthetic.append(item)
+            continue
+        annotation = EmotionAnnotation(
+            a.category, a.dimensions, a.appraisals, a.intensity, decayed, a.regulation,
+            a.modality, a.scope,
+        )
+        synthetic.append(MarkerEvidence(annotation, item.source, item.timestamp))
+    return synthetic
+
+
+def fill_bits(fill, state, now, cfg):
+    """Each stand-in, its probability's bits and whether it is the remembered
+    item itself; or the type, code and message of the error raised."""
+    try:
+        items = fill(state, now, cfg)
+    except EarlError as exc:
+        return type(exc), exc.code, exc.message
+    remembered = list(state.last_evidence.values())
+    return [
+        (e, e.annotation.probability.hex(), any(e is r for r in remembered)) for e in items
+    ]
+
+
+@st.composite
+def unordered_states(draw):
+    """A state built directly: keys in any order, the item sources or any
+    other text, and a clock that may lag or lead the items' times."""
+    items = draw(remembered_items())
+    keys = draw(st.just([item.source for item in items]) | st.lists(
+        st.text(max_size=3), min_size=len(items), max_size=len(items), unique=True
+    ))
+    keyed = draw(st.permutations(list(zip(keys, items))))
+    return TemporalState(dict(keyed), draw(st.floats(min_value=0.0, max_value=30.0)))
+
+
+class TestSourceOrder:
+    @given(sources=st.lists(st.sampled_from(SOURCES) | st.text(max_size=3), max_size=12))
+    @example(sources=["movement_kinetic", "face", "movement_kinetic", "language_voice", "face"])
+    def test_update_temporal_keeps_sources_ascending(self, sources):
+        state, last = TemporalState(), {}
+        for t, source in enumerate(sources):
+            item = evidence("joy", source, p=0.5, t=float(t))
+            state = update_temporal(state, item)
+            last[source] = item
+            assert list(state.last_evidence) == sorted(last)
+            assert all(state.last_evidence[s] is item for s, item in last.items())
+            assert state.clock == t
+
+    @settings(max_examples=300)
+    @given(
+        state=unordered_states(),
+        now=st.floats(min_value=0.0, max_value=40.0) | st.sampled_from([math.nan, math.inf]),
+        cfg=configs,
+    )
+    def test_fill_missing_equals_the_sorted_fill(self, state, now, cfg):
+        assert fill_bits(fill_missing, state, now, cfg) == fill_bits(
+            sorted_fill_missing, state, now, cfg
+        )
+
+
+class TestFusedOutputWrites:
+    @given(items=remembered_items(), scope=scopes)
+    @example(  # one name as a dimension of one source and an appraisal of another
+        items=[evidence("joy", "face", p=0.9, dimensions={"x": 0.1}, regulation={"suppress": 0.5}),
+               evidence("joy", "language_voice", p=0.8, appraisals={"x": 0.2})],
+        scope=UNSCOPED,
+    )
+    def test_fused_output_reads_back(self, items, scope):
+        try:
+            item = to_complex_emotion(fuse_instant(items), scope)
+        except FusionError as exc:
+            assert exc.code == "NO_SIGNAL"
+            return
+        doc = AnnotationDocument(items=(item,))
+        assert parse_document(serialize_document(doc)) == doc
 
 
 class TestWeightTable:

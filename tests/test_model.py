@@ -5,6 +5,7 @@ import random
 import pytest
 
 from earlkit.model import (
+    FIELD_ATTRIBUTES,
     UNSCOPED,
     ComplexEmotion,
     EmotionAnnotation,
@@ -165,6 +166,43 @@ class TestValidationEdges:
     def test_malformed_scope_messages(self, scope, problem):
         a = EmotionAnnotation(category="x", scope=scope)
         assert [f.message for f in validate_annotation(a).errors()] == [problem]
+
+
+class TestUnwritableNames:
+    """The writer's name rules that a set test can tell, as error findings."""
+
+    @pytest.mark.parametrize("kind", ["dimensions", "appraisals"])
+    @pytest.mark.parametrize("name", sorted(FIELD_ATTRIBUTES))
+    def test_a_name_the_reader_routes_to_a_field(self, name, kind):
+        report = validate_annotation(EmotionAnnotation("joy", **{kind: {"x": 0.1, name: 0.5}}))
+        assert not report.ok
+        assert [(f.severity, f.code, f.message, f.location) for f in report.findings] == [
+            ("error", "UNSERIALIZABLE_NAME", f"descriptor {name!r} reads back as another field",
+             f"annotation.{name}"),
+        ]
+
+    def test_a_name_both_a_dimension_and_an_appraisal(self):
+        a = EmotionAnnotation("joy", {"x": 0.1, "y": 0.2}, {"y": 0.3, "x": 0.2})
+        assert [(f.code, f.message, f.location) for f in validate_annotation(a).errors()] == [
+            ("UNSERIALIZABLE_NAME", "descriptor 'x' is both a dimension and an appraisal",
+             "annotation.x"),
+            ("UNSERIALIZABLE_NAME", "descriptor 'y' is both a dimension and an appraisal",
+             "annotation.y"),
+        ]
+
+    def test_in_a_constituent(self):
+        group = ComplexEmotion(
+            (EmotionAnnotation("fear"), EmotionAnnotation("joy", {"probability": 0.5}))
+        )
+        (finding,) = validate_annotation(group).findings
+        assert (finding.code, finding.location) == (
+            "UNSERIALIZABLE_NAME", "complex.constituent[1].probability"
+        )
+
+    def test_names_only_the_writer_can_refuse_validate_clean(self):
+        # Whether a name is an XML name only the writer's parser can tell.
+        for name in ['a"b', "x y", ""]:
+            assert validate_annotation(EmotionAnnotation("joy", {name: 0.1})).ok
 
 
 class TestSharedCleanReport:

@@ -12,13 +12,7 @@ import pytest
 
 from earlkit import earl_xml, fusion, markers, model, needs
 from earlkit.earl_xml import AnnotationDocument
-from earlkit.fusion import (
-    CarriedDetail,
-    FusedEstimate,
-    FusionConfig,
-    MarkerEvidence,
-    TemporalState,
-)
+from earlkit.fusion import FusedEstimate, FusionConfig, MarkerEvidence, TemporalState
 from earlkit.markers import Lexicon, MovementDescriptor, RankedEmotion, VoiceFeatureDelta
 from earlkit.model import (
     ComplexEmotion,
@@ -116,20 +110,11 @@ CASES = {
         False,
     ),
     FusedEstimate: (
-        lambda: FusedEstimate(
-            {"anger": 0.75}, "anger", False, (("face", 1.0),),
-            {"anger": CarriedDetail(dimensions={"arousal": 0.5})},
-        ),
+        lambda: FusedEstimate({"anger": 0.75}, "anger", False, (("face", 1.0),)),
         FusedEstimate({"anger": 0.75}, "anger", True, (("face", 1.0),)),
         "FusedEstimate(scores={'anger': 0.75}, dominant='anger', ambiguous=False, "
-        "contributors=(('face', 1.0),), carried={'anger': CarriedDetail(dimensions="
-        "{'arousal': 0.5}, appraisals={}, regulation={})})",
+        "contributors=(('face', 1.0),))",
         False,
-    ),
-    CarriedDetail: (
-        lambda: CarriedDetail(regulation={"suppress": 0.25}),
-        CarriedDetail(regulation={"suppress": 0.5}),
-        "CarriedDetail(dimensions={}, appraisals={}, regulation={'suppress': 0.25})", False,
     ),
     TemporalState: (
         lambda: TemporalState({"face": MarkerEvidence(JOY_FACE, "face", 1.0)}, 1.0),
@@ -287,15 +272,6 @@ def test_frozen_error_is_an_attribute_error():
 
 
 class TestUncomparedFields:
-    def test_carried_detail_does_not_affect_equality(self):
-        plain = FusedEstimate({"anger": 0.75}, "anger", False, (("face", 1.0),))
-        carried = FusedEstimate(
-            {"anger": 0.75}, "anger", False, (("face", 1.0),),
-            {"anger": CarriedDetail(dimensions={"arousal": 0.5})},
-        )
-        assert plain == carried
-        assert plain._replace(ambiguous=True) != carried
-
     def test_document_bookkeeping_does_not_affect_equality_or_hash(self):
         doc = AnnotationDocument([InlineText("x")])
         noted = AnnotationDocument([InlineText("x")], warnings=[Finding("warning", "W", "m", "l")])
