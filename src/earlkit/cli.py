@@ -126,6 +126,7 @@ def _cmd_classify(args) -> int:
 def _fused_estimate(args):
     from .fusion import (
         FusionConfig,
+        FusionError,
         TemporalState,
         fill_missing,
         fuse_instant,
@@ -140,8 +141,13 @@ def _fused_estimate(args):
         from .earl_xml import load_profile
 
         profile = _load(args.profile, load_profile)
+    stream = _load(args.evidence, load_stream, profile)
+    # An empty or truncated stream must not read as calm evidence: decide
+    # would allow where fuse already fails.
+    if not stream:
+        raise FusionError("BAD_STREAM", f"{args.evidence}: no evidence line")
     state = TemporalState()
-    for evidence in _load(args.evidence, load_stream, profile):
+    for evidence in stream:
         state = update_temporal(state, evidence)
     at = state.clock if args.at is None else args.at
     return fuse_instant(fill_missing(state, at, cfg), cfg), cfg

@@ -10,6 +10,14 @@ The serializer emits one canonical form (fixed attribute order, minimal
 digits, two-space indent, UTF-8) so byte-level golden tests are possible;
 ``parse_document(serialize_document(doc))`` equals ``doc``.
 
+The writer keeps three process-wide memos, each bounded at 4,096 entries
+(first come, first kept): the text of each finite float, the escaped form of
+each attribute value, and the descriptor names known to read back.  They pay
+because what a batch writes repeats: numbers are short decimals on fixed
+scales and labels come from a small vocabulary, so most values are looked
+up rather than formatted again.  Every output byte is what the plain path
+writes.
+
 The reader is built afresh for each document: three expat handlers that
 are closures over the items, the warnings and a stack of open elements,
 each element a small list.  An element's attributes are read at its end,
@@ -339,17 +347,32 @@ def parse_document(
 _NON_FINITE = {"nan": "NaN", "inf": "INF", "-inf": "-INF"}
 
 
+# The bound of each writer memo: the first values written stay, so values
+# that never repeat cannot grow a memo without end.
+_MEMO_BOUND = 4096
+# Finite float -> its text.  Only an exact float is looked up: a subclass
+# may define its own equality and hash.  -0.0 finds 0.0's entry, and both
+# are written "0".
+_NUMBER_TEXT: dict[float, str] = {}
+
+
 def format_number(value: float) -> str:
     """Render a float with minimal digits: drop trailing zeros, keep exactness."""
+    exact = type(value) is float
+    if exact and (text := _NUMBER_TEXT.get(value)) is not None:
+        return text
     # Below 1e16 the repr of an integral float ends in ".0"; above, it has
-    # an exponent.  Only a value that is not finite ends in a letter.  One
-    # character is read at a time: a slice would build a new string.
+    # an exponent.  Only a value that is not finite ends in a letter; none
+    # is stored, as the hash of a NaN is its object's and would never hit.
+    # One character is read at a time: a slice would build a new string.
     text = repr(float(value))
     last = text[-1]
-    if last == "0" and text[-2] == ".":
-        return "0" if text == "-0.0" else text[:-2]
     if last > "9":
         return _NON_FINITE[text]
+    if last == "0" and text[-2] == ".":
+        text = "0" if text == "-0.0" else text[:-2]
+    if exact and len(_NUMBER_TEXT) < _MEMO_BOUND:
+        _NUMBER_TEXT[value] = text
     return text
 
 
@@ -365,8 +388,24 @@ _C0 = bytes(b for b in range(32) if b not in b"\t\n\r")
 _UNWRITABLE = {chr(b) for b in _C0} | {"\ufffe", "\uffff"}
 
 
+# Attribute value -> its escaped text; labels repeat across a batch.  The
+# check for characters XML cannot hold is made on the whole output, so a
+# stored value is still refused on every write.
+_ESCAPED_ATTRS: dict[str, str] = {}
+
+
+def _escaped_attr(value: str) -> str:
+    exact = type(value) is str
+    if exact and (text := _ESCAPED_ATTRS.get(value)) is not None:
+        return text
+    text = value.translate(_ATTR_TABLE)
+    if exact and len(_ESCAPED_ATTRS) < _MEMO_BOUND:
+        _ESCAPED_ATTRS[value] = text
+    return text
+
+
 def _attr(name: str, value: str) -> str:
-    return f' {name}="{value.translate(_ATTR_TABLE)}"'
+    return f' {name}="{_escaped_attr(value)}"'
 
 
 def _text(value: str) -> str:
@@ -383,8 +422,7 @@ def _scope_attrs(scope: Scope) -> str:
     return out
 
 
-# Descriptor names found to read back, a memo bounded so that names that
-# never repeat cannot grow it without end.
+# Descriptor names found to read back.
 _WRITABLE_NAMES: set[str] = set()
 _REGULATION_NAMES = frozenset(REGULATION_TYPES)
 _unwritable = partial(ParseError, "UNSERIALIZABLE_NAME")
@@ -406,14 +444,14 @@ def _check_names(a: EmotionAnnotation) -> None:
             back = None
         if back is None or {**back.dimensions, **back.appraisals} != {name: 0.0}:
             raise _unwritable(f"descriptor {name!r} is no XML name or reads back as another field")
-        if len(_WRITABLE_NAMES) < 4096:
+        if len(_WRITABLE_NAMES) < _MEMO_BOUND:
             _WRITABLE_NAMES.add(name)
 
 
 def _emotion_markup(a: EmotionAnnotation) -> str:
     parts = [f"<{EMOTION_TAG}"]
     if a.category is not None:
-        parts.append(f' category="{a.category.translate(_ATTR_TABLE)}"')
+        parts.append(f' category="{_escaped_attr(a.category)}"')
     descriptors = a.dimensions
     if a.appraisals:
         descriptors = {**descriptors, **a.appraisals} if descriptors else a.appraisals
@@ -432,7 +470,7 @@ def _emotion_markup(a: EmotionAnnotation) -> str:
     for name in sorted(a.regulation):
         parts.append(f' {name}="{format_number(a.regulation[name])}"')
     if a.modality is not None:
-        parts.append(f' modality="{a.modality.translate(_ATTR_TABLE)}"')
+        parts.append(f' modality="{_escaped_attr(a.modality)}"')
     scope = a.scope
     if isinstance(scope, InlineText):
         parts.append(f">{_text(scope.text)}</{EMOTION_TAG}>")

@@ -496,6 +496,20 @@ class TestFailClosedInputs:
             f"earlkit: BAD_STREAM: {stream}: line 1: timestamp={float(t)} is not a finite time\n"
         )
 
+    @pytest.mark.parametrize("text", ["", "# nothing\n\n   \n"])
+    @pytest.mark.parametrize("command", ["fuse", "decide"])
+    def test_stream_without_evidence_line_exits_2(self, tmp_path, command, text):
+        # A truncated or mistyped stream must not be read as calm evidence:
+        # decide would answer allow.
+        stream = tmp_path / "s.stream"
+        stream.write_text(text)
+        argv = ["--evidence", stream]
+        if command == "decide":
+            argv += ["--resource", "hazardous-tool", "--policy", POLICY]
+        code, out, err = run_cli([command, *argv])
+        assert (code, out) == (2, "")
+        assert err == f"earlkit: BAD_STREAM: {stream}: no evidence line\n"
+
     @pytest.mark.parametrize(
         "kind, code_name",
         [

@@ -887,6 +887,21 @@ MIXED_WARNINGS = [
 ]
 
 
+_EXTREME = EmotionAnnotation(
+    category='a&"<b>',
+    appraisals={"tiny": 5e-324, "big": 1e16, "neg": -0.0},
+    intensity=float("nan"),
+    probability=float("inf"),
+    regulation={"suppress": 2.0**53},
+    modality="x\ty",
+    scope=ReferencedTimeSpan("a b&c\n.wav", 0.0, 1e20),
+)
+_INLINE = EmotionAnnotation(dimensions={"arousal": 1.0}, scope=InlineText("x\r<y>"))
+EXTREME_DOC = AnnotationDocument(
+    items=(_EXTREME, ComplexEmotion((_INLINE, _INLINE), scope=InlineText("t&u")))
+)
+
+
 class TestRewriteEquivalence:
     @given(
         st.one_of(
@@ -913,20 +928,7 @@ class TestRewriteEquivalence:
         assert serialize_document(doc) == reference_serialize(doc)
 
     def test_serialize_matches_reference_on_extreme_values(self):
-        a = EmotionAnnotation(
-            category='a&"<b>',
-            appraisals={"tiny": 5e-324, "big": 1e16, "neg": -0.0},
-            intensity=float("nan"),
-            probability=float("inf"),
-            regulation={"suppress": 2.0**53},
-            modality="x\ty",
-            scope=ReferencedTimeSpan("a b&c\n.wav", 0.0, 1e20),
-        )
-        inline = EmotionAnnotation(dimensions={"arousal": 1.0}, scope=InlineText("x\r<y>"))
-        doc = AnnotationDocument(
-            items=(a, ComplexEmotion((inline, inline), scope=InlineText("t&u")))
-        )
-        assert serialize_document(doc) == reference_serialize(doc)
+        assert serialize_document(EXTREME_DOC) == reference_serialize(EXTREME_DOC)
 
     def test_parser_warnings_are_unchanged(self):
         doc = parse_document(MIXED_DOC, MIXED_PROFILE)
@@ -951,6 +953,117 @@ class TestRewriteEquivalence:
             "UNPARSEABLE_NUMBER",
             "attribute hide='bad' is not a number",
         )
+
+
+# The writer's memos: every output is what the plain path writes, whatever
+# the memos already hold.  Each test empties them when it ends.
+
+
+def _clear_writer_memos():
+    earl_xml._NUMBER_TEXT.clear()
+    earl_xml._ESCAPED_ATTRS.clear()
+    earl_xml._WRITABLE_NAMES.clear()
+
+
+def _fill_writer_memos():
+    # Values no other test writes: numbers above a million, prefixed labels.
+    for n in range(earl_xml._MEMO_BOUND):
+        format_number(1e6 + n + 0.5)
+        earl_xml._escaped_attr(f"filler-{n}")
+
+
+class _LyingFloat(float):
+    # Equal to everything, with the hash of 0.5: stored, it would answer
+    # for a later plain 0.5.
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return hash(0.5)
+
+
+class TestWriterMemos:
+    def test_serialize_matches_reference_cold_warm_and_full(self):
+        rng = random.Random(23)
+        docs = [generators.document(rng, max_items=6) for _ in range(60)] + [EXTREME_DOC]
+        try:
+            for doc in docs:
+                _clear_writer_memos()
+                expected = reference_serialize(doc)
+                assert serialize_document(doc) == expected  # cold
+                assert serialize_document(doc) == expected  # warm
+            _clear_writer_memos()
+            _fill_writer_memos()
+            for doc in docs:
+                assert serialize_document(doc) == reference_serialize(doc)  # full
+        finally:
+            _clear_writer_memos()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-0.0, 0.0],
+            [0.0, -0.0],
+            [float("nan"), float("inf"), float("-inf")],
+            [5e-324, 1e16, 2.0**53, 0.1, -1e-7],
+            [0, 7, -12, True, False, 2**53],
+            [_LyingFloat(2.25), 0.5, 2.25],
+            [0.5, _LyingFloat(2.25)],
+        ],
+    )
+    def test_format_number_matches_reference_on_every_call(self, values):
+        try:
+            _clear_writer_memos()
+            for _ in range(2):
+                for value in values:
+                    assert format_number(value) == reference_format_number(value)
+        finally:
+            _clear_writer_memos()
+
+    def test_only_finite_exact_floats_are_stored(self):
+        try:
+            _clear_writer_memos()
+            for value in (float("nan"), float("inf"), float("-inf"), 1, True, _LyingFloat(2.25)):
+                format_number(value)
+            assert earl_xml._NUMBER_TEXT == {}
+            format_number(-0.0)
+            format_number(0.0)
+            assert list(earl_xml._NUMBER_TEXT.values()) == ["0"]
+        finally:
+            _clear_writer_memos()
+
+    @pytest.mark.parametrize("bad", ["joy\ufffe", "an\x01ger"])
+    @pytest.mark.parametrize("field", ["category", "modality", "uri"])
+    def test_unwritable_label_is_refused_on_every_call(self, bad, field):
+        if field == "uri":
+            a = EmotionAnnotation(category="joy", scope=Reference(bad))
+        else:
+            a = EmotionAnnotation(**{field: bad})
+        doc = AnnotationDocument(items=(a,))
+        try:
+            _clear_writer_memos()
+            for _ in range(3):
+                with pytest.raises(ParseError) as exc:
+                    serialize_document(doc)
+                assert exc.value.code == "UNSERIALIZABLE_CHAR"
+            assert bad in earl_xml._ESCAPED_ATTRS
+        finally:
+            _clear_writer_memos()
+
+    def test_memos_stop_at_the_bound(self):
+        bound = earl_xml._MEMO_BOUND
+        try:
+            _clear_writer_memos()
+            _fill_writer_memos()
+            assert len(earl_xml._NUMBER_TEXT) == len(earl_xml._ESCAPED_ATTRS) == bound
+            # Past the bound a value is still written right, and not stored.
+            assert format_number(0.125) == "0.125"
+            assert earl_xml._escaped_attr('x&"y\t') == "x&amp;&quot;y&#9;"
+            assert 0.125 not in earl_xml._NUMBER_TEXT
+            assert 'x&"y\t' not in earl_xml._ESCAPED_ATTRS
+            assert len(earl_xml._NUMBER_TEXT) == len(earl_xml._ESCAPED_ATTRS) == bound
+        finally:
+            _clear_writer_memos()
 
 
 # The reader as it was before its handlers became closures, restated: one
