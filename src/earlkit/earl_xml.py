@@ -12,7 +12,8 @@ digits, two-space indent, UTF-8) so byte-level golden tests are possible;
 
 The writer keeps three process-wide memos, each bounded at 4,096 entries
 (first come, first kept): the text of each finite float, the escaped form of
-each attribute value, and the descriptor names known to read back.  They pay
+each attribute value of up to 128 characters, and the descriptor names known
+to read back.  They pay
 because what a batch writes repeats: numbers are short decimals on fixed
 scales and labels come from a small vocabulary, so most values are looked
 up rather than formatted again.  Every output byte is what the plain path
@@ -390,8 +391,11 @@ _UNWRITABLE = {chr(b) for b in _C0} | {"\ufffe", "\uffff"}
 
 # Attribute value -> its escaped text; labels repeat across a batch.  The
 # check for characters XML cannot hold is made on the whole output, so a
-# stored value is still refused on every write.
+# stored value is still refused on every write.  A longer value is escaped
+# each time, so that distinct long hrefs cannot fill the memo with megabytes;
+# labels and paths are short.
 _ESCAPED_ATTRS: dict[str, str] = {}
+_MEMO_VALUE_CHARS = 128
 
 
 def _escaped_attr(value: str) -> str:
@@ -399,7 +403,7 @@ def _escaped_attr(value: str) -> str:
     if exact and (text := _ESCAPED_ATTRS.get(value)) is not None:
         return text
     text = value.translate(_ATTR_TABLE)
-    if exact and len(_ESCAPED_ATTRS) < _MEMO_BOUND:
+    if exact and len(value) <= _MEMO_VALUE_CHARS and len(_ESCAPED_ATTRS) < _MEMO_BOUND:
         _ESCAPED_ATTRS[value] = text
     return text
 

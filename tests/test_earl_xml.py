@@ -1050,6 +1050,18 @@ class TestWriterMemos:
         finally:
             _clear_writer_memos()
 
+    def test_long_attribute_value_is_not_stored(self):
+        long = "a&" * earl_xml._MEMO_VALUE_CHARS
+        a = EmotionAnnotation(category=long[:-1], modality="x", scope=Reference(long))
+        doc = AnnotationDocument(items=(a,))
+        try:
+            _clear_writer_memos()
+            for _ in range(2):
+                assert serialize_document(doc) == reference_serialize(doc)
+            assert set(earl_xml._ESCAPED_ATTRS) == {"x"}
+        finally:
+            _clear_writer_memos()
+
     def test_memos_stop_at_the_bound(self):
         bound = earl_xml._MEMO_BOUND
         try:
