@@ -13,11 +13,10 @@ digits, two-space indent, UTF-8) so byte-level golden tests are possible;
 The writer keeps three process-wide memos, each bounded at 4,096 entries
 (first come, first kept): the text of each finite float, the escaped form of
 each attribute value of up to 128 characters, and the descriptor names known
-to read back.  They pay
-because what a batch writes repeats: numbers are short decimals on fixed
-scales and labels come from a small vocabulary, so most values are looked
-up rather than formatted again.  Every output byte is what the plain path
-writes.
+to read back.  They pay because what a batch writes repeats: numbers are
+short decimals on fixed scales and labels come from a small vocabulary, so
+most values are looked up rather than formatted again.  Every output byte is
+what the plain path writes.
 
 The reader is built afresh for each document: three expat handlers that
 are closures over the items, the warnings and a stack of open elements,
