@@ -33,12 +33,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
-def _xml_files(path: Path) -> list[Path]:
-    if path.is_file():
-        return [path]
-    return sorted(p for p in path.rglob("*.xml") if p.is_file())
-
-
 def _load(path: str, loader, *args):
     """``loader(<the bytes of path>, *args)``; an input error names the file."""
     try:
@@ -51,26 +45,38 @@ def _load(path: str, loader, *args):
 # validate
 
 
-def _cmd_validate(args) -> int:
+def _corpus(args):
+    """Yield ``(path, document, findings)`` for each EARL file under
+    ``args.path``, in name order.  ``findings`` holds the parser's warnings,
+    then each item's validator findings.  A file that does not parse gives
+    ``(path, error, None)``."""
     from .earl_xml import load_profile, parse_document
     from .model import DEFAULT_PROFILE, validate_annotation
 
     profile = DEFAULT_PROFILE if args.profile is None else _load(args.profile, load_profile)
     root = Path(args.path)
     if not root.exists():
-        print(f"validate: {root}: no such file or directory", file=sys.stderr)
-        return EXIT_INPUT
-    failed = False
-    for path in _xml_files(root):
+        raise FileNotFoundError(f"{args.command}: {root}: no such file or directory")
+    paths = [root] if root.is_file() else sorted(p for p in root.rglob("*.xml") if p.is_file())
+    for path in paths:
         try:
             doc = parse_document(path.read_bytes(), profile)
         except EarlError as exc:
-            print(f"{path}: error {exc.code} {exc.message}", file=sys.stderr)
-            failed = True
+            yield path, exc, None
             continue
         findings = list(doc.warnings)
         for item in doc.items:
             findings.extend(validate_annotation(item, profile).findings)
+        yield path, doc, findings
+
+
+def _cmd_validate(args) -> int:
+    failed = False
+    for path, result, findings in _corpus(args):
+        if findings is None:
+            print(f"{path}: error {result.code} {result.message}", file=sys.stderr)
+            failed = True
+            continue
         # --strict escalates parser and validator warnings alike, here only.
         for f in findings:
             severity = "error" if args.strict and f.severity == "warning" else f.severity
@@ -182,25 +188,18 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .earl_xml import load_profile, parse_document
-    from .model import DEFAULT_PROFILE, ComplexEmotion, validate_annotation
+    from .model import ComplexEmotion
 
-    profile = DEFAULT_PROFILE if args.profile is None else _load(args.profile, load_profile)
-    root = Path(args.path)
-    if not root.exists():
-        print(f"stats: {root}: no such file or directory", file=sys.stderr)
-        return EXIT_INPUT
     counts = dict.fromkeys(("files_scanned", "annotations_count", "complex_count", "error_count"), 0)
     categories: dict[str, int] = {}
-    for path in _xml_files(root):
+    for _, doc, findings in _corpus(args):
         counts["files_scanned"] += 1
-        try:
-            doc = parse_document(path.read_bytes(), profile)
-        except EarlError:
+        if findings is None:
             counts["error_count"] += 1
             continue
+        # Parser warnings are never errors, so this counts the validator's.
+        counts["error_count"] += sum(f.severity == "error" for f in findings)
         for item in doc.items:
-            counts["error_count"] += len(validate_annotation(item, profile).errors())
             annotations = (item,)
             if isinstance(item, ComplexEmotion):
                 counts["complex_count"] += 1
@@ -225,7 +224,18 @@ def _cmd_stats(args) -> int:
 # entry point
 
 
-_STREAM_PROFILE_HELP = "vocabulary profile XML file; a stream category outside it is an error"
+def _add_stream_command(sub, name: str, func, help: str, *required: str) -> None:
+    """A command that fuses a stream: ``--evidence``, the ``required``
+    options, then the optional ``--config``, ``--at`` and ``--profile``."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--evidence", required=True, help="stream file: 't source category p i'")
+    for option in required:
+        p.add_argument(option, required=True)
+    p.add_argument("--config", help="fusion config file (key=value)")
+    p.add_argument("--at", type=float, help="fusion time (default: last timestamp)")
+    profile_help = "vocabulary profile XML file; a stream category outside it is an error"
+    p.add_argument("--profile", help=profile_help)
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,25 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--movement", help="movement feature file (field=value lines)")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("fuse", help="fuse an evidence stream, emit EARL XML")
-    p.add_argument("--evidence", required=True, help="stream file: 't source category p i'")
-    p.add_argument("--config", help="fusion config file (key=value)")
-    p.add_argument("--at", type=float, help="fusion time (default: last timestamp)")
-    p.add_argument("--profile", help=_STREAM_PROFILE_HELP)
-    p.set_defaults(func=_cmd_fuse)
-
-    p = sub.add_parser("decide", help="fuse evidence and decide resource access")
-    p.add_argument("--evidence", required=True)
-    p.add_argument("--resource", required=True)
-    p.add_argument("--policy", required=True)
-    p.add_argument("--config", help="fusion config file (key=value)")
-    p.add_argument("--at", type=float)
-    p.add_argument("--profile", help=_STREAM_PROFILE_HELP)
-    p.set_defaults(func=_cmd_decide)
+    _add_stream_command(sub, "fuse", _cmd_fuse, "fuse an evidence stream, emit EARL XML")
+    _add_stream_command(
+        sub, "decide", _cmd_decide, "fuse evidence and decide resource access",
+        "--resource", "--policy",
+    )
 
     p = sub.add_parser("stats", help="summarize a corpus")
     p.add_argument("path")
-    p.add_argument("--profile")
+    p.add_argument("--profile", help="vocabulary profile XML file")
     p.add_argument("--json", action="store_true", help="emit one JSON object")
     p.set_defaults(func=_cmd_stats)
 

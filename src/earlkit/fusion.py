@@ -160,13 +160,8 @@ def load_stream(
 class FusedEstimate(_Record):
     """Per-category fused scores plus the dominance/ambiguity verdict."""
 
-    def __init__(
-        self, scores: dict[str, float], dominant: str | None, ambiguous: bool,
-        contributors: tuple[tuple[str, float], ...],
-    ):
-        self.__dict__.update(
-            scores=scores, dominant=dominant, ambiguous=ambiguous, contributors=contributors
-        )
+    def __init__(self, scores: dict[str, float], dominant: str | None, ambiguous: bool):
+        self.__dict__.update(scores=scores, dominant=dominant, ambiguous=ambiguous)
 
 
 def _dominant(scores: dict[str, float], epsilon: float) -> tuple[str | None, bool]:
@@ -200,13 +195,13 @@ def fuse_instant(
     independent of evidence order.
     """
     if not evidence:
-        return FusedEstimate({}, None, False, ())
+        return FusedEstimate({}, None, False)
 
-    # A fixed processing order keeps the contributors and the floating-point
-    # sums independent of input order.  Strictly ascending sources already
-    # are that order, as fill_missing's output always is, so only other
-    # input is sorted.  The check is a pass of its own, so that an unknown
-    # source is named in processing order too.
+    # A fixed processing order keeps the floating-point sums independent of
+    # input order.  Strictly ascending sources already are that order, as
+    # fill_missing's output always is, so only other input is sorted.  The
+    # check is a pass of its own, so that an unknown source is named in
+    # processing order too.
     ordered = evidence
     items = iter(evidence)
     previous = next(items).source
@@ -218,14 +213,12 @@ def fuse_instant(
     weights = cfg._weights
     total_weight = 0.0
     mass: dict[str, float] = {}
-    contributors = []
     for item in ordered:
         source = item.source
         weight = weights.get(source)
         if weight is None:
             weight = base_weight_for_source(source)  # raises UNKNOWN_SOURCE
         total_weight += weight
-        contributors.append((source, weight))
         a = item.annotation
         category = a.category
         # A missing probability or intensity counts as 1.0.
@@ -241,7 +234,7 @@ def fuse_instant(
         raise FusionError("WEIGHT_OVERFLOW", f"evidence weights sum to {total_weight}")
     scores = {category: value / total_weight for category, value in mass.items()}
     dominant, ambiguous = _dominant(scores, cfg.ambiguity_epsilon)
-    return FusedEstimate(scores, dominant, ambiguous, tuple(contributors))
+    return FusedEstimate(scores, dominant, ambiguous)
 
 
 # ---------------------------------------------------------------------------
@@ -249,28 +242,31 @@ def fuse_instant(
 
 
 class TemporalState(_Record):
-    """Last evidence per source plus the stream clock; updated functionally."""
+    """Last evidence per source, in ascending source order, plus the stream
+    clock; updated functionally."""
 
     def __init__(self, last_evidence: dict[str, MarkerEvidence] | None = None, clock: float = 0.0):
-        self.__dict__.update(
-            last_evidence={} if last_evidence is None else last_evidence, clock=clock
-        )
+        # Ascending sources are fuse_instant's processing order, so
+        # fill_missing's stand-ins need no sort.
+        if last_evidence is None:
+            last_evidence = {}
+        keys = iter(last_evidence)
+        previous = next(keys, None)
+        for source in keys:
+            if not previous < source:
+                last_evidence = dict(sorted(last_evidence.items()))
+                break
+            previous = source
+        self.__dict__.update(last_evidence=last_evidence, clock=clock)
 
 
 def update_temporal(state: TemporalState, evidence: MarkerEvidence) -> TemporalState:
-    """Absorb one observation, replacing the previous one for its source.
-
-    Sources stay in ascending order: a new one that sorts before the last
-    rebuilds the dict sorted, as only the first events of a subject do."""
+    """Absorb one observation, replacing the previous one for its source."""
     t = evidence.timestamp
     if t < state.clock:
         raise FusionError("TIME_REGRESSION", f"evidence at t={t} behind clock t={state.clock}")
-    source = evidence.source
     updated = dict(state.last_evidence)
-    resort = source not in updated and updated and source < next(reversed(updated))
-    updated[source] = evidence
-    if resort:
-        updated = dict(sorted(updated.items()))
+    updated[evidence.source] = evidence
     return TemporalState(updated, t)
 
 
@@ -280,9 +276,8 @@ def fill_missing(
     """Synthesize decayed stand-ins for every remembered source.
 
     The result holds at most one item per remembered source, in ascending
-    source order, the order :func:`update_temporal` keeps (a state built
-    otherwise is sorted here): that is :func:`fuse_instant`'s processing
-    order, so it fuses them unsorted.
+    source order, the order a :class:`TemporalState` keeps: that is
+    :func:`fuse_instant`'s processing order, so it fuses them unsorted.
     Probability decays as p * exp(-lambda * elapsed); items whose decayed
     probability falls below the drop floor are omitted.  Each stand-in keeps
     its observation time, so ``now - timestamp`` is 0 for an item observed
@@ -296,18 +291,9 @@ def fill_missing(
         raise FusionError(
             "TIME_REGRESSION", f"now={now} behind clock t={state.clock}"
         )
-    remembered = state.last_evidence
-    entries = remembered.items()
-    keys = iter(remembered)
-    previous = next(keys, None)
-    for source in keys:
-        if not previous < source:
-            entries = sorted(entries)
-            break
-        previous = source
     synthetic = []
     decay_lambda, drop_floor = cfg.decay_lambda, cfg.drop_floor
-    for source, item in entries:
+    for source, item in state.last_evidence.items():
         elapsed = now - item.timestamp
         if elapsed < 0.0:
             raise FusionError(

@@ -54,8 +54,9 @@ class TestValidate:
         assert "UNKNOWN_CATEGORY" in err
 
     def test_missing_path_exits_2(self, tmp_path):
-        code, _, _ = run_cli(["validate", tmp_path / "nowhere"])
+        code, _, err = run_cli(["validate", tmp_path / "nowhere"])
         assert code == 2
+        assert err == f"earlkit: validate: {tmp_path / 'nowhere'}: no such file or directory\n"
 
 
 class TestAnnotate:
@@ -253,6 +254,16 @@ class TestUsage:
         assert result.returncode == 0
         assert 'category="joy"' in result.stdout
 
+    def test_package_runs_as_a_module(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "earlkit", "stats", "fixtures/earl"],
+            capture_output=True,
+            text=True,
+            cwd=FIXTURES.parent,
+        )
+        assert result.returncode == 0
+        assert result.stdout == golden("stats_earl.tsv")
+
     def test_import_skips_heavy_stdlib_modules(self):
         # xml.sax.saxutils would pull in urllib, http.client and email;
         # profiles are read with expat, like documents, not with ElementTree.
@@ -282,8 +293,9 @@ class TestCliEdges:
         assert "one.xml" in lines[0] and "two.xml" in lines[1]
 
     def test_stats_missing_path_exits_2(self, tmp_path):
-        code, _, _ = run_cli(["stats", tmp_path / "nowhere"])
+        code, _, err = run_cli(["stats", tmp_path / "nowhere"])
         assert code == 2
+        assert err == f"earlkit: stats: {tmp_path / 'nowhere'}: no such file or directory\n"
 
     def test_stats_counts_broken_file_as_error(self, tmp_path):
         (tmp_path / "ok.xml").write_bytes(b'<emotion category="x"/>')

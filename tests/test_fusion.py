@@ -95,7 +95,10 @@ class TestFuseInstant:
         cfg = FusionConfig(weight_overrides={"face": 0.5})
         f = fuse_instant([evidence("joy", "face", p=1.0)], cfg)
         assert f.scores["joy"] == pytest.approx(1.0)  # 0.5*1 / 0.5
-        assert f.contributors == (("face", 0.5),)
+        # One source scores 1.0 whatever its weight; two show it:
+        # face 0.5 and language_voice 1.0 give 0.5/1.5 and 1.0/1.5.
+        f = fuse_instant([evidence("joy", "face"), evidence("anger", "language_voice")], cfg)
+        assert f.scores == pytest.approx({"joy": 1 / 3, "anger": 2 / 3})
 
     def test_evidence_must_carry_category_and_modality(self):
         with pytest.raises(ValueError):
@@ -682,14 +685,13 @@ def reference_fill_missing(state, now, cfg):
 
 
 def reference_fuse(items, cfg):
-    """(scores, dominant, ambiguous, contributors) by the sorted weighted loop."""
+    """(scores, dominant, ambiguous) by the sorted weighted loop."""
     ordered = sorted(items, key=lambda e: (e.source, e.timestamp, e.annotation.category))
-    total, mass, contributors = 0.0, {}, []
+    total, mass = 0.0, {}
     for item in ordered:
         override = cfg.weight_overrides.get(item.source)
         weight = SOURCE_WEIGHTS[item.source] if override is None else override
         total += weight
-        contributors.append((item.source, weight))
         a = item.annotation
         p = 1.0 if a.probability is None else a.probability
         i = 1.0 if a.intensity is None else a.intensity
@@ -697,7 +699,7 @@ def reference_fuse(items, cfg):
     scores = {category: value / total for category, value in mass.items()}
     ranked = sorted(scores, key=lambda c: (-scores[c], c))
     ambiguous = len(ranked) > 1 and scores[ranked[0]] - scores[ranked[1]] < cfg.ambiguity_epsilon
-    return scores, ranked[0], ambiguous, tuple(contributors)
+    return scores, ranked[0], ambiguous
 
 
 def bits(scores):
@@ -800,10 +802,9 @@ class TestEquivalentToConstructors:
     def test_fuse_instant_scores_are_bit_identical(self, items, cfg):
         for subset in (items, items[:1], items[::-1]):
             fused = fuse_instant(subset, cfg)
-            scores, dominant, ambiguous, contributors = reference_fuse(subset, cfg)
+            scores, dominant, ambiguous = reference_fuse(subset, cfg)
             assert bits(fused.scores) == bits(scores)
             assert (fused.dominant, fused.ambiguous) == (dominant, ambiguous)
-            assert fused.contributors == contributors
 
     @given(items=remembered_items(), dt=st.floats(min_value=0.0, max_value=5.0), cfg=configs)
     def test_fused_stand_ins_are_bit_identical(self, items, dt, cfg):
@@ -827,18 +828,17 @@ def processing_key(item):
 
 
 def reference_fold(items, cfg):
-    """(scores, dominant, ambiguous, contributors) by the sorted fold; raises
-    as fuse_instant does."""
+    """(scores, dominant, ambiguous) by the sorted fold; raises as
+    fuse_instant does."""
     if not items:
-        return [], None, False, ()
+        return [], None, False
     ordered = sorted(items, key=processing_key)
-    total, mass, contributors = 0.0, {}, []
+    total, mass = 0.0, {}
     for item in ordered:
         if item.source not in SOURCE_WEIGHTS:
             raise MarkerError("UNKNOWN_SOURCE", f"{item.source!r} is not a capture source")
         weight = cfg.weight_overrides.get(item.source, SOURCE_WEIGHTS[item.source])
         total += weight
-        contributors.append((item.source, weight))
         a = item.annotation
         p = 1.0 if a.probability is None else a.probability
         i = 1.0 if a.intensity is None else a.intensity
@@ -850,14 +850,14 @@ def reference_fold(items, cfg):
     scores = {category: value / total for category, value in mass.items()}
     ranked = sorted(scores, key=lambda c: (-scores[c], c))
     ambiguous = len(ranked) > 1 and scores[ranked[0]] - scores[ranked[1]] < cfg.ambiguity_epsilon
-    return bits(scores), ranked[0], ambiguous, tuple(contributors)
+    return bits(scores), ranked[0], ambiguous
 
 
 def fused_fields(items, cfg):
     """fuse_instant's result in reference_fold's terms; FusedEstimate
     equality compares scores by value."""
     estimate = fuse_instant(items, cfg)
-    return bits(estimate.scores), estimate.dominant, estimate.ambiguous, estimate.contributors
+    return bits(estimate.scores), estimate.dominant, estimate.ambiguous
 
 
 def outcome(fuse, items, cfg):
@@ -1013,15 +1013,44 @@ def fill_bits(fill, state, now, cfg):
 
 
 @st.composite
-def unordered_states(draw):
-    """A state built directly: keys in any order, the item sources or any
-    other text, and a clock that may lag or lead the items' times."""
+def unordered_entries(draw):
+    """(key, item) pairs in any order, keyed by the item sources or by any
+    other text."""
     items = draw(remembered_items())
     keys = draw(st.just([item.source for item in items]) | st.lists(
         st.text(max_size=3), min_size=len(items), max_size=len(items), unique=True
     ))
-    keyed = draw(st.permutations(list(zip(keys, items))))
+    return draw(st.permutations(list(zip(keys, items))))
+
+
+@st.composite
+def unordered_states(draw):
+    """A state built directly: keys in any order, the item sources or any
+    other text, and a clock that may lag or lead the items' times."""
+    keyed = draw(unordered_entries())
     return TemporalState(dict(keyed), draw(st.floats(min_value=0.0, max_value=30.0)))
+
+
+class TestStateOrder:
+    @given(entries=unordered_entries(), clock=st.floats(min_value=0.0, max_value=30.0))
+    @example(
+        entries=[("movement_kinetic", evidence("joy", "movement_kinetic", p=0.5)),
+                 ("face", evidence("anger", "face", p=0.9))],
+        clock=0.0,
+    )
+    def test_a_state_stores_its_sources_ascending(self, entries, clock):
+        ordered = dict(sorted(entries))
+        want = TemporalState(ordered, clock)
+        # A dict already in order is stored as given.
+        assert want.last_evidence is ordered
+        state = TemporalState(dict(entries), clock)
+        rebuilt = [
+            state, copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state)),
+            want._replace(last_evidence=dict(entries)),
+        ]
+        for twin in rebuilt:
+            assert list(twin.last_evidence) == list(ordered)
+            assert twin == want
 
 
 class TestSourceOrder:
@@ -1076,7 +1105,8 @@ class TestWeightTable:
         overrides["language_voice"] = 0.0
         assert cfg.weight_overrides == {"face": 0.8}
         after = fuse_instant(items, cfg)
-        assert after.contributors == (("face", 0.8), ("language_voice", 1.0))
+        # face 0.8 x 0.9 and language_voice 1.0 x 0.6, over a total weight of 1.8.
+        assert after.scores == pytest.approx({"joy": 0.4, "anger": 1 / 3})
         assert bits(after.scores) == bits(before.scores)
 
     def test_overrides_are_read_only(self):
@@ -1104,7 +1134,8 @@ class TestWeightTable:
         twin = clone(cfg)
         assert twin == cfg
         items = [evidence("joy", "face", p=0.9), evidence("anger", "movement_kinetic", p=0.6)]
-        assert fuse_instant(items, twin).contributors == (("face", 1.0), ("movement_kinetic", 0.5))
+        # face 1.0 x 0.9 and movement_kinetic 0.5 x 0.6, over a total weight of 1.5.
+        assert fuse_instant(items, twin).scores == pytest.approx({"joy": 0.6, "anger": 0.2})
 
     def test_unknown_source_still_raises(self):
         from earlkit.errors import MarkerError

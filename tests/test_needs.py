@@ -17,9 +17,7 @@ from earlkit.needs import (
 
 def estimate(scores, ambiguous=False):
     dominant = max(scores, key=lambda c: (scores[c], c)) if scores else None
-    return FusedEstimate(
-        scores=scores, dominant=dominant, ambiguous=ambiguous, contributors=()
-    )
+    return FusedEstimate(scores=scores, dominant=dominant, ambiguous=ambiguous)
 
 
 HAZARD_POLICY = AccessPolicy(rules=(PolicyRule("hazardous-tool", "aggressive", 0.6),))

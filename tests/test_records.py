@@ -110,10 +110,9 @@ CASES = {
         False,
     ),
     FusedEstimate: (
-        lambda: FusedEstimate({"anger": 0.75}, "anger", False, (("face", 1.0),)),
-        FusedEstimate({"anger": 0.75}, "anger", True, (("face", 1.0),)),
-        "FusedEstimate(scores={'anger': 0.75}, dominant='anger', ambiguous=False, "
-        "contributors=(('face', 1.0),))",
+        lambda: FusedEstimate({"anger": 0.75}, "anger", False),
+        FusedEstimate({"anger": 0.75}, "anger", True),
+        "FusedEstimate(scores={'anger': 0.75}, dominant='anger', ambiguous=False)",
         False,
     ),
     TemporalState: (
@@ -306,8 +305,13 @@ class TestReplace:
     def test_replace_changes_one_field(self):
         cfg = FusionConfig(weight_overrides={"face": 0.5})
         changed = cfg._replace(decay_lambda=0.5)
-        fused = fusion.fuse_instant([MarkerEvidence(JOY_FACE, "face", 1.0)], changed)
-        assert (changed.decay_lambda, fused.contributors) == (0.5, (("face", 0.5),))
+        evidence = [
+            MarkerEvidence(JOY_FACE, "face", 1.0), MarkerEvidence(ANGER, "language_voice", 1.0)
+        ]
+        fused = fusion.fuse_instant(evidence, changed)
+        assert changed.decay_lambda == 0.5
+        # face 0.5 x 1 and language_voice 1.0 x 0.9 x 0.8, over a total weight of 1.5.
+        assert fused.scores == pytest.approx({"joy": 1 / 3, "anger": 0.48})
         assert changed == FusionConfig(decay_lambda=0.5, weight_overrides={"face": 0.5})
         assert cfg._replace() == cfg
 
