@@ -280,26 +280,24 @@ def parse_document(
     items: list[AnnotationItem] = []
     warnings: list[Finding] = []
     stack: list[list] = []
-    open_complex = 0  # real complex-emotion elements open, not ignored ones
 
     def start_element(name: str, attrs: list[str]) -> None:
-        nonlocal open_complex
-        if name == COMPLEX_TAG and open_complex:
-            raise ParseError(
-                "NESTED_COMPLEX", "complex-emotion may not contain another complex-emotion"
-            )
         parent = stack[-1] if stack else None
         top = parent is None or parent[0] == _CONTAINER
         if top and name == EMOTION_TAG:
             frame = [_EMOTION, attrs, [], None, len(items), None]
         elif top and name == COMPLEX_TAG:
-            open_complex += 1
             frame = [_COMPLEX, attrs, [], [], len(items), None]
         elif parent is None:
             # Any other root element serves as the document container.
             frame = [_CONTAINER, attrs, [], None, None, None]
         elif parent[0] == _COMPLEX and name == EMOTION_TAG:
             frame = [_EMOTION, attrs, [], None, parent[4], len(parent[3])]
+        elif name == COMPLEX_TAG and any(f[0] == _COMPLEX for f in stack[:2]):
+            # A complex-emotion frame is only ever the root or a container's child.
+            raise ParseError(
+                "NESTED_COMPLEX", "complex-emotion may not contain another complex-emotion"
+            )
         else:
             message = f"element <{name}> is not part of the annotation vocabulary here"
             _warn(warnings, "UNRECOGNIZED_ELEMENT", message, parent)
@@ -311,7 +309,6 @@ def parse_document(
             stack[-1][2].append(data)
 
     def end_element(_name: str) -> None:
-        nonlocal open_complex
         frame = stack.pop()
         kind = frame[0]
         if kind == _IGNORED:
@@ -320,7 +317,6 @@ def parse_document(
         if text and not text.strip(" \t\n\r"):
             text = ""  # pretty-printer whitespace is not inline scope
         if kind == _COMPLEX:
-            open_complex -= 1
             items.append(_complex(frame, text, warnings))
         elif kind == _CONTAINER:
             it = iter(frame[1])

@@ -43,15 +43,20 @@ def read_lines(data: bytes | str, error: type[EarlError], code: str) -> Iterator
 
     Bytes are read as UTF-8; a bad byte raises ``error(code, "line N: ...")``.
     ``#`` starts a comment; comments and surrounding space are stripped and
-    blank lines skipped.  Lines are numbered from 1.
+    blank lines skipped.  Lines are numbered from 1 and end at ``\n``,
+    ``\r\n`` or ``\r``: a form feed or U+2028 is space within its line.
     """
+    bad = None
     if not isinstance(data, str):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise error(code, f"line {line}: not UTF-8 text ({exc.reason})") from None
-    for line_no, line in enumerate(data.splitlines(), 1):
+            # The bytes before the first bad one decode; it is on their last line.
+            bad, data = exc, data[:exc.start].decode("utf-8")
+    lines = data.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if bad is not None:
+        raise error(code, f"line {len(lines)}: not UTF-8 text ({bad.reason})")
+    for line_no, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if line:
             yield line_no, line

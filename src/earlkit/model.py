@@ -234,15 +234,17 @@ class Finding(_Record):
 
 
 class ValidationReport(_Record):
-    def __init__(self, ok: bool, findings: tuple[Finding, ...]):
-        self.__dict__.update(ok=ok, findings=findings)
+    def __init__(self, findings: tuple[Finding, ...]):
+        # ``ok`` is derived, so no field: it cannot contradict the findings.
+        findings = tuple(findings)
+        self.__dict__.update(findings=findings, ok=all(f.severity != "error" for f in findings))
 
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity == "error"]
 
 
 #: The report for an item with no findings; it is immutable, so one is shared.
-_CLEAN = ValidationReport(ok=True, findings=())
+_CLEAN = ValidationReport(())
 
 
 def _emit(
@@ -293,18 +295,15 @@ def _check_annotation(
 
     # A range check ``lo <= value <= hi`` also fails for NaN, as intended.
     lo, hi = DESCRIPTOR_RANGE
-    allowed = profile.dimension_names
-    for name, value in dimensions.items():
-        if allowed and name not in allowed:
-            _emit(out, index, "UNKNOWN_DIMENSION", f"dimension {name!r} not in profile", f".{name}")
-        if not lo <= value <= hi:
-            _emit(out, index, "RANGE", f"{name}={value} outside [{lo}, {hi}]", f".{name}")
-    allowed = profile.appraisal_names
-    for name, value in appraisals.items():
-        if allowed and name not in allowed:
-            _emit(out, index, "UNKNOWN_APPRAISAL", f"appraisal {name!r} not in profile", f".{name}")
-        if not lo <= value <= hi:
-            _emit(out, index, "RANGE", f"{name}={value} outside [{lo}, {hi}]", f".{name}")
+    for code, kind, descriptors, allowed in (
+        ("UNKNOWN_DIMENSION", "dimension", dimensions, profile.dimension_names),
+        ("UNKNOWN_APPRAISAL", "appraisal", appraisals, profile.appraisal_names),
+    ):
+        for name, value in descriptors.items():
+            if allowed and name not in allowed:
+                _emit(out, index, code, f"{kind} {name!r} not in profile", f".{name}")
+            if not lo <= value <= hi:
+                _emit(out, index, "RANGE", f"{name}={value} outside [{lo}, {hi}]", f".{name}")
 
     lo, hi = UNIT_RANGE
     if a.intensity is not None and not lo <= a.intensity <= hi:
@@ -360,10 +359,7 @@ def validate_annotation(
     else:
         _check_annotation(item, profile, None, findings)
 
-    if not findings:
-        return _CLEAN
-    ok = not any(f.severity == "error" for f in findings)
-    return ValidationReport(ok=ok, findings=tuple(findings))
+    return ValidationReport(findings) if findings else _CLEAN
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earlkit.errors import FusionError
-from earlkit.fusion import load_stream
-from earlkit.markers import MOVEMENT_FIELDS, VOICE_FIELDS
+from earlkit.errors import EarlError, FusionError
+from earlkit.fusion import load_config, load_stream
+from earlkit.markers import (
+    MOVEMENT_FIELDS, VOICE_FIELDS, VoiceFeatureDelta, load_features, load_lexicon,
+)
 from earlkit.model import BEHAVIOR_FOR_EMOTION, SOURCE_WEIGHTS
+from earlkit.needs import load_policy
 from support import FIXTURES, golden, run_cli
 
 
@@ -782,3 +785,74 @@ class TestGeneratedFiles:
             code, out, err = decide(stream)
         assert (code, out) == (2, ""), err
         assert err.startswith(f"earlkit: BAD_STREAM: {stream}: line {at + 1}: "), err
+
+
+# ---------------------------------------------------------------------------
+# Line numbers: a line ends at \n, \r\n or \r, in the error of a bad line
+# and in that of a byte that is not UTF-8 alike.
+
+# The characters str.splitlines breaks at besides \n and \r; strip() and
+# split() read each as space.
+OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# Per line reader: its call, a valid line (the line's index given) and a line it rejects.
+LINE_READERS = {
+    "config": (load_config, lambda i: f"decay_lambda = 0.{i % 10}", "drop_floor = 2"),
+    "stream": (load_stream, lambda i: f"{i} face anger 0.5 1", "1 face anger 2 1"),
+    "policy": (load_policy, lambda i: f"door{i} deny_when aggressive >= 0.5",
+               "door deny_when agressive >= 0.5"),
+    "lexicon": (load_lexicon, lambda i: "joy: happy, glad", "joy:"),
+    "features": (lambda data: load_features(data, VoiceFeatureDelta), lambda i: "mean_f0=up",
+                 "loudness=up"),
+}
+
+
+@st.composite
+def numbered_file(draw, good, last):
+    """Valid, blank and comment lines, then ``last``, then more valid lines,
+    each padded with other breaks and joined by random line ends; returns
+    the text and the number of ``last``'s line."""
+    kinds = draw(st.lists(st.sampled_from(["good", "", "# note"]), max_size=5))
+    lines = [good(i) if kind == "good" else kind for i, kind in enumerate(kinds)]
+    line_no = len(lines) + 1
+    lines += [last, *map(good, range(line_no, line_no + draw(st.integers(0, 2))))]
+    breaks = st.text(st.sampled_from(OTHER_BREAKS), max_size=2)
+    parts, end = [], ""
+    for line in lines:
+        line = draw(breaks) + line.replace(" ", draw(st.sampled_from(" " + OTHER_BREAKS)))
+        line += draw(breaks)
+        # "\r" then an empty line's "\n" would read as one "\r\n".
+        ends = ["\r"] if end == "\r" and not line else ["\n", "\r\n", "\r"]
+        end = draw(st.sampled_from(ends))
+        parts += [line, end]
+    if draw(st.booleans()):
+        parts.pop()
+    return "".join(parts), line_no
+
+
+class TestLineNumbers:
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"0.0 face anger 0.5 1.0\x0c\n0.5 face anger 2 1\n", "line 2: probability="),
+            ("0 face anger 0.5 1\u2028\r\n\x851 face anger 2 1", "line 2: probability="),
+            (b"0 face anger 0.5 1\r1 face anger 2 1\r", "line 2: probability="),
+            (b"# t source category p i\r\r0 face \xff 0.5 1\r", "line 3: not UTF-8"),
+        ],
+    )
+    def test_only_cr_and_lf_end_a_line(self, data, line):
+        with pytest.raises(FusionError) as exc:
+            load_stream(data)
+        assert exc.value.message.startswith(line)
+
+    @settings(deadline=None)
+    @given(reader=st.sampled_from(sorted(LINE_READERS)), bad_byte=st.booleans(),
+           as_text=st.booleans(), data=st.data())
+    def test_both_error_paths_name_the_line(self, reader, bad_byte, as_text, data):
+        load, good, bad = LINE_READERS[reader]
+        # \x00 stands for the byte that is not UTF-8; no line holds it otherwise.
+        text, line_no = data.draw(numbered_file(good, good(99) + " \x00" if bad_byte else bad))
+        raw = text.encode().replace(b"\x00", b"\xff")
+        with pytest.raises(EarlError) as exc:
+            load(text if as_text and not bad_byte else raw)
+        expected = f"line {line_no}: not UTF-8 text" if bad_byte else f"line {line_no}: "
+        assert exc.value.message.startswith(expected), (text, exc.value.message)

@@ -164,6 +164,26 @@ class TestParse:
             parse_document(data)
         assert exc.value.code == "NESTED_COMPLEX"
 
+    def test_complex_under_an_unrecognized_element_in_a_complex_is_nested(self):
+        data = (
+            b"<earl><complex-emotion><note><complex-emotion>"
+            b'<emotion category="x"/></complex-emotion></note></complex-emotion></earl>'
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_document(data)
+        assert exc.value.code == "NESTED_COMPLEX"
+
+    def test_complex_under_an_unrecognized_element_at_top_level_is_dropped(self):
+        data = (
+            b'<earl><note><complex-emotion><emotion category="x"/>'
+            b'<emotion category="y"/></complex-emotion></note><emotion category="z"/></earl>'
+        )
+        doc = parse_document(data)
+        assert [item.category for item in doc.items] == ["z"]
+        assert [(w.code, w.location) for w in doc.warnings] == [
+            ("UNRECOGNIZED_ELEMENT", "document")
+        ] * 4
+
     def test_lone_start_warns_and_is_dropped(self):
         doc = parse_document(b'<emotion category="x" start="1.0"/>')
         assert doc.items[0].scope == UNSCOPED

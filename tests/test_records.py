@@ -92,9 +92,8 @@ CASES = {
         True,
     ),
     ValidationReport: (
-        lambda: ValidationReport(ok=False, findings=(WARNING,)),
-        ValidationReport(ok=True, findings=(WARNING,)),
-        f"ValidationReport(ok=False, findings=({WARNING_REPR},))", True,
+        lambda: ValidationReport((WARNING,)), ValidationReport(()),
+        f"ValidationReport(findings=({WARNING_REPR},))", True,
     ),
     MarkerEvidence: (
         lambda: MarkerEvidence(ANGER, "language_voice", 2.0),
