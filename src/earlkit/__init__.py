@@ -19,8 +19,7 @@ _EXPORTS = {
             "DEFAULT_PROFILE", "REGULATION_TYPES", "UNSCOPED", "ComplexEmotion",
             "EmotionAnnotation", "Finding", "InlineText", "Reference", "ReferencedTimeSpan",
             "Scope", "TimeSpan", "Unscoped", "ValidationReport", "VocabularyProfile",
-            "validate_annotation", "base_weight_for_source",
-            "behavior_for_emotion",
+            "validate_annotation", "behavior_for_emotion",
         ),
         "earl_xml": (
             "AnnotationDocument", "load_profile", "parse_document", "serialize_document",

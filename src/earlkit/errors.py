@@ -6,7 +6,7 @@ CLI) can branch on the failure kind without parsing messages.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 
 
 class EarlError(Exception):
@@ -38,13 +38,19 @@ class PolicyError(EarlError):
     """Raised for malformed policy files."""
 
 
-def read_lines(data: bytes | str, error: type[EarlError], code: str) -> Iterator[tuple[int, str]]:
-    """``(line_no, line)`` for each line of a line-format file that says something.
+def read_lines(
+    data: bytes | str, error: type[EarlError], code: str, read_line: Callable[[str], object]
+) -> list:
+    """``read_line(line)`` for each line of a line-format file that says something.
 
-    Bytes are read as UTF-8; a bad byte raises ``error(code, "line N: ...")``.
-    ``#`` starts a comment; comments and surrounding space are stripped and
-    blank lines skipped.  Lines are numbered from 1 and end at ``\n``,
-    ``\r\n`` or ``\r``: a form feed or U+2028 is space within its line.
+    Bytes are read as UTF-8.  ``#`` starts a comment; comments and
+    surrounding space are stripped and blank lines skipped.  Lines are
+    numbered from 1 and end at ``\n``, ``\r\n`` or ``\r``: a form feed or
+    U+2028 is space within its line.  This is the one place that names a
+    line: a bad byte raises ``error(code, "line N: ...")``, a ``ValueError``
+    from ``read_line`` comes back as ``error(code, "line N: <message>")`` and
+    an :class:`EarlError` as ``error(<its code>, "line N: <message>")``.
+    Returns the results in line order.
     """
     bad = None
     if not isinstance(data, str):
@@ -56,7 +62,15 @@ def read_lines(data: bytes | str, error: type[EarlError], code: str) -> Iterator
     lines = data.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if bad is not None:
         raise error(code, f"line {len(lines)}: not UTF-8 text ({bad.reason})")
+    results = []
     for line_no, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line
+        if not line:
+            continue
+        try:
+            results.append(read_line(line))
+        except ValueError as exc:
+            raise error(code, f"line {line_no}: {exc}") from None
+        except EarlError as exc:
+            raise error(exc.code, f"line {line_no}: {exc.message}") from None
+    return results

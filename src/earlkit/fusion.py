@@ -28,7 +28,6 @@ from .model import (
     Scope,
     VocabularyProfile,
     _Record,
-    base_weight_for_source,
 )
 
 
@@ -36,8 +35,11 @@ class MarkerEvidence(_Record):
     """One per-modality observation feeding the fusion engine."""
 
     def __init__(self, annotation: EmotionAnnotation, source: str, timestamp: float):
-        # Fail closed: a NaN passes no comparison, so each range check is
-        # written to reject it rather than to let it through.
+        # Fail closed: a source with no weight is refused here, before decay
+        # can drop it unseen.  A NaN passes no comparison, so each range
+        # check is written to reject it rather than to let it through.
+        if source not in SOURCE_WEIGHTS:
+            raise ValueError(f"unknown source {source!r}")
         a = annotation
         if a.category is None:
             raise ValueError("evidence annotation must carry a category")
@@ -94,27 +96,26 @@ def load_config(data: bytes | str) -> FusionConfig:
     Each value is checked on its own line, so every error names its line.
     """
     cfg = FusionConfig()
-    for line_no, line in read_lines(data, FusionError, "BAD_CONFIG"):
+
+    def read_setting(line: str) -> None:
+        nonlocal cfg
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key:
-            raise FusionError("BAD_CONFIG", f"line {line_no}: expected key=value")
+            raise ValueError("expected key=value")
         try:
             number = float(value)
         except ValueError:
-            raise FusionError(
-                "BAD_CONFIG", f"line {line_no}: {value!r} is not a number"
-            ) from None
+            raise ValueError(f"{value!r} is not a number") from None
         if key.startswith("weight."):
             change = {"weight_overrides": {**cfg.weight_overrides, key[len("weight."):]: number}}
         elif key in ("ambiguity_epsilon", "constituent_threshold", "decay_lambda", "drop_floor"):
             change = {key: number}
         else:
-            raise FusionError("BAD_CONFIG", f"line {line_no}: unknown key {key!r}")
-        try:
-            cfg = cfg._replace(**change)
-        except ValueError as exc:
-            raise FusionError("BAD_CONFIG", f"line {line_no}: {exc}") from None
+            raise ValueError(f"unknown key {key!r}")
+        cfg = cfg._replace(**change)
+
+    read_lines(data, FusionError, "BAD_CONFIG", read_setting)
     return cfg
 
 
@@ -130,31 +131,25 @@ def load_stream(
     that no rule knows, such as ``Anger`` for ``anger``, would otherwise
     be fused as a category of its own and could turn a deny into an allow.
     """
-    stream = []
-    for line_no, line in read_lines(data, FusionError, "BAD_STREAM"):
+
+    def read_item(line: str) -> MarkerEvidence:
         parts = line.split()
         if len(parts) != 5:
-            raise FusionError("BAD_STREAM", f"line {line_no}: expected 't source category p i'")
+            raise ValueError("expected 't source category p i'")
         t_raw, source, category, p_raw, i_raw = parts
-        modality = SOURCE_MODALITY.get(source)
-        if modality is None:
-            raise FusionError("BAD_STREAM", f"line {line_no}: unknown source {source!r}")
         if profile is not None and not profile.allows_category(category):
-            raise FusionError(
-                "BAD_STREAM", f"line {line_no}: category {category!r} not in profile"
-            )
+            raise ValueError(f"category {category!r} not in profile")
         try:
             timestamp, probability, intensity = float(t_raw), float(p_raw), float(i_raw)
         except ValueError:
-            raise FusionError("BAD_STREAM", f"line {line_no}: t, p, i must be numbers") from None
+            raise ValueError("t, p, i must be numbers") from None
         annotation = EmotionAnnotation(
-            category=category, intensity=intensity, probability=probability, modality=modality
+            category=category, intensity=intensity, probability=probability,
+            modality=SOURCE_MODALITY.get(source),
         )
-        try:
-            stream.append(MarkerEvidence(annotation, source, timestamp))
-        except ValueError as exc:
-            raise FusionError("BAD_STREAM", f"line {line_no}: {exc}") from None
-    return stream
+        return MarkerEvidence(annotation, source, timestamp)
+
+    return read_lines(data, FusionError, "BAD_STREAM", read_item)
 
 
 class FusedEstimate(_Record):
@@ -199,9 +194,7 @@ def fuse_instant(
 
     # A fixed processing order keeps the floating-point sums independent of
     # input order.  Strictly ascending sources already are that order, as
-    # fill_missing's output always is, so only other input is sorted.  The
-    # check is a pass of its own, so that an unknown source is named in
-    # processing order too.
+    # fill_missing's output always is, so only other input is sorted.
     ordered = evidence
     items = iter(evidence)
     previous = next(items).source
@@ -214,10 +207,7 @@ def fuse_instant(
     total_weight = 0.0
     mass: dict[str, float] = {}
     for item in ordered:
-        source = item.source
-        weight = weights.get(source)
-        if weight is None:
-            weight = base_weight_for_source(source)  # raises UNKNOWN_SOURCE
+        weight = weights[item.source]
         total_weight += weight
         a = item.annotation
         category = a.category

@@ -60,6 +60,10 @@ class Lexicon(_Record):
         phrases = []
         for emotion, markers in entries.items():
             for marker in sorted(markers, key=lambda m: (-m.count(" "), m)):
+                # Text is matched as tokenize gives it, so a marker in any
+                # other form would never match.
+                if not marker or " ".join(tokenize(marker)) != marker:
+                    raise ValueError(f"marker {marker!r} is not in tokenized form")
                 if " " in marker:
                     phrases.append((marker.split(" "), emotion))
                 else:
@@ -86,7 +90,8 @@ def load_lexicon(data: bytes | str) -> Lexicon:
     """
     entries: dict[str, frozenset[str]] = {}
     seen: dict[str, str] = {}
-    for line_no, line in read_lines(data, LexiconError, "BAD_LEXICON"):
+
+    def read_entry(line: str) -> None:
         emotion, _, rest = line.partition(":")
         emotion = emotion.strip().lower()
         markers = set()
@@ -97,17 +102,14 @@ def load_lexicon(data: bytes | str) -> Lexicon:
             marker = " ".join(tokens)
             owner = seen.get(marker)
             if owner is not None and owner != emotion:
-                raise LexiconError(
-                    "DUPLICATE_MARKER",
-                    f"line {line_no}: {marker!r} already assigned to {owner!r}",
-                )
+                raise LexiconError("DUPLICATE_MARKER", f"{marker!r} already assigned to {owner!r}")
             seen[marker] = emotion
             markers.add(marker)
         if not emotion or not markers:
-            raise LexiconError(
-                "EMPTY_EMOTION", f"line {line_no}: emotion with no markers"
-            )
+            raise LexiconError("EMPTY_EMOTION", "emotion with no markers")
         entries[emotion] = frozenset(markers | entries.get(emotion, frozenset()))
+
+    read_lines(data, LexiconError, "BAD_LEXICON", read_entry)
     return Lexicon(entries=entries)
 
 
@@ -440,17 +442,16 @@ def load_features(
     """
     names = descriptor._fields
     result = descriptor()
-    for line_no, line in read_lines(data, MarkerError, "BAD_FEATURE"):
+
+    def read_field(line: str) -> None:
+        nonlocal result
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep:
-            raise MarkerError("BAD_FEATURE", f"line {line_no}: expected field=value")
+            raise ValueError("expected field=value")
         if key not in names:
-            raise MarkerError(
-                "BAD_FEATURE", f"line {line_no}: {key!r} is not a {descriptor.__name__} field"
-            )
-        try:
-            result = result._replace(**{key: value.strip()})
-        except ValueError as exc:
-            raise MarkerError("BAD_FEATURE", f"line {line_no}: {exc}") from None
+            raise ValueError(f"{key!r} is not a {descriptor.__name__} field")
+        result = result._replace(**{key: value.strip()})
+
+    read_lines(data, MarkerError, "BAD_FEATURE", read_field)
     return result

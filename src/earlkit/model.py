@@ -406,11 +406,3 @@ SOURCE_MODALITY = {
     "movement_kinematic": "movement",
     "movement_kinetic": "movement",
 }
-
-
-def base_weight_for_source(source: str) -> float:
-    """Base fusion weight for a capture source."""
-    try:
-        return SOURCE_WEIGHTS[source]
-    except KeyError:
-        raise MarkerError("UNKNOWN_SOURCE", f"{source!r} is not a capture source") from None

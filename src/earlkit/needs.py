@@ -35,6 +35,12 @@ class NeedProfile(_Record):
 
 class PolicyRule(_Record):
     def __init__(self, resource: str, behavior: str, threshold: float):
+        # Fail closed: a misspelt behavior or a NaN threshold would never
+        # fire, so the rule would answer allow.
+        if behavior not in _CATEGORIES_FOR:
+            raise PolicyError("UNKNOWN_BEHAVIOR", f"unknown behavior {behavior!r}")
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold {threshold} outside [0, 1]")
         self.__dict__.update(resource=resource, behavior=behavior, threshold=threshold)
 
 
@@ -79,7 +85,7 @@ def _strength(scores: dict[str, float], behavior: str) -> float:
     A plain loop: ``max`` over a generator costs several times as much.
     """
     strength = None
-    for category in _CATEGORIES_FOR.get(behavior, ()):
+    for category in _CATEGORIES_FOR[behavior]:
         score = scores.get(category)
         if score is not None and (strength is None or score > strength):
             strength = score
@@ -130,34 +136,23 @@ def load_policy(data: bytes | str) -> AccessPolicy:
     blank lines and ``#`` comments are skipped.  ``behavior`` must be one
     that some emotion motivates: a misspelt one would never match.
     """
-    rules: list[PolicyRule] = []
     seen: set[tuple[str, str]] = set()
-    for line_no, line in read_lines(data, PolicyError, "BAD_RULE"):
+
+    def read_rule(line: str) -> PolicyRule:
         parts = line.split()
         if len(parts) != 5 or parts[1] != "deny_when" or parts[3] != ">=":
-            raise PolicyError(
-                "BAD_RULE",
-                f"line {line_no}: expected 'resource deny_when behavior >= threshold'",
-            )
+            raise ValueError("expected 'resource deny_when behavior >= threshold'")
         resource, _, behavior, _, raw = parts
-        if behavior not in _CATEGORIES_FOR:
-            raise PolicyError("UNKNOWN_BEHAVIOR", f"line {line_no}: unknown behavior {behavior!r}")
         try:
             threshold = float(raw)
         except ValueError:
+            raise ValueError(f"threshold {raw!r} is not a number") from None
+        rule = PolicyRule(resource, behavior, threshold)
+        if (resource, behavior) in seen:
             raise PolicyError(
-                "BAD_RULE", f"line {line_no}: threshold {raw!r} is not a number"
-            ) from None
-        if not 0.0 <= threshold <= 1.0:
-            raise PolicyError(
-                "BAD_RULE", f"line {line_no}: threshold {threshold} outside [0, 1]"
+                "DUPLICATE_RULE", f"second rule for {resource!r} blocking {behavior!r}"
             )
-        key = (resource, behavior)
-        if key in seen:
-            raise PolicyError(
-                "DUPLICATE_RULE",
-                f"line {line_no}: second rule for {resource!r} blocking {behavior!r}",
-            )
-        seen.add(key)
-        rules.append(PolicyRule(resource, behavior, threshold))
-    return AccessPolicy(rules=tuple(rules))
+        seen.add((resource, behavior))
+        return rule
+
+    return AccessPolicy(rules=tuple(read_lines(data, PolicyError, "BAD_RULE", read_rule)))

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from earlkit.earl_xml import AnnotationDocument, parse_document, serialize_document
-from earlkit.errors import EarlError, FusionError, MarkerError
+from earlkit.errors import EarlError, FusionError
 from earlkit.fusion import (
     FusionConfig,
     MarkerEvidence,
@@ -469,7 +469,9 @@ class TestFusionEdges:
 class TestFailClosed:
     @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
     def test_non_finite_now_rejected(self, now):
-        state = update_temporal(TemporalState(), evidence("anger", "voice", p=0.9, t=1.0))
+        state = update_temporal(
+            TemporalState(), evidence("anger", "language_voice", p=0.9, t=1.0)
+        )
         with pytest.raises(FusionError) as exc:
             fill_missing(state, now)
         assert exc.value.code == "BAD_TIME"
@@ -835,8 +837,6 @@ def reference_fold(items, cfg):
     ordered = sorted(items, key=processing_key)
     total, mass = 0.0, {}
     for item in ordered:
-        if item.source not in SOURCE_WEIGHTS:
-            raise MarkerError("UNKNOWN_SOURCE", f"{item.source!r} is not a capture source")
         weight = cfg.weight_overrides.get(item.source, SOURCE_WEIGHTS[item.source])
         total += weight
         a = item.annotation
@@ -868,8 +868,6 @@ def outcome(fuse, items, cfg):
         return type(exc), exc.code
 
 
-# Mostly known sources, so that most draws fuse; "telepathy" is no source.
-_EVIDENCE_SOURCES = st.sampled_from(SOURCES * 3 + ["telepathy"])
 # Weights that are 0 for some sources and overflow the total for others.
 _ODD_WEIGHTS = st.floats(min_value=0.0, max_value=5.0) | st.sampled_from([0.0, 1e308, 1.7e308])
 
@@ -881,7 +879,7 @@ def evidence_lists(draw):
     if draw(st.booleans()):
         sources = draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=4, unique=True))
     else:
-        sources = draw(st.lists(_EVIDENCE_SOURCES, min_size=1, max_size=6))
+        sources = draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=6))
     items = []
     for source in sources:
         annotation = EmotionAnnotation(
@@ -923,10 +921,6 @@ class TestFuseInstantMatchesSortedFold:
                evidence("anger", "face", t=1.0, regulation={"suppress": 0.9}),
                evidence("fear", "face", t=0.0)],
         cfg=FusionConfig(),
-    )
-    @example(  # an unknown source is raised before a zero total weight
-        items=[evidence("joy", "face"), evidence("joy", "telepathy")],
-        cfg=FusionConfig(weight_overrides={"face": 0.0}),
     )
     @example(  # ZERO_WEIGHT
         items=[evidence("joy", "face")], cfg=FusionConfig(weight_overrides={"face": 0.0})
@@ -1054,7 +1048,7 @@ class TestStateOrder:
 
 
 class TestSourceOrder:
-    @given(sources=st.lists(st.sampled_from(SOURCES) | st.text(max_size=3), max_size=12))
+    @given(sources=st.lists(st.sampled_from(SOURCES), max_size=12))
     @example(sources=["movement_kinetic", "face", "movement_kinetic", "language_voice", "face"])
     def test_update_temporal_keeps_sources_ascending(self, sources):
         state, last = TemporalState(), {}
@@ -1138,12 +1132,12 @@ class TestWeightTable:
         assert fuse_instant(items, twin).scores == pytest.approx({"joy": 0.6, "anger": 0.2})
 
     def test_unknown_source_still_raises(self):
-        from earlkit.errors import MarkerError
-
-        item = MarkerEvidence(
-            annotation=EmotionAnnotation(category="joy", modality="face"),
-            source="telepathy", timestamp=0.0,
-        )
-        with pytest.raises(MarkerError) as exc:
-            fuse_instant([item])
-        assert exc.value.code == "UNKNOWN_SOURCE"
+        # A source with no weight cannot be built, so fuse_instant never
+        # meets one.  "voice" is a modality, not a capture source.
+        for source in ("telepathy", "voice"):
+            with pytest.raises(ValueError) as exc:
+                MarkerEvidence(
+                    annotation=EmotionAnnotation(category="joy", modality="face"),
+                    source=source, timestamp=0.0,
+                )
+            assert str(exc.value) == f"unknown source {source!r}"

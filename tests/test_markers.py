@@ -29,8 +29,8 @@ from earlkit.markers import (
 )
 from earlkit.model import (
     EmotionAnnotation,
+    SOURCE_WEIGHTS,
     InlineText,
-    base_weight_for_source,
     behavior_for_emotion,
 )
 
@@ -185,6 +185,14 @@ class TestLexicon:
         with pytest.raises(LexiconError) as exc:
             load_lexicon("joy:")
         assert exc.value.code == "EMPTY_EMOTION"
+
+    @pytest.mark.parametrize(
+        "marker", ["Happy", "goose  bumps", "", " glad", "glad!", "cafe\u0301"]
+    )
+    def test_marker_that_can_never_match_rejected(self, marker):
+        # Text is matched as tokenize gives it; this marker would tag nothing.
+        with pytest.raises(ValueError, match="not in tokenized form"):
+            Lexicon({"joy": {"glad", marker}})
 
     def test_every_bundled_marker_maps_back(self):
         lex = default_lexicon()
@@ -663,12 +671,6 @@ class TestClassifierMemo:
 
 class TestSourceWeights:
     def test_weights(self):
-        assert base_weight_for_source("face") == 1.0
-        assert base_weight_for_source("language_voice") == 1.0
-        assert base_weight_for_source("movement_kinematic") == 0.6
-        assert base_weight_for_source("movement_kinetic") == 0.2
-
-    def test_unknown_source(self):
-        with pytest.raises(MarkerError) as exc:
-            base_weight_for_source("telepathy")
-        assert exc.value.code == "UNKNOWN_SOURCE"
+        assert SOURCE_WEIGHTS == {
+            "face": 1.0, "language_voice": 1.0, "movement_kinematic": 0.6, "movement_kinetic": 0.2,
+        }

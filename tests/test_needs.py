@@ -1,11 +1,21 @@
 """Need inference and access decisions."""
 
+import math
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from earlkit.errors import PolicyError
-from earlkit.fusion import FusedEstimate
+from earlkit.fusion import (
+    FusedEstimate,
+    MarkerEvidence,
+    TemporalState,
+    fill_missing,
+    fuse_instant,
+    update_temporal,
+)
+from earlkit.model import EmotionAnnotation
 from earlkit.needs import (
     AccessPolicy,
     PolicyRule,
@@ -44,7 +54,7 @@ CATEGORIES = [
     "desire", "sensuality", "anger", "fear", "sadness", "joy", "affection", "grief", "boredom",
 ]
 BEHAVIORS = [
-    "searching", "aggressive", "protective", "dejected", "gratulant", "caressive", "bored",
+    "searching", "aggressive", "protective", "dejected", "gratulant", "caressive",
 ]
 scores_st = st.dictionaries(
     st.sampled_from(CATEGORIES),
@@ -189,6 +199,37 @@ class TestPolicyFile:
         assert exc.value.code == "DUPLICATE_RULE"
 
 
+class TestHandBuiltRecords:
+    """A hand-built record rejects what the file readers reject: a rule or
+    an item they refuse would otherwise answer allow."""
+
+    def test_unknown_behavior_rejected(self):
+        with pytest.raises(PolicyError) as exc:
+            PolicyRule("hazardous-tool", "agressive", 0.6)
+        assert (exc.value.code, exc.value.message) == (
+            "UNKNOWN_BEHAVIOR", "unknown behavior 'agressive'"
+        )
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+    def test_threshold_outside_unit_range_rejected(self, threshold):
+        with pytest.raises(ValueError) as exc:
+            PolicyRule("hazardous-tool", "aggressive", threshold)
+        assert str(exc.value) == f"threshold {threshold} outside [0, 1]"
+
+    def test_decayed_unknown_source_never_reaches_a_decision(self):
+        # Fresh, an unknown source raised in fuse_instant; decayed below
+        # drop_floor it was dropped unseen and the tool was allowed.
+        def decide(now):
+            annotation = EmotionAnnotation(category="anger", probability=0.9, modality="face")
+            state = update_temporal(TemporalState(), MarkerEvidence(annotation, "telepathy", 0.0))
+            return decide_access(fuse_instant(fill_missing(state, now)), "hazardous-tool",
+                                 HAZARD_POLICY)
+
+        for now in (0.0, 20.0):
+            with pytest.raises(ValueError, match="unknown source 'telepathy'"):
+                decide(now)
+
+
 class TestDecideWithoutProfile:
     """decide_access reads strengths off the scores; infer_needs is the reference."""
 
@@ -197,8 +238,6 @@ class TestDecideWithoutProfile:
              rules=[PolicyRule("door", "searching", 0.5)])
     @example(scores={"desire": 0.7, "sensuality": 0.3}, ambiguous=True,
              rules=[PolicyRule("door", "searching", 0.5)])
-    @example(scores={"grief": 0.9, "boredom": 1.0}, ambiguous=False,
-             rules=[PolicyRule("door", "bored", 0.0)])
     @example(scores={}, ambiguous=True, rules=[PolicyRule("door", "aggressive", 0.0)])
     @example(scores={"anger": 0.9}, ambiguous=True,
              rules=[PolicyRule("safe", "aggressive", 0.1), PolicyRule("door", "dejected", 0.5)])

@@ -20,7 +20,7 @@ EXPORTED = {
     "model": (
         "DEFAULT_PROFILE REGULATION_TYPES UNSCOPED ComplexEmotion EmotionAnnotation Finding"
         " InlineText Reference ReferencedTimeSpan Scope TimeSpan Unscoped ValidationReport"
-        " VocabularyProfile validate_annotation base_weight_for_source behavior_for_emotion"
+        " VocabularyProfile validate_annotation behavior_for_emotion"
     ),
     "earl_xml": "AnnotationDocument load_profile parse_document serialize_document",
     "markers": (
@@ -210,3 +210,18 @@ def test_only_the_cli_touches_the_filesystem():
                 if module.split(".")[0] in ("pathlib", "os")
             ]
     assert [line for line in found if not line.startswith("cli.py:")] == []
+
+
+def test_only_read_lines_names_a_line():
+    # errors.read_lines puts "line N: " before every line reader's error, so
+    # no other module builds that text and each line is named one way.
+    found = []
+    for path in sorted(Path(earlkit.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # An f-string's literal parts are constants too.
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+                node.value.startswith("line ")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert any(where.startswith("errors.py:") for where in found)
+    assert [where for where in found if not where.startswith("errors.py:")] == []

@@ -12,6 +12,7 @@ import pytest
 
 from earlkit import earl_xml, fusion, markers, model, needs
 from earlkit.earl_xml import AnnotationDocument
+from earlkit.errors import PolicyError
 from earlkit.fusion import FusedEstimate, FusionConfig, MarkerEvidence, TemporalState
 from earlkit.markers import Lexicon, MovementDescriptor, RankedEmotion, VoiceFeatureDelta
 from earlkit.model import (
@@ -257,6 +258,19 @@ def test_copies_are_rebuilt_by_init():
             clone(evidence)
 
 
+def test_rule_copies_are_rebuilt_by_init():
+    # A rule that could never fire cannot be copied into being either.
+    rule = PolicyRule("door", "aggressive", 0.5)
+    rule.__dict__["threshold"] = math.nan
+    for clone in CLONES:
+        with pytest.raises(ValueError, match=r"threshold nan outside \[0, 1\]"):
+            clone(rule)
+    rule.__dict__.update(behavior="agressive", threshold=0.5)
+    for clone in CLONES:
+        with pytest.raises(PolicyError, match="UNKNOWN_BEHAVIOR"):
+            clone(rule)
+
+
 def test_same_fields_in_another_class_are_unequal():
     assert InlineText("hi") != Reference("hi")
 
@@ -320,10 +334,15 @@ class TestReplace:
             (FusionConfig(), {"decay_lambda": math.nan}),
             (FusionConfig(), {"weight_overrides": {"telepathy": 1.0}}),
             (MarkerEvidence(ANGER, "face", 0.0), {"timestamp": math.inf}),
+            (MarkerEvidence(ANGER, "face", 0.0), {"source": "voice"}),
+            (PolicyRule("door", "aggressive", 0.5), {"threshold": math.nan}),
             (VoiceFeatureDelta(), {"mean_f0": "sideways"}),
             (MovementDescriptor(), {"tension": "loose"}),
         ],
-        ids=["nan-lambda", "unknown-source", "inf-time", "bad-voice", "bad-movement"],
+        ids=[
+            "nan-lambda", "unknown-source", "inf-time", "modality-as-source", "nan-threshold",
+            "bad-voice", "bad-movement",
+        ],
     )
     def test_replace_reruns_the_checks(self, record, change):
         with pytest.raises(ValueError):
