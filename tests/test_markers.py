@@ -28,8 +28,8 @@ from earlkit.markers import (
     tokenize,
 )
 from earlkit.model import (
-    EmotionAnnotation,
     SOURCE_WEIGHTS,
+    EmotionAnnotation,
     InlineText,
     behavior_for_emotion,
 )

@@ -217,17 +217,12 @@ class TestHandBuiltRecords:
         assert str(exc.value) == f"threshold {threshold} outside [0, 1]"
 
     def test_decayed_unknown_source_never_reaches_a_decision(self):
-        # Fresh, an unknown source raised in fuse_instant; decayed below
-        # drop_floor it was dropped unseen and the tool was allowed.
-        def decide(now):
-            annotation = EmotionAnnotation(category="anger", probability=0.9, modality="face")
+        # An unknown source used to raise in fuse_instant while fresh, but
+        # decayed below drop_floor it was dropped unseen and the tool allowed.
+        annotation = EmotionAnnotation(category="anger", probability=0.9, modality="face")
+        with pytest.raises(ValueError, match="unknown source 'telepathy'"):
             state = update_temporal(TemporalState(), MarkerEvidence(annotation, "telepathy", 0.0))
-            return decide_access(fuse_instant(fill_missing(state, now)), "hazardous-tool",
-                                 HAZARD_POLICY)
-
-        for now in (0.0, 20.0):
-            with pytest.raises(ValueError, match="unknown source 'telepathy'"):
-                decide(now)
+            decide_access(fuse_instant(fill_missing(state, 20.0)), "hazardous-tool", HAZARD_POLICY)
 
 
 class TestDecideWithoutProfile:

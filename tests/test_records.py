@@ -334,14 +334,13 @@ class TestReplace:
             (FusionConfig(), {"decay_lambda": math.nan}),
             (FusionConfig(), {"weight_overrides": {"telepathy": 1.0}}),
             (MarkerEvidence(ANGER, "face", 0.0), {"timestamp": math.inf}),
-            (MarkerEvidence(ANGER, "face", 0.0), {"source": "voice"}),
             (PolicyRule("door", "aggressive", 0.5), {"threshold": math.nan}),
             (VoiceFeatureDelta(), {"mean_f0": "sideways"}),
             (MovementDescriptor(), {"tension": "loose"}),
         ],
         ids=[
-            "nan-lambda", "unknown-source", "inf-time", "modality-as-source", "nan-threshold",
-            "bad-voice", "bad-movement",
+            "nan-lambda", "unknown-source", "inf-time", "nan-threshold", "bad-voice",
+            "bad-movement",
         ],
     )
     def test_replace_reruns_the_checks(self, record, change):
