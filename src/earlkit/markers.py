@@ -10,7 +10,6 @@ any magnitude would be invented.
 from __future__ import annotations
 
 import functools
-import re
 from collections.abc import Mapping
 from operator import attrgetter
 from types import MappingProxyType
@@ -21,7 +20,11 @@ from .model import EmotionAnnotation, InlineText, _Record
 # ---------------------------------------------------------------------------
 # Lexical markers
 
-_words = re.compile(r"[a-z]+").findall
+# Byte -> itself for a-z, its lowercase for A-Z and a space for every other
+# byte, so an ASCII text's words are what ``split()`` leaves of it.
+_ASCII_WORDS = bytes(
+    c + 32 if 65 <= c <= 90 else c if 97 <= c <= 122 else 32 for c in range(256)
+)
 
 
 def tokenize(text: str) -> list[str]:
@@ -32,15 +35,16 @@ def tokenize(text: str) -> list[str]:
     of a longer word such as ``sadé`` (also when the accent is a separate
     combining mark) or ``İrritated``.  Markers go through this function
     too, so a composed and a decomposed spelling of one word match each
-    other.  ASCII text, which NFC leaves as it is, takes a regex fast path
-    that gives the same words.
+    other.  ASCII text, which NFC leaves as it is, takes a fast path: one
+    ``bytes.translate`` over a 256-byte table folds ``A-Z`` to ``a-z`` and
+    turns every other non-letter into a space, and ``split()`` then gives
+    the same words.
     """
-    text = text.lower()
     if text.isascii():
-        return _words(text)
+        return text.encode("ascii").translate(_ASCII_WORDS).decode("ascii").split()
     from unicodedata import category, normalize  # deferred: only non-ASCII text needs them
 
-    text = normalize("NFC", text)
+    text = normalize("NFC", text.lower())
     return "".join(c if category(c)[0] in "LM" else " " for c in text).split()
 
 
@@ -56,6 +60,7 @@ class Lexicon(_Record):
 
     def __init__(self, entries: Mapping[str, frozenset[str]]):
         entries = {emotion: frozenset(markers) for emotion, markers in entries.items()}
+        owners: dict[str, str] = {}
         single = {}
         phrases = []
         for emotion, markers in entries.items():
@@ -64,6 +69,12 @@ class Lexicon(_Record):
                 # other form would never match.
                 if not marker or " ".join(tokenize(marker)) != marker:
                     raise ValueError(f"marker {marker!r} is not in tokenized form")
+                # A marker under two emotions would tag whichever came last.
+                owner = owners.setdefault(marker, emotion)
+                if owner != emotion:
+                    raise LexiconError(
+                        "DUPLICATE_MARKER", f"{marker!r} already assigned to {owner!r}"
+                    )
                 if " " in marker:
                     phrases.append((marker.split(" "), emotion))
                 else:
@@ -88,29 +99,22 @@ def load_lexicon(data: bytes | str) -> Lexicon:
     ``#`` comments are skipped.  Markers are normalized through the same
     tokenizer used for matching.
     """
-    entries: dict[str, frozenset[str]] = {}
-    seen: dict[str, str] = {}
+    lexicon = Lexicon({})
 
     def read_entry(line: str) -> None:
+        nonlocal lexicon
         emotion, _, rest = line.partition(":")
         emotion = emotion.strip().lower()
-        markers = set()
-        for raw in rest.split(","):
-            tokens = tokenize(raw)
-            if not tokens:
-                continue
-            marker = " ".join(tokens)
-            owner = seen.get(marker)
-            if owner is not None and owner != emotion:
-                raise LexiconError("DUPLICATE_MARKER", f"{marker!r} already assigned to {owner!r}")
-            seen[marker] = emotion
-            markers.add(marker)
+        markers = {" ".join(tokens) for tokens in map(tokenize, rest.split(",")) if tokens}
         if not emotion or not markers:
             raise LexiconError("EMPTY_EMOTION", "emotion with no markers")
-        entries[emotion] = frozenset(markers | entries.get(emotion, frozenset()))
+        entries = lexicon.entries
+        lexicon = lexicon._replace(
+            entries={**entries, emotion: markers | entries.get(emotion, frozenset())}
+        )
 
     read_lines(data, LexiconError, "BAD_LEXICON", read_entry)
-    return Lexicon(entries=entries)
+    return lexicon
 
 
 @functools.cache
@@ -143,20 +147,25 @@ def tag_lexical(text: str, lexicon: Lexicon | None = None) -> list[tuple[Emotion
     tokens = tokenize(text)
     hits: dict[str, list[str]] = {}
     free = tokens
-    heads = lexicon._phrase_heads
-    if not heads.isdisjoint(tokens):
-        consumed = [False] * len(tokens)
+    present = lexicon._phrase_heads.intersection(tokens)
+    if present:
+        # Each present head's positions, found in C; the consumed mask is
+        # built at the first match and the free tokens only if one matched.
         starts: dict[str, list[int]] = {}
-        for i, token in enumerate(tokens):
-            if token in heads:
-                starts.setdefault(token, []).append(i)
+        for head in present:
+            i = -1
+            starts[head] = [i := tokens.index(head, i + 1) for _ in range(tokens.count(head))]
+        consumed: list[bool] | tuple[()] = ()
         for parts, emotion in lexicon._phrases:
             n = len(parts)
             for i in starts.get(parts[0], ()):
                 if tokens[i : i + n] == parts and not any(consumed[i : i + n]):
+                    if not consumed:
+                        consumed = [False] * len(tokens)
                     hits.setdefault(emotion, []).extend(parts)
                     consumed[i : i + n] = [True] * n
-        free = [token for token, used in zip(tokens, consumed) if not used]
+        if consumed:
+            free = [token for token, used in zip(tokens, consumed) if not used]
     single = lexicon._single
     for token in filter(single.__contains__, free):
         hits.setdefault(single[token], []).append(token)

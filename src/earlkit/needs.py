@@ -46,6 +46,17 @@ class PolicyRule(_Record):
 
 class AccessPolicy(_Record):
     def __init__(self, rules: tuple[PolicyRule, ...] = ()):
+        rules = tuple(rules)
+        # A second rule for one resource and behavior could never be the one named.
+        seen = set()
+        for rule in rules:
+            key = (rule.resource, rule.behavior)
+            if key in seen:
+                resource, behavior = key
+                raise PolicyError(
+                    "DUPLICATE_RULE", f"second rule for {resource!r} blocking {behavior!r}"
+                )
+            seen.add(key)
         self.__dict__.update(rules=rules)
 
 
@@ -136,9 +147,10 @@ def load_policy(data: bytes | str) -> AccessPolicy:
     blank lines and ``#`` comments are skipped.  ``behavior`` must be one
     that some emotion motivates: a misspelt one would never match.
     """
-    seen: set[tuple[str, str]] = set()
+    policy = AccessPolicy()
 
-    def read_rule(line: str) -> PolicyRule:
+    def read_rule(line: str) -> None:
+        nonlocal policy
         parts = line.split()
         if len(parts) != 5 or parts[1] != "deny_when" or parts[3] != ">=":
             raise ValueError("expected 'resource deny_when behavior >= threshold'")
@@ -147,12 +159,7 @@ def load_policy(data: bytes | str) -> AccessPolicy:
             threshold = float(raw)
         except ValueError:
             raise ValueError(f"threshold {raw!r} is not a number") from None
-        rule = PolicyRule(resource, behavior, threshold)
-        if (resource, behavior) in seen:
-            raise PolicyError(
-                "DUPLICATE_RULE", f"second rule for {resource!r} blocking {behavior!r}"
-            )
-        seen.add((resource, behavior))
-        return rule
+        policy = policy._replace(rules=(*policy.rules, PolicyRule(resource, behavior, threshold)))
 
-    return AccessPolicy(rules=tuple(read_lines(data, PolicyError, "BAD_RULE", read_rule)))
+    read_lines(data, PolicyError, "BAD_RULE", read_rule)
+    return policy

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 import unicodedata
@@ -180,6 +181,28 @@ class TestLexicon:
         with pytest.raises(LexiconError) as exc:
             load_lexicon(data)
         assert exc.value.code == "DUPLICATE_MARKER"
+        assert exc.value.message == "line 2: 'happy' already assigned to 'joy'"
+
+    @pytest.mark.parametrize(
+        "entries, marker, owner",
+        [
+            ({"joy": {"glad"}, "sadness": {"glad"}}, "glad", "joy"),
+            ({"sadness": {"glad"}, "joy": {"glad"}}, "glad", "sadness"),
+            ({"a": {"goose bumps", "glad"}, "b": {"blue", "goose bumps"}}, "goose bumps", "a"),
+        ],
+    )
+    def test_hand_built_duplicate_marker_rejected(self, entries, marker, owner):
+        # Accepted, the marker would tag as whichever emotion came last.
+        with pytest.raises(LexiconError) as exc:
+            Lexicon(entries)
+        assert (exc.value.code, exc.value.message) == (
+            "DUPLICATE_MARKER", f"{marker!r} already assigned to {owner!r}"
+        )
+
+    def test_emotion_on_two_lines_merges(self):
+        lexicon = load_lexicon("joy: glad\nsadness: blue\n# more\nJoy: merry, glad\n")
+        assert lexicon == Lexicon({"joy": {"glad", "merry"}, "sadness": {"blue"}})
+        assert list(lexicon.entries) == ["joy", "sadness"]
 
     def test_empty_emotion_rejected(self):
         with pytest.raises(LexiconError) as exc:
@@ -429,8 +452,15 @@ _WORDS = (
     + [",", "!", "...", "  ", "\n", "-", "'", "3", "_"]
     + ["Happy!", "SAD", "pRoUd", "zärtlich", "naïve", "Straße", "ÅNGRY", "İt", "sadé", "ﬁery"]
     + ["sade\u0301", "İrritated", "глад", "٣"]
+    # Repeated and overlapping phrase heads.
+    + ["goose goose bumps", "goose bumps bumps", "Goose GOOSE bumps ahead", "bumps goose"]
 )
 _SEPARATORS = st.sampled_from([" ", "", ",", ", ", "\n", "-", "é", "  ", "\u0301", "—"])
+# The inputs the ASCII fast path serves: stream utterances reach 149 tokens,
+# and any ASCII character may stand between two words.
+_ASCII_WORDS = [word for word in _WORDS if word.isascii()]
+_ASCII_CHARS = [chr(c) for c in range(128)]
+_ASCII_SEPARATORS = st.lists(st.sampled_from(_ASCII_CHARS), max_size=2).map("".join)
 
 
 class TestTaggerMatchesReference:
@@ -447,6 +477,45 @@ class TestTaggerMatchesReference:
         assert got == want
         # The repr shows the types and the order of the matched tokens too.
         assert repr(got) == repr(want)
+
+    @settings(max_examples=100)
+    @given(
+        # The length is drawn first: a plain list draw seldom passes 20 items.
+        st.integers(0, 160).flatmap(lambda n: st.lists(
+            st.tuples(st.sampled_from(_ASCII_WORDS), _ASCII_SEPARATORS), min_size=n, max_size=n
+        )),
+        st.sampled_from([default_lexicon(), _OVERLAPPING]),
+    )
+    def test_long_ascii_text_matches_reference(self, words, lexicon):
+        text = "".join(word + sep for word, sep in words)
+        assert text.isascii()
+        assert tokenize(text) == reference_tokenize(text)
+        got = tag_lexical(text, lexicon)
+        want = reference_tag_lexical(text, lexicon)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @given(st.integers(0, 600).flatmap(
+        lambda n: st.lists(st.sampled_from(_ASCII_CHARS), min_size=n, max_size=n).map("".join)
+    ))
+    def test_ascii_tokenize_is_the_letter_runs(self, text):
+        assert tokenize(text) == re.findall("[a-z]+", text.lower())
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            # KELVIN SIGN is not ASCII, but lowercases to ASCII k.
+            ("\u212a", ["k"]),
+            ("O\u212a, \u212aelvin!", ["ok", "kelvin"]),
+            # Dotted capital I lowercases to i and a combining dot above.
+            ("İ", ["i\u0307"]),
+            ("İt is OK", ["i\u0307t", "is", "ok"]),
+        ],
+    )
+    def test_non_ascii_text_that_lowercases_near_ascii(self, text, words):
+        assert tokenize(text) == reference_tokenize(text) == words
+        lexicon = Lexicon({"a": {"ok", "kelvin"}, "b": {"it", "is"}})
+        assert tag_lexical(text, lexicon) == reference_tag_lexical(text, lexicon)
 
 
 # The values each descriptor field accepts, restated, and values no field

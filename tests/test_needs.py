@@ -68,6 +68,8 @@ rules_st = st.lists(
         st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
     ),
     max_size=5,
+    # A policy holds one rule per resource and behavior.
+    unique_by=lambda rule: (rule.resource, rule.behavior),
 )
 
 
@@ -197,6 +199,11 @@ class TestPolicyFile:
                 "x deny_when aggressive >= 0.5\nx deny_when aggressive >= 0.7"
             )
         assert exc.value.code == "DUPLICATE_RULE"
+        assert exc.value.message == "line 2: second rule for 'x' blocking 'aggressive'"
+
+    def test_same_behavior_for_two_resources_is_no_duplicate(self):
+        policy = load_policy("x deny_when aggressive >= 0.5\ny deny_when aggressive >= 0.7\n")
+        assert [rule.resource for rule in policy.rules] == ["x", "y"]
 
 
 class TestHandBuiltRecords:
@@ -215,6 +222,23 @@ class TestHandBuiltRecords:
         with pytest.raises(ValueError) as exc:
             PolicyRule("hazardous-tool", "aggressive", threshold)
         assert str(exc.value) == f"threshold {threshold} outside [0, 1]"
+
+    def test_duplicate_rule_rejected(self):
+        # The second rule could never be the one a decision names.
+        rules = (PolicyRule("x", "aggressive", 0.5), PolicyRule("x", "aggressive", 0.7))
+        with pytest.raises(PolicyError) as exc:
+            AccessPolicy(rules)
+        assert (exc.value.code, exc.value.message) == (
+            "DUPLICATE_RULE", "second rule for 'x' blocking 'aggressive'"
+        )
+
+    def test_rules_are_kept_as_a_tuple(self):
+        rule = PolicyRule("hazardous-tool", "aggressive", 0.6)
+        policy = AccessPolicy([rule])
+        assert policy.rules == (rule,)
+        assert policy == AccessPolicy((rule,)) == HAZARD_POLICY
+        assert hash(policy) == hash(HAZARD_POLICY)
+        assert {HAZARD_POLICY: "hazard"}[policy] == "hazard"
 
     def test_decayed_unknown_source_never_reaches_a_decision(self):
         # An unknown source used to raise in fuse_instant while fresh, but
