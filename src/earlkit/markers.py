@@ -37,7 +37,7 @@ def tokenize(text: str) -> list[str]:
     too, so a composed and a decomposed spelling of one word match each
     other.  ASCII text, which NFC leaves as it is, takes a fast path: one
     ``bytes.translate`` over a 256-byte table folds ``A-Z`` to ``a-z`` and
-    turns every other non-letter into a space, and ``split()`` then gives
+    turns every byte but a letter into a space, and ``split()`` then gives
     the same words.
     """
     if text.isascii():

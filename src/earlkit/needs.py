@@ -52,9 +52,9 @@ class AccessPolicy(_Record):
         for rule in rules:
             key = (rule.resource, rule.behavior)
             if key in seen:
-                resource, behavior = key
                 raise PolicyError(
-                    "DUPLICATE_RULE", f"second rule for {resource!r} blocking {behavior!r}"
+                    "DUPLICATE_RULE",
+                    f"second rule for {rule.resource!r} blocking {rule.behavior!r}",
                 )
             seen.add(key)
         self.__dict__.update(rules=rules)

@@ -199,6 +199,21 @@ class TestLexicon:
             "DUPLICATE_MARKER", f"{marker!r} already assigned to {owner!r}"
         )
 
+    @pytest.mark.parametrize(
+        "data, code, message",
+        [
+            # The line's syntax is checked before the lexicon it builds.
+            ("joy: glad\n: glad", "EMPTY_EMOTION", "line 2: emotion with no markers"),
+            # Of two repeated markers, the first in matching precedence is named.
+            ("joy: glad, goose bumps\nsad: glad, goose bumps", "DUPLICATE_MARKER",
+             "line 2: 'goose bumps' already assigned to 'joy'"),
+        ],
+    )
+    def test_line_with_two_faults_reports_one(self, data, code, message):
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(data)
+        assert (exc.value.code, exc.value.message) == (code, message)
+
     def test_emotion_on_two_lines_merges(self):
         lexicon = load_lexicon("joy: glad\nsadness: blue\n# more\nJoy: merry, glad\n")
         assert lexicon == Lexicon({"joy": {"glad", "merry"}, "sadness": {"blue"}})
