@@ -247,6 +247,14 @@ def _expat_parse(data: bytes | str, start, end, text, context: str = "") -> None
     parser = expat.ParserCreate()
     parser.ordered_attributes = True
     parser.buffer_text = True
+
+    def refuse_doctype(*_declaration) -> None:
+        # A DTD would change what the document says unseen: default
+        # attribute values, entities that expand, or, from a file expat
+        # cannot read, labels that silently read as empty.
+        raise ParseError("DTD_NOT_ALLOWED", f"{context}a DOCTYPE declaration is not allowed")
+
+    parser.StartDoctypeDeclHandler = refuse_doctype
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.CharacterDataHandler = text
@@ -273,8 +281,9 @@ def parse_document(
     warning, so no input attribute is ever dropped silently; the container's
     own attributes, ``xmlns`` and ``xmlns:*`` aside, are warned about too.
     Two attributes that give one value (``href`` and ``xlink:href``,
-    ``suppress`` and ``hide``) raise ``DUPLICATE_ATTRIBUTE``, and a number
-    outside the lexical space of ``xs:double`` raises ``UNPARSEABLE_NUMBER``.
+    ``suppress`` and ``hide``) raise ``DUPLICATE_ATTRIBUTE``, a number
+    outside the lexical space of ``xs:double`` raises ``UNPARSEABLE_NUMBER``,
+    and a DOCTYPE raises ``DTD_NOT_ALLOWED``.
     """
     slot_of = _attribute_kinds(profile).get
     items: list[AnnotationItem] = []
@@ -532,7 +541,8 @@ def load_profile(data: bytes | str) -> VocabularyProfile:
           <modality>face</modality>
         </profile>
 
-    Any other child of the root raises ``UNKNOWN_PROFILE_ELEMENT``.
+    Any other child of the root raises ``UNKNOWN_PROFILE_ELEMENT``, and a
+    child with no label ``EMPTY_PROFILE_ENTRY``.
     """
     # Direct children of the root count by local name, so no namespace form
     # makes a wildcard profile; a label is the text before any grandchild.
@@ -569,6 +579,9 @@ def load_profile(data: bytes | str) -> VocabularyProfile:
                 f"profile: unknown element <{tag}>; expected category, dimension, "
                 "appraisal or modality",
             )
-        if text.strip():
-            buckets[tag].add(text.strip())
+        # A blank label would leave its slot a wildcard, allowing every label.
+        label = text.strip()
+        if not label:
+            raise ParseError("EMPTY_PROFILE_ENTRY", f"profile: <{tag}> entry is empty")
+        buckets[tag].add(label)
     return VocabularyProfile(*buckets.values())

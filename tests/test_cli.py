@@ -468,6 +468,19 @@ class TestStreamProfile:
         fuse = ["fuse", "--evidence", ANGRY]
         assert run_cli([*fuse, "--profile", BEHAVIORS]) == (0, golden("fuse_jack.xml"), "")
 
+    @pytest.mark.parametrize("text, code", [
+        ("<profile><category> </category></profile>", "EMPTY_PROFILE_ENTRY"),
+        ('<!DOCTYPE profile SYSTEM "p.dtd"><profile><category>&anger;</category></profile>',
+         "DTD_NOT_ALLOWED"),
+    ])
+    def test_profile_that_would_read_as_the_wildcard_exits_2(self, tmp_path, text, code):
+        # Read as the wildcard profile, it would let `rage` through to allow.
+        profile = tmp_path / "p.xml"
+        profile.write_text(text)
+        status, out, err = decide(self.labelled(tmp_path, "rage"), "--profile", profile)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"earlkit: {code}: {profile}: profile: "), err
+
     def test_unreadable_profile_exits_2(self, tmp_path):
         profile = tmp_path / "p.xml"
         profile.write_text("<profile><categories>anger</categories></profile>")

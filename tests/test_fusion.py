@@ -33,6 +33,8 @@ from earlkit.model import (
     validate_annotation,
 )
 
+import oracles
+
 SOURCES = sorted(SOURCE_WEIGHTS)
 
 
@@ -41,18 +43,6 @@ def evidence(category, source, p=None, i=None, t=0.0, **kwargs):
         category=category, probability=p, intensity=i, modality="face", **kwargs
     )
     return MarkerEvidence(annotation=annotation, source=source, timestamp=t)
-
-
-def brute_force_scores(items):
-    """Independent evaluation of the fused-score formula.
-
-    ``items`` are (category, weight, probability, intensity) tuples.
-    """
-    total = sum(w for _, w, _, _ in items)
-    scores = {}
-    for category, w, p, i in items:
-        scores[category] = scores.get(category, 0.0) + w * p * i
-    return {category: value / total for category, value in scores.items()}
 
 
 class TestFuseInstant:
@@ -111,47 +101,33 @@ class TestFuseInstant:
 
 class TestFusionProperties:
     def test_small_instances_match_brute_force(self):
+        # Every single item on the full grid, and every unordered pair over a
+        # thinned item space (intensity fixed).
         grid = [round(0.1 * k, 1) for k in range(11)]
         categories = ["anger", "joy"]
-
-        # every single-item case on the full grid
-        for category, source, p, i in itertools.product(categories, SOURCES, grid, grid):
-            f = fuse_instant([evidence(category, source, p=p, i=i)])
-            expected = brute_force_scores([(category, SOURCE_WEIGHTS[source], p, i)])
-            for label, value in expected.items():
-                assert abs(f.scores[label] - value) <= 1e-9
-
-        # every unordered pair over a thinned item space (intensity fixed)
+        cases = [
+            [evidence(category, source, p=p, i=i)]
+            for category, source, p, i in itertools.product(categories, SOURCES, grid, grid)
+        ]
         items = [
-            (category, source, p)
+            evidence(category, source, p=p, i=1.0)
             for category, source, p in itertools.product(categories, SOURCES, grid)
         ]
-        for (c1, s1, p1), (c2, s2, p2) in itertools.combinations_with_replacement(items, 2):
-            f = fuse_instant(
-                [evidence(c1, s1, p=p1, i=1.0), evidence(c2, s2, p=p2, i=1.0)]
-            )
-            expected = brute_force_scores(
-                [(c1, SOURCE_WEIGHTS[s1], p1, 1.0), (c2, SOURCE_WEIGHTS[s2], p2, 1.0)]
-            )
-            for label, value in expected.items():
-                assert abs(f.scores[label] - value) <= 1e-9
+        cases += [list(pair) for pair in itertools.combinations_with_replacement(items, 2)]
+        for case in cases:
+            assert fused_fields(case, FusionConfig()) == oracle_fields(case, FusionConfig())
 
     def test_random_triples_match_brute_force(self):
         rng = random.Random(97)
         grid = [round(0.1 * k, 1) for k in range(11)]
         categories = ["anger", "joy", "sadness"]
         for _ in range(5000):
-            spec = [
-                (rng.choice(categories), rng.choice(SOURCES), rng.choice(grid), rng.choice(grid))
+            items = [
+                evidence(rng.choice(categories), rng.choice(SOURCES), p=rng.choice(grid),
+                         i=rng.choice(grid))
                 for _ in range(3)
             ]
-            f = fuse_instant([evidence(c, s, p=p, i=i) for c, s, p, i in spec])
-            expected = brute_force_scores(
-                [(c, SOURCE_WEIGHTS[s], p, i) for c, s, p, i in spec]
-            )
-            assert set(f.scores) == set(expected)
-            for label, value in expected.items():
-                assert abs(f.scores[label] - value) <= 1e-9
+            assert fused_fields(items, FusionConfig()) == oracle_fields(items, FusionConfig())
 
     def test_permutation_invariance(self):
         rng = random.Random(41)
@@ -330,18 +306,14 @@ class TestStandInReuse:
         (stand_in,) = fill_missing(state, 2.0, FusionConfig(decay_lambda=decay_lambda))
         assert stand_in is not item
         assert stand_in.annotation.probability == 1.0
-        assert stand_in == reference_fill_missing(state, 2.0, FusionConfig())[0]
+        assert stand_in == oracles.fill_missing(state, 2.0, FusionConfig())[0]
 
     def test_decay_that_rounds_to_one_equals_the_reference(self):
-        item = evidence("joy", "face", p=0.7, i=0.4, t=1.0)
-        state = update_temporal(TemporalState(), item)
-        now = math.nextafter(1.0, 2.0)
-        cfg = FusionConfig(decay_lambda=0.2)
+        state = update_temporal(TemporalState(), evidence("joy", "face", p=0.7, i=0.4, t=1.0))
+        now, cfg = math.nextafter(1.0, 2.0), FusionConfig(decay_lambda=0.2)
         assert math.exp(-cfg.decay_lambda * (now - 1.0)) == 1.0
-        (stand_in,) = fill_missing(state, now, cfg)
-        (want,) = reference_fill_missing(state, now, cfg)
-        assert stand_in == want
-        assert stand_in.annotation.probability.hex() == want.annotation.probability.hex()
+        want = stand_ins(oracles.fill_missing, state, now, cfg)
+        assert stand_ins(fill_missing, state, now, cfg) == want
 
 
 class TestToComplexEmotion:
@@ -655,57 +627,16 @@ class TestEvidenceBoundary:
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: the decision path restated plainly, with each
-# weight looked up in the overrides, to check fill_missing and fuse_instant
-# against.
-
-
-def reference_fill_missing(state, now, cfg):
-    """fill_missing building every stand-in with both constructors."""
-    synthetic = []
-    for source in sorted(state.last_evidence):
-        item = state.last_evidence[source]
-        a = item.annotation
-        p = 1.0 if a.probability is None else a.probability
-        decayed = p * math.exp(-cfg.decay_lambda * (now - item.timestamp))
-        if decayed < cfg.drop_floor:
-            continue
-        annotation = EmotionAnnotation(
-            category=a.category,
-            dimensions=a.dimensions,
-            appraisals=a.appraisals,
-            intensity=a.intensity,
-            probability=decayed,
-            regulation=a.regulation,
-            modality=a.modality,
-            scope=a.scope,
-        )
-        synthetic.append(
-            MarkerEvidence(annotation=annotation, source=item.source, timestamp=item.timestamp)
-        )
-    return synthetic
-
-
-def reference_fuse(items, cfg):
-    """(scores, dominant, ambiguous) by the sorted weighted loop."""
-    ordered = sorted(items, key=lambda e: (e.source, e.timestamp, e.annotation.category))
-    total, mass = 0.0, {}
-    for item in ordered:
-        override = cfg.weight_overrides.get(item.source)
-        weight = SOURCE_WEIGHTS[item.source] if override is None else override
-        total += weight
-        a = item.annotation
-        p = 1.0 if a.probability is None else a.probability
-        i = 1.0 if a.intensity is None else a.intensity
-        mass[a.category] = mass.get(a.category, 0.0) + weight * p * i
-    scores = {category: value / total for category, value in mass.items()}
-    ranked = sorted(scores, key=lambda c: (-scores[c], c))
-    ambiguous = len(ranked) > 1 and scores[ranked[0]] - scores[ranked[1]] < cfg.ambiguity_epsilon
-    return scores, ranked[0], ambiguous
+# fill_missing and fuse_instant against oracles.fill_missing and oracles.fuse,
+# scores bit for bit and errors by type and code.
 
 
 def bits(scores):
     return [(category, score.hex()) for category, score in scores.items()]
+
+
+def processing_key(item):
+    return item.source, item.timestamp, item.annotation.category
 
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -718,14 +649,21 @@ scopes = st.sampled_from([UNSCOPED, InlineText("hm"), TimeSpan(0.0, 1.5)])
 
 
 @st.composite
-def remembered_items(draw):
-    """Evidence for distinct sources, in time order, with every field varied."""
-    sources = draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=4, unique=True))
-    times = sorted(draw(st.lists(
-        st.floats(min_value=0.0, max_value=30.0), min_size=len(sources), max_size=len(sources)
-    )))
+def evidence_lists(draw, remembered=False):
+    """Evidence with every field varied.  Remembered, it holds one item per
+    source in time order, as a temporal state does; otherwise sources may
+    repeat, and the items come in ascending, descending or shuffled
+    processing order."""
+    repeated = not remembered and draw(st.booleans())
+    sources = draw(st.lists(
+        st.sampled_from(SOURCES), min_size=1, max_size=6 if repeated else 4, unique=not repeated
+    ))
+    times = draw(st.lists(
+        st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=30.0),
+        min_size=len(sources), max_size=len(sources),
+    ))
     items = []
-    for source, t in zip(sources, times):
+    for source, t in zip(sources, sorted(times) if remembered else times):
         annotation = EmotionAnnotation(
             category=draw(st.sampled_from(["anger", "joy", "fear", "grief"])),
             dimensions=draw(descriptors),
@@ -733,13 +671,18 @@ def remembered_items(draw):
             intensity=draw(st.none() | unit),
             probability=draw(st.none() | unit | st.sampled_from([0.0, 1.0])),
             regulation=draw(
-                st.dictionaries(st.sampled_from(["suppress", "amplify"]), unit, max_size=1)
+                st.dictionaries(st.sampled_from(["suppress", "amplify"]), unit, max_size=2)
             ),
             modality=draw(st.sampled_from(["face", "voice", "movement"])),
             scope=draw(scopes),
         )
         items.append(MarkerEvidence(annotation=annotation, source=source, timestamp=t))
-    return items
+    if remembered:
+        return items
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if order == "shuffled":
+        return draw(st.permutations(items))
+    return sorted(items, key=processing_key, reverse=order == "descending")
 
 
 configs = st.builds(
@@ -751,30 +694,55 @@ configs = st.builds(
         st.sampled_from(SOURCES), st.floats(min_value=0.01, max_value=5.0)
     ),
 )
+# Weights that are 0 for some sources and overflow the total for others.
+_ODD_WEIGHTS = st.floats(min_value=0.0, max_value=5.0) | st.sampled_from([0.0, 1e308, 1.7e308])
+odd_configs = st.builds(
+    FusionConfig,
+    ambiguity_epsilon=unit,
+    weight_overrides=st.dictionaries(st.sampled_from(SOURCES), _ODD_WEIGHTS),
+)
 
 
-class TestEquivalentToConstructors:
-    @given(items=remembered_items(), dt=st.floats(min_value=0.0, max_value=20.0), cfg=configs)
-    def test_fill_missing_equals_constructed_stand_ins(self, items, dt, cfg):
-        state = TemporalState()
-        for item in items:
-            state = update_temporal(state, item)
-        before = [(e.timestamp, e.annotation.probability) for e in items]
-        now = state.clock + dt
-        got = fill_missing(state, now, cfg)
-        want = reference_fill_missing(state, now, cfg)
-        assert got == want
-        assert [e.source for e in got] == [e.source for e in want]
-        assert all(type(e) is MarkerEvidence for e in got)
-        # Each stand-in keeps the observation time of the item it stands in for.
-        assert [e.timestamp for e in got] == [
-            state.last_evidence[e.source].timestamp for e in got
-        ]
-        assert all(type(e.annotation) is EmotionAnnotation for e in got)
-        # The remembered items are left as they were.
-        assert [(e.timestamp, e.annotation.probability) for e in items] == before
+def outcome(call, *args):
+    """What ``call`` returns, or the type, code and message of its error."""
+    try:
+        return call(*args)
+    except EarlError as exc:
+        return type(exc), exc.code, exc.message
 
-    @given(items=remembered_items(), cfg=configs)
+
+def fused_fields(items, cfg):
+    """fuse_instant's result, its scores as bits: FusedEstimate compares values."""
+    estimate = fuse_instant(items, cfg)
+    return bits(estimate.scores), estimate.dominant, estimate.ambiguous
+
+
+def oracle_fields(items, cfg):
+    scores, dominant, ambiguous = oracles.fuse(items, cfg)
+    return bits(scores), dominant, ambiguous
+
+
+class TestFuseInstantMatchesSortedFold:
+    @settings(max_examples=400)
+    @given(items=evidence_lists(), cfg=configs | odd_configs)
+    @example(  # distinct sources, already in order: the unsorted path
+        items=[evidence("joy", "face", p=0.5, dimensions={"arousal": 0.2}),
+               evidence("joy", "language_voice", p=0.5, dimensions={"arousal": -0.4})],
+        cfg=FusionConfig(),
+    )
+    @example(  # one source twice: equal sources are sorted by time, then category
+        items=[evidence("joy", "face", t=1.0, regulation={"suppress": 0.2}),
+               evidence("anger", "face", t=1.0, regulation={"suppress": 0.9}),
+               evidence("fear", "face", t=0.0)],
+        cfg=FusionConfig(),
+    )
+    @example(  # ZERO_WEIGHT
+        items=[evidence("joy", "face")], cfg=FusionConfig(weight_overrides={"face": 0.0})
+    )
+    @example(  # WEIGHT_OVERFLOW
+        items=[evidence("joy", "face"), evidence("joy", "language_voice")],
+        cfg=FusionConfig(weight_overrides={"face": 1.7e308, "language_voice": 1e308}),
+    )
     @example(  # all three scores equal
         items=[evidence("anger", "face", p=0.5, i=0.5),
                evidence("joy", "language_voice", p=0.5, i=0.5),
@@ -801,216 +769,16 @@ class TestEquivalentToConstructors:
                evidence("anger", "movement_kinematic", p=0.4)],
         cfg=FusionConfig(weight_overrides={"movement_kinematic": 1.0}),
     )
-    def test_fuse_instant_scores_are_bit_identical(self, items, cfg):
-        for subset in (items, items[:1], items[::-1]):
-            fused = fuse_instant(subset, cfg)
-            scores, dominant, ambiguous = reference_fuse(subset, cfg)
-            assert bits(fused.scores) == bits(scores)
-            assert (fused.dominant, fused.ambiguous) == (dominant, ambiguous)
-
-    @given(items=remembered_items(), dt=st.floats(min_value=0.0, max_value=5.0), cfg=configs)
-    def test_fused_stand_ins_are_bit_identical(self, items, dt, cfg):
-        state = TemporalState()
-        for item in items:
-            state = update_temporal(state, item)
-        now = state.clock + dt
-        fused = fuse_instant(fill_missing(state, now, cfg), cfg)
-        want = fuse_instant(reference_fill_missing(state, now, cfg), cfg)
-        assert bits(fused.scores) == bits(want.scores)
-        assert fused == want
-
-
-# ---------------------------------------------------------------------------
-# fuse_instant against its definition: sort into (source, timestamp, category)
-# order, then fold, whatever order the evidence came in.
-
-
-def processing_key(item):
-    return item.source, item.timestamp, item.annotation.category
-
-
-def reference_fold(items, cfg):
-    """(scores, dominant, ambiguous) by the sorted fold; raises as
-    fuse_instant does."""
-    if not items:
-        return [], None, False
-    ordered = sorted(items, key=processing_key)
-    total, mass = 0.0, {}
-    for item in ordered:
-        weight = cfg.weight_overrides.get(item.source, SOURCE_WEIGHTS[item.source])
-        total += weight
-        a = item.annotation
-        p = 1.0 if a.probability is None else a.probability
-        i = 1.0 if a.intensity is None else a.intensity
-        mass[a.category] = mass.get(a.category, 0.0) + weight * p * i
-    if total == 0.0:
-        raise FusionError("ZERO_WEIGHT", "all evidence sources have weight 0")
-    if total == math.inf:
-        raise FusionError("WEIGHT_OVERFLOW", f"evidence weights sum to {total}")
-    scores = {category: value / total for category, value in mass.items()}
-    ranked = sorted(scores, key=lambda c: (-scores[c], c))
-    ambiguous = len(ranked) > 1 and scores[ranked[0]] - scores[ranked[1]] < cfg.ambiguity_epsilon
-    return bits(scores), ranked[0], ambiguous
-
-
-def fused_fields(items, cfg):
-    """fuse_instant's result in reference_fold's terms; FusedEstimate
-    equality compares scores by value."""
-    estimate = fuse_instant(items, cfg)
-    return bits(estimate.scores), estimate.dominant, estimate.ambiguous
-
-
-def outcome(fuse, items, cfg):
-    """What ``fuse`` returns, or the type and code of the error it raises."""
-    try:
-        return fuse(items, cfg)
-    except EarlError as exc:
-        return type(exc), exc.code
-
-
-# Weights that are 0 for some sources and overflow the total for others.
-_ODD_WEIGHTS = st.floats(min_value=0.0, max_value=5.0) | st.sampled_from([0.0, 1e308, 1.7e308])
-
-
-@st.composite
-def evidence_lists(draw):
-    """Evidence with repeated or distinct sources, shared timestamps and
-    descriptors, in ascending, descending or shuffled processing order."""
-    if draw(st.booleans()):
-        sources = draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=4, unique=True))
-    else:
-        sources = draw(st.lists(st.sampled_from(SOURCES), min_size=1, max_size=6))
-    items = []
-    for source in sources:
-        annotation = EmotionAnnotation(
-            category=draw(st.sampled_from(["anger", "joy", "fear"])),
-            dimensions=draw(descriptors),
-            appraisals=draw(descriptors),
-            intensity=draw(st.none() | unit),
-            probability=draw(st.none() | unit),
-            regulation=draw(
-                st.dictionaries(st.sampled_from(["suppress", "amplify"]), unit, max_size=2)
-            ),
-            modality="face",
-        )
-        t = draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=30.0))
-        items.append(MarkerEvidence(annotation=annotation, source=source, timestamp=t))
-    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
-    if order == "shuffled":
-        return draw(st.permutations(items))
-    return sorted(items, key=processing_key, reverse=order == "descending")
-
-
-odd_configs = st.builds(
-    FusionConfig,
-    ambiguity_epsilon=unit,
-    weight_overrides=st.dictionaries(st.sampled_from(SOURCES), _ODD_WEIGHTS),
-)
-
-
-class TestFuseInstantMatchesSortedFold:
-    @settings(max_examples=300)
-    @given(items=evidence_lists(), cfg=configs | odd_configs)
-    @example(  # distinct sources, already in order: the unsorted path
-        items=[evidence("joy", "face", p=0.5, dimensions={"arousal": 0.2}),
-               evidence("joy", "language_voice", p=0.5, dimensions={"arousal": -0.4})],
-        cfg=FusionConfig(),
-    )
-    @example(  # one source twice: equal sources are sorted by time, then category
-        items=[evidence("joy", "face", t=1.0, regulation={"suppress": 0.2}),
-               evidence("anger", "face", t=1.0, regulation={"suppress": 0.9}),
-               evidence("fear", "face", t=0.0)],
-        cfg=FusionConfig(),
-    )
-    @example(  # ZERO_WEIGHT
-        items=[evidence("joy", "face")], cfg=FusionConfig(weight_overrides={"face": 0.0})
-    )
-    @example(  # WEIGHT_OVERFLOW
-        items=[evidence("joy", "face"), evidence("joy", "language_voice")],
-        cfg=FusionConfig(weight_overrides={"face": 1.7e308, "language_voice": 1e308}),
-    )
     def test_equals_the_sorted_fold(self, items, cfg):
-        for ordered in (items, items[::-1]):
-            assert outcome(fused_fields, ordered, cfg) == outcome(reference_fold, ordered, cfg)
-
-
-@st.composite
-def states(draw):
-    """A temporal state built through update_temporal, or one built directly
-    with its keys inserted in any order."""
-    items = draw(remembered_items())
-    if draw(st.booleans()):
-        state = TemporalState()
-        for item in items:
-            state = update_temporal(state, item)
-        return state
-    keyed = draw(st.permutations([(item.source, item) for item in items]))
-    return TemporalState(last_evidence=dict(keyed), clock=max(i.timestamp for i in items))
-
-
-class TestFillMissingOrder:
-    @given(state=states(), dt=st.floats(min_value=0.0, max_value=20.0), cfg=configs)
-    def test_one_item_per_source_in_ascending_source_order(self, state, dt, cfg):
-        now = state.clock + dt
-        got = fill_missing(state, now, cfg)
-        sources = [item.source for item in got]
-        assert all(a < b for a, b in zip(sources, sources[1:]))
-        assert set(sources) <= set(state.last_evidence)
-        # Insertion order does not show.
-        resorted = TemporalState(dict(sorted(state.last_evidence.items())), state.clock)
-        assert fill_missing(resorted, now, cfg) == got
-        assert outcome(fused_fields, got, cfg) == outcome(reference_fold, got, cfg)
-
-
-def sorted_fill_missing(state, now, cfg):
-    """fill_missing as it was when it sorted every state's sources."""
-    if not math.isfinite(now):
-        raise FusionError("BAD_TIME", f"now={now} is not a finite time")
-    if now < state.clock:
-        raise FusionError("TIME_REGRESSION", f"now={now} behind clock t={state.clock}")
-    synthetic = []
-    for source, item in sorted(state.last_evidence.items()):
-        elapsed = now - item.timestamp
-        if elapsed < 0.0:
-            raise FusionError(
-                "TIME_REGRESSION", f"now={now} behind {source!r} evidence at t={item.timestamp}"
-            )
-        a = item.annotation
-        p = a.probability
-        decayed = 1.0 if p is None else p
-        if cfg.decay_lambda and elapsed:
-            decayed *= math.exp(-cfg.decay_lambda * elapsed)
-        if decayed < cfg.drop_floor:
-            continue
-        if decayed == p:
-            synthetic.append(item)
-            continue
-        annotation = EmotionAnnotation(
-            a.category, a.dimensions, a.appraisals, a.intensity, decayed, a.regulation,
-            a.modality, a.scope,
-        )
-        synthetic.append(MarkerEvidence(annotation, item.source, item.timestamp))
-    return synthetic
-
-
-def fill_bits(fill, state, now, cfg):
-    """Each stand-in, its probability's bits and whether it is the remembered
-    item itself; or the type, code and message of the error raised."""
-    try:
-        items = fill(state, now, cfg)
-    except EarlError as exc:
-        return type(exc), exc.code, exc.message
-    remembered = list(state.last_evidence.values())
-    return [
-        (e, e.annotation.probability.hex(), any(e is r for r in remembered)) for e in items
-    ]
+        for subset in (items, items[:1], items[::-1]):
+            assert outcome(fused_fields, subset, cfg) == outcome(oracle_fields, subset, cfg)
 
 
 @st.composite
 def unordered_entries(draw):
     """(key, item) pairs in any order, keyed by the item sources or by any
     other text."""
-    items = draw(remembered_items())
+    items = draw(evidence_lists(remembered=True))
     keys = draw(st.just([item.source for item in items]) | st.lists(
         st.text(max_size=3), min_size=len(items), max_size=len(items), unique=True
     ))
@@ -1018,11 +786,37 @@ def unordered_entries(draw):
 
 
 @st.composite
-def unordered_states(draw):
-    """A state built directly: keys in any order, the item sources or any
-    other text, and a clock that may lag or lead the items' times."""
+def states(draw):
+    """A temporal state built through update_temporal, or one built directly:
+    keys in any order, and a clock at the last item's time or one that may lag
+    or lead the items' times."""
+    if draw(st.booleans()):
+        state = TemporalState()
+        for item in draw(evidence_lists(remembered=True)):
+            state = update_temporal(state, item)
+        return state
     keyed = draw(unordered_entries())
-    return TemporalState(dict(keyed), draw(st.floats(min_value=0.0, max_value=30.0)))
+    latest = max(item.timestamp for _, item in keyed)
+    return TemporalState(dict(keyed), draw(st.just(latest) | st.floats(0.0, 30.0)))
+
+
+class TestEquivalentToConstructors:
+    @given(state=states(), dt=st.floats(min_value=0.0, max_value=5.0), cfg=configs | odd_configs)
+    def test_fused_stand_ins_are_bit_identical(self, state, dt, cfg):
+        # The two calls against their two oracles, errors included.
+        now = state.clock + dt
+        got = outcome(lambda: fused_fields(fill_missing(state, now, cfg), cfg))
+        want = outcome(lambda: oracle_fields(oracles.fill_missing(state, now, cfg), cfg))
+        assert got == want
+
+
+def stand_ins(fill, state, now, cfg):
+    """Each stand-in, its probability's bits and whether it is the item itself."""
+    remembered = list(state.last_evidence.values())
+    return [
+        (e, e.annotation.probability.hex(), any(e is r for r in remembered))
+        for e in fill(state, now, cfg)
+    ]
 
 
 class TestStateOrder:
@@ -1060,20 +854,23 @@ class TestSourceOrder:
             assert all(state.last_evidence[s] is item for s, item in last.items())
             assert state.clock == t
 
-    @settings(max_examples=300)
+    @settings(max_examples=400)
     @given(
-        state=unordered_states(),
-        now=st.floats(min_value=0.0, max_value=40.0) | st.sampled_from([math.nan, math.inf]),
+        state=states(),
+        # None: dt after the state's clock.
+        now=st.none() | st.floats(0.0, 40.0) | st.sampled_from([math.nan, math.inf]),
+        dt=st.floats(min_value=0.0, max_value=20.0),
         cfg=configs,
     )
-    def test_fill_missing_equals_the_sorted_fill(self, state, now, cfg):
-        assert fill_bits(fill_missing, state, now, cfg) == fill_bits(
-            sorted_fill_missing, state, now, cfg
+    def test_fill_missing_equals_the_sorted_fill(self, state, now, dt, cfg):
+        now = state.clock + dt if now is None else now
+        assert outcome(stand_ins, fill_missing, state, now, cfg) == outcome(
+            stand_ins, oracles.fill_missing, state, now, cfg
         )
 
 
 class TestFusedOutputWrites:
-    @given(items=remembered_items(), scope=scopes)
+    @given(items=evidence_lists(remembered=True), scope=scopes)
     @example(  # one name as a dimension of one source and an appraisal of another
         items=[evidence("joy", "face", p=0.9, dimensions={"x": 0.1}, regulation={"suppress": 0.5}),
                evidence("joy", "language_voice", p=0.8, appraisals={"x": 0.2})],

@@ -20,13 +20,13 @@ from earlkit.model import (
     Reference,
     ReferencedTimeSpan,
     TimeSpan,
-    Unscoped,
     ValidationReport,
     VocabularyProfile,
     validate_annotation,
 )
 
 import generators
+import oracles
 
 PLEASURE_PROFILE = VocabularyProfile(categories=frozenset({"pleasure"}))
 
@@ -289,91 +289,6 @@ class TestReportVerdict:
             ValidationReport(ok=True, findings=(error,))
 
 
-# ---------------------------------------------------------------------------
-# The validator before its two descriptor loops became one and its report's
-# verdict was derived, restated as the oracle of the current one.
-
-
-def _ref_scope_problems(scope):
-    if isinstance(scope, (Unscoped, InlineText)):
-        return []
-    problems = []
-    if isinstance(scope, (Reference, ReferencedTimeSpan)) and not scope.uri:
-        problems.append("reference URI is empty")
-    if isinstance(scope, (TimeSpan, ReferencedTimeSpan)):
-        if scope.start < 0:
-            problems.append("time span start is negative")
-        if not scope.end > scope.start:
-            problems.append(f"time span end {scope.end} must exceed start {scope.start}")
-    return problems
-
-
-def _ref_check(a, profile, where, out):
-    def emit(code, message, suffix="", severity="error"):
-        out.append((severity, code, message, where + suffix))
-
-    if a.category is None and not a.dimensions and not a.appraisals:
-        emit("MISSING_DESCRIPTOR", "annotation carries no category, dimensions, or appraisals")
-    if a.category is not None and profile.categories and a.category not in profile.categories:
-        emit("UNKNOWN_CATEGORY", f"category {a.category!r} not in profile", ".category")
-    for descriptors in (a.dimensions, a.appraisals):
-        for name in sorted(FIELD_ATTRIBUTES & descriptors.keys()):
-            emit("UNSERIALIZABLE_NAME", f"descriptor {name!r} reads back as another field",
-                 f".{name}")
-    for name in a.dimensions:
-        if name in a.appraisals:
-            emit("UNSERIALIZABLE_NAME",
-                 f"descriptor {name!r} is both a dimension and an appraisal", f".{name}")
-    for name, value in a.dimensions.items():
-        if profile.dimension_names and name not in profile.dimension_names:
-            emit("UNKNOWN_DIMENSION", f"dimension {name!r} not in profile", f".{name}")
-        if not -1.0 <= value <= 1.0:
-            emit("RANGE", f"{name}={value} outside [-1.0, 1.0]", f".{name}")
-    for name, value in a.appraisals.items():
-        if profile.appraisal_names and name not in profile.appraisal_names:
-            emit("UNKNOWN_APPRAISAL", f"appraisal {name!r} not in profile", f".{name}")
-        if not -1.0 <= value <= 1.0:
-            emit("RANGE", f"{name}={value} outside [-1.0, 1.0]", f".{name}")
-    for field in ("intensity", "probability"):
-        value = getattr(a, field)
-        if value is not None and not 0.0 <= value <= 1.0:
-            emit("RANGE", f"{field}={value} outside [0.0, 1.0]", f".{field}")
-    for name, value in a.regulation.items():
-        if name not in REGULATION_TYPES:
-            emit("UNKNOWN_REGULATION",
-                 f"regulation key {name!r} not one of simulate/suppress/amplify/attenuate",
-                 f".{name}")
-        elif not 0.0 <= value <= 1.0:
-            emit("RANGE", f"{name}={value} outside [0.0, 1.0]", f".{name}")
-        elif value == 0.0:
-            emit("NOOP_REGULATION", f"{name}=0 has no effect", f".{name}", "warning")
-    if a.modality is not None and profile.modalities and a.modality not in profile.modalities:
-        emit("UNKNOWN_MODALITY", f"modality {a.modality!r} not in profile", ".modality")
-    for problem in _ref_scope_problems(a.scope):
-        emit("MALFORMED_SCOPE", problem, ".scope")
-
-
-def reference_validate(item, profile):
-    """``(findings as (severity, code, message, location), ok)``."""
-    out = []
-    if isinstance(item, ComplexEmotion):
-        count = len(item.constituents)
-        if count < 2:
-            message = f"complex emotion has {count} constituent(s), needs at least 2"
-            out.append(("error", "TOO_FEW_CONSTITUENTS", message, "complex"))
-        for i, constituent in enumerate(item.constituents):
-            where = f"complex.constituent[{i}]"
-            if isinstance(constituent.scope, (Reference, TimeSpan, ReferencedTimeSpan)):
-                message = "constituent carries its own stand-off scope; scope lives on the group"
-                out.append(("error", "CONSTITUENT_SCOPE", message, where + ".scope"))
-            _ref_check(constituent, profile, where, out)
-        for problem in _ref_scope_problems(item.scope):
-            out.append(("error", "MALFORMED_SCOPE", problem, "complex.scope"))
-    else:
-        _ref_check(item, profile, "annotation", out)
-    return out, all(severity != "error" for severity, *_ in out)
-
-
 NUMBERS = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1.5, -2.0, math.nan, math.inf, -math.inf]),
     st.floats(),
@@ -418,4 +333,4 @@ class TestValidatorMatchesReference:
     def test_findings_and_verdict_match_the_reference(self, item, profile):
         report = validate_annotation(item, profile)
         findings = [(f.severity, f.code, f.message, f.location) for f in report.findings]
-        assert (findings, report.ok) == reference_validate(item, profile)
+        assert (findings, report.ok) == oracles.validate(item, profile)

@@ -24,6 +24,8 @@ from earlkit.needs import (
     load_policy,
 )
 
+import oracles
+
 
 def estimate(scores, ambiguous=False):
     dominant = max(scores, key=lambda c: (scores[c], c)) if scores else None
@@ -31,23 +33,6 @@ def estimate(scores, ambiguous=False):
 
 
 HAZARD_POLICY = AccessPolicy(rules=(PolicyRule("hazardous-tool", "aggressive", 0.6),))
-
-
-def reference_decision(estimate, resource, policy):
-    """(verdict, rationale, rule) as decided from the full NeedProfile."""
-    needs = infer_needs(estimate)
-    note = "; ambiguous estimate" if estimate.ambiguous else ""
-    for rule in policy.rules:
-        if rule.resource != resource:
-            continue
-        strength = needs.strength(rule.behavior)
-        if strength >= rule.threshold:
-            rationale = (
-                f"rule '{rule.resource} deny_when {rule.behavior} >= "
-                f"{rule.threshold}' triggered: {rule.behavior}={strength:.4f}{note}"
-            )
-            return "deny", rationale, rule
-    return "allow", f"no rule matched{note}", None
 
 
 CATEGORIES = [
@@ -264,7 +249,7 @@ class TestDecideWithoutProfile:
         policy = AccessPolicy(rules=tuple(rules))
         for resource in ("door", "safe", "window"):
             decision = decide_access(estimate(scores, ambiguous), resource, policy)
-            want = reference_decision(estimate(scores, ambiguous), resource, policy)
+            want = oracles.decision(estimate(scores, ambiguous), resource, policy)
             assert (decision.verdict, decision.rationale, decision.rule) == want
 
     def test_desire_and_sensuality_take_the_stronger(self):

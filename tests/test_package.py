@@ -225,3 +225,22 @@ def test_only_read_lines_names_a_line():
                 found.append(f"{path.name}:{node.lineno}")
     assert any(where.startswith("errors.py:") for where in found)
     assert [where for where in found if not where.startswith("errors.py:")] == []
+
+
+
+def test_only_oracles_restates_a_layer():
+    # tests/oracles.py holds the one restatement of each layer that the tests
+    # compare with; a second one elsewhere would drift from it.
+    here = Path(__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in sorted(here.glob("*.py")) if path.name != "oracles.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("reference_")
+    ]
+    assert found == []
+    body = ast.parse((here / "oracles.py").read_text(encoding="utf-8")).body
+    assert {n.name for n in body if isinstance(n, ast.FunctionDef) and n.name[0] != "_"} == {
+        "format_number", "serialize", "parse", "tokenize", "tag_lexical", "rank", "validate",
+        "fill_missing", "fuse", "decision",
+    }
