@@ -722,8 +722,13 @@ def oracle_fields(items, cfg):
     return bits(scores), dominant, ambiguous
 
 
+def fold_matches_oracle(items, cfg):
+    for subset in (items, items[:1], items[::-1]):
+        assert outcome(fused_fields, subset, cfg) == outcome(oracle_fields, subset, cfg)
+
+
 class TestFuseInstantMatchesSortedFold:
-    @settings(max_examples=400)
+    @settings(max_examples=300)
     @given(items=evidence_lists(), cfg=configs | odd_configs)
     @example(  # distinct sources, already in order: the unsorted path
         items=[evidence("joy", "face", p=0.5, dimensions={"arousal": 0.2}),
@@ -743,35 +748,8 @@ class TestFuseInstantMatchesSortedFold:
         items=[evidence("joy", "face"), evidence("joy", "language_voice")],
         cfg=FusionConfig(weight_overrides={"face": 1.7e308, "language_voice": 1e308}),
     )
-    @example(  # all three scores equal
-        items=[evidence("anger", "face", p=0.5, i=0.5),
-               evidence("joy", "language_voice", p=0.5, i=0.5),
-               evidence("fear", "movement_kinematic", p=0.5, i=0.5)],
-        cfg=FusionConfig(weight_overrides={"movement_kinematic": 1.0}),
-    )
-    @example(  # a tie at the top, with and without a margin to miss
-        items=[evidence("joy", "face", p=0.8), evidence("anger", "language_voice", p=0.8),
-               evidence("fear", "movement_kinematic", p=0.5)],
-        cfg=FusionConfig(),
-    )
-    @example(
-        items=[evidence("joy", "face", p=0.8), evidence("anger", "language_voice", p=0.8),
-               evidence("fear", "movement_kinematic", p=0.5)],
-        cfg=FusionConfig(ambiguity_epsilon=0.0),
-    )
-    @example(  # the runner-up comes after a lower score
-        items=[evidence("joy", "face", p=0.9), evidence("grief", "language_voice", p=0.1),
-               evidence("anger", "movement_kinematic", p=0.85)],
-        cfg=FusionConfig(weight_overrides={"movement_kinematic": 1.0}),
-    )
-    @example(  # a tie for second place
-        items=[evidence("joy", "face", p=0.9), evidence("grief", "language_voice", p=0.4),
-               evidence("anger", "movement_kinematic", p=0.4)],
-        cfg=FusionConfig(weight_overrides={"movement_kinematic": 1.0}),
-    )
     def test_equals_the_sorted_fold(self, items, cfg):
-        for subset in (items, items[:1], items[::-1]):
-            assert outcome(fused_fields, subset, cfg) == outcome(oracle_fields, subset, cfg)
+        fold_matches_oracle(items, cfg)
 
 
 @st.composite
@@ -801,6 +779,60 @@ def states(draw):
 
 
 class TestEquivalentToConstructors:
+    @given(
+        items=evidence_lists(remembered=True),
+        dt=st.floats(min_value=0.0, max_value=20.0),
+        cfg=configs,
+    )
+    def test_fill_missing_equals_constructed_stand_ins(self, items, dt, cfg):
+        state = TemporalState()
+        for item in items:
+            state = update_temporal(state, item)
+        now = state.clock + dt
+        got = fill_missing(state, now, cfg)
+        want = oracles.fill_missing(state, now, cfg)
+        assert got == want
+        assert [e.source for e in got] == [e.source for e in want]
+        assert all(type(e) is MarkerEvidence for e in got)
+        # Each stand-in keeps the observation time of the item it stands in for.
+        assert [e.timestamp for e in got] == [
+            state.last_evidence[e.source].timestamp for e in got
+        ]
+        assert all(type(e.annotation) is EmotionAnnotation for e in got)
+        assert [e.annotation.probability.hex() for e in got] == [
+            e.annotation.probability.hex() for e in want
+        ]
+
+    @given(items=evidence_lists(remembered=True), cfg=configs)
+    @example(  # all three scores equal
+        items=[evidence("anger", "face", p=0.5, i=0.5),
+               evidence("joy", "language_voice", p=0.5, i=0.5),
+               evidence("fear", "movement_kinematic", p=0.5, i=0.5)],
+        cfg=FusionConfig(weight_overrides={"movement_kinematic": 1.0}),
+    )
+    @example(  # a tie at the top, with and without a margin to miss
+        items=[evidence("joy", "face", p=0.8), evidence("anger", "language_voice", p=0.8),
+               evidence("fear", "movement_kinematic", p=0.5)],
+        cfg=FusionConfig(),
+    )
+    @example(
+        items=[evidence("joy", "face", p=0.8), evidence("anger", "language_voice", p=0.8),
+               evidence("fear", "movement_kinematic", p=0.5)],
+        cfg=FusionConfig(ambiguity_epsilon=0.0),
+    )
+    @example(  # the runner-up comes after a lower score
+        items=[evidence("joy", "face", p=0.9), evidence("grief", "language_voice", p=0.1),
+               evidence("anger", "movement_kinematic", p=0.85)],
+        cfg=FusionConfig(weight_overrides={"movement_kinematic": 1.0}),
+    )
+    @example(  # a tie for second place
+        items=[evidence("joy", "face", p=0.9), evidence("grief", "language_voice", p=0.4),
+               evidence("anger", "movement_kinematic", p=0.4)],
+        cfg=FusionConfig(weight_overrides={"movement_kinematic": 1.0}),
+    )
+    def test_fuse_instant_scores_are_bit_identical(self, items, cfg):
+        fold_matches_oracle(items, cfg)
+
     @given(state=states(), dt=st.floats(min_value=0.0, max_value=5.0), cfg=configs | odd_configs)
     def test_fused_stand_ins_are_bit_identical(self, state, dt, cfg):
         # The two calls against their two oracles, errors included.
@@ -841,6 +873,36 @@ class TestStateOrder:
             assert twin == want
 
 
+@st.composite
+def source_keyed_states(draw):
+    """A temporal state built through update_temporal, or one built directly
+    with its items keyed by their sources, inserted in any order."""
+    items = draw(evidence_lists(remembered=True))
+    if draw(st.booleans()):
+        state = TemporalState()
+        for item in items:
+            state = update_temporal(state, item)
+        return state
+    keyed = draw(st.permutations([(item.source, item) for item in items]))
+    return TemporalState(dict(keyed), max(item.timestamp for item in items))
+
+
+class TestFillMissingOrder:
+    @given(
+        state=source_keyed_states(), dt=st.floats(min_value=0.0, max_value=20.0), cfg=configs
+    )
+    def test_one_item_per_source_in_ascending_source_order(self, state, dt, cfg):
+        now = state.clock + dt
+        got = fill_missing(state, now, cfg)
+        sources = [item.source for item in got]
+        assert all(a < b for a, b in zip(sources, sources[1:]))
+        assert set(sources) <= set(state.last_evidence)
+        # Insertion order does not show.
+        resorted = TemporalState(dict(sorted(state.last_evidence.items())), state.clock)
+        assert fill_missing(resorted, now, cfg) == got
+        assert outcome(fused_fields, got, cfg) == outcome(oracle_fields, got, cfg)
+
+
 class TestSourceOrder:
     @given(sources=st.lists(st.sampled_from(SOURCES), max_size=12))
     @example(sources=["movement_kinetic", "face", "movement_kinetic", "language_voice", "face"])
@@ -854,7 +916,7 @@ class TestSourceOrder:
             assert all(state.last_evidence[s] is item for s, item in last.items())
             assert state.clock == t
 
-    @settings(max_examples=400)
+    @settings(max_examples=300)
     @given(
         state=states(),
         # None: dt after the state's clock.

@@ -406,28 +406,37 @@ _ASCII_CHARS = [chr(c) for c in range(128)]
 _ASCII_SEPARATORS = st.lists(st.sampled_from(_ASCII_CHARS), max_size=2).map("".join)
 
 
+def _tagger_matches_reference(words, lexicon):
+    text = "".join(word + sep for word, sep in words)
+    assert tokenize(text) == oracles.tokenize(text)
+    got = tag_lexical(text, lexicon)
+    want = oracles.tag_lexical(text, lexicon)
+    assert got == want
+    # The repr shows the types and the order of the matched tokens too.
+    assert repr(got) == repr(want)
+
+
 class TestTaggerMatchesReference:
-    @settings(max_examples=400)
+    @settings(max_examples=300)
     @given(
-        # One text in four is long ASCII; its length is drawn first, since a
-        # plain list draw seldom passes 20 items.
-        st.sampled_from([
-            st.integers(0, 160).flatmap(lambda n: st.lists(
-                st.tuples(st.sampled_from(_ASCII_WORDS), _ASCII_SEPARATORS), min_size=n, max_size=n
-            )),
-            *[st.lists(st.tuples(st.sampled_from(_WORDS), _SEPARATORS), max_size=30)] * 3,
-        ]).flatmap(lambda texts: texts),
+        st.lists(st.tuples(st.sampled_from(_WORDS), _SEPARATORS), max_size=30),
         st.sampled_from([default_lexicon(), _OVERLAPPING]),
     )
     @example([("ahead goose bumps", "")], _OVERLAPPING)  # a free head, its tail taken
     def test_tag_lexical_matches_reference(self, words, lexicon):
-        text = "".join(word + sep for word, sep in words)
-        assert tokenize(text) == oracles.tokenize(text)
-        got = tag_lexical(text, lexicon)
-        want = oracles.tag_lexical(text, lexicon)
-        assert got == want
-        # The repr shows the types and the order of the matched tokens too.
-        assert repr(got) == repr(want)
+        _tagger_matches_reference(words, lexicon)
+
+    @settings(max_examples=100)
+    @given(
+        # The length is drawn first: a plain list draw seldom passes 20 items.
+        st.integers(0, 160).flatmap(lambda n: st.lists(
+            st.tuples(st.sampled_from(_ASCII_WORDS), _ASCII_SEPARATORS), min_size=n, max_size=n
+        )),
+        st.sampled_from([default_lexicon(), _OVERLAPPING]),
+    )
+    def test_long_ascii_text_matches_reference(self, words, lexicon):
+        assert all((word + sep).isascii() for word, sep in words)
+        _tagger_matches_reference(words, lexicon)
 
     @given(st.integers(0, 600).flatmap(
         lambda n: st.lists(st.sampled_from(_ASCII_CHARS), min_size=n, max_size=n).map("".join)
