@@ -6,7 +6,10 @@ CLI) can branch on the failure kind without parsing messages.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from typing import TypeVar
+
+_T = TypeVar("_T")
 
 
 class EarlError(Exception):
@@ -39,18 +42,20 @@ class PolicyError(EarlError):
 
 
 def read_lines(
-    data: bytes | str, error: type[EarlError], code: str, read_line: Callable[[str], object]
-) -> list:
-    """``read_line(line)`` for each line of a line-format file that says something.
+    data: bytes | str, error: type[EarlError], code: str, read_line: Callable[[str], object],
+    build: Callable[[Iterator], _T] = list,
+) -> _T:
+    """``build`` applied to ``read_line(line)`` for each line of a
+    line-format file that says something, given as a generator in line order.
 
     Bytes are read as UTF-8.  ``#`` starts a comment; comments and
     surrounding space are stripped and blank lines skipped.  Lines are
     numbered from 1 and end at ``\n``, ``\r\n`` or ``\r``: a form feed or
     U+2028 is space within its line.  This is the one place that names a
-    line: a bad byte raises ``error(code, "line N: ...")``, a ``ValueError``
-    from ``read_line`` comes back as ``error(code, "line N: <message>")`` and
-    an :class:`EarlError` as ``error(<its code>, "line N: <message>")``.
-    Returns the results in line order.
+    line, the one read last: a bad byte raises ``error(code, "line N:
+    ...")``, a ``ValueError`` from ``read_line`` or ``build`` comes back as
+    ``error(code, "line N: <message>")`` and an :class:`EarlError` as
+    ``error(<its code>, "line N: <message>")``.
     """
     bad = None
     if not isinstance(data, str):
@@ -62,15 +67,18 @@ def read_lines(
     lines = data.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if bad is not None:
         raise error(code, f"line {len(lines)}: not UTF-8 text ({bad.reason})")
-    results = []
-    for line_no, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            results.append(read_line(line))
-        except ValueError as exc:
-            raise error(code, f"line {line_no}: {exc}") from None
-        except EarlError as exc:
-            raise error(exc.code, f"line {line_no}: {exc.message}") from None
-    return results
+    line_no = 0
+
+    def results() -> Iterator:
+        nonlocal line_no
+        for line_no, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if line:
+                yield read_line(line)
+
+    try:
+        return build(results())
+    except ValueError as exc:
+        raise error(code, f"line {line_no}: {exc}") from None
+    except EarlError as exc:
+        raise error(exc.code, f"line {line_no}: {exc.message}") from None

@@ -10,7 +10,7 @@ any magnitude would be invented.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -53,18 +53,21 @@ class Lexicon(_Record):
 
     Markers are stored tokenized (lowercase, space-joined); most are single
     words but multiword phrases such as "goose bumps" are kept whole and
-    matched as contiguous token runs.  ``entries`` is a read-only view, so a
-    lexicon can be shared and its marker index, built once at construction,
-    never goes stale.
+    matched as contiguous token runs.  It is built from a mapping or from
+    ``(emotion, markers)`` pairs, each checked as it is taken; a repeated
+    emotion keeps its first place and gains the later markers.  ``entries``
+    is a read-only view, so a lexicon can be shared and its marker index,
+    built once at construction, never goes stale.
     """
 
-    def __init__(self, entries: Mapping[str, frozenset[str]]):
-        entries = {emotion: frozenset(markers) for emotion, markers in entries.items()}
+    def __init__(self, entries: Mapping[str, Iterable[str]] | Iterable[tuple[str, Iterable[str]]]):
+        if isinstance(entries, Mapping):
+            entries = entries.items()
+        merged: dict[str, frozenset[str]] = {}
         owners: dict[str, str] = {}
-        single = {}
-        phrases = []
-        for emotion, markers in entries.items():
-            for marker in sorted(markers, key=lambda m: (-m.count(" "), m)):
+        for emotion, markers in entries:
+            markers = frozenset(markers)
+            for marker in sorted(markers, key=_precedence):
                 # Text is matched as tokenize gives it, so a marker in any
                 # other form would never match.
                 if not marker or " ".join(tokenize(marker)) != marker:
@@ -75,21 +78,28 @@ class Lexicon(_Record):
                     raise LexiconError(
                         "DUPLICATE_MARKER", f"{marker!r} already assigned to {owner!r}"
                     )
-                if " " in marker:
-                    phrases.append((marker.split(" "), emotion))
-                else:
-                    single[marker] = emotion
+            merged[emotion] = merged.get(emotion, frozenset()) | markers
         # The marker index is no __init__ parameter, so no field: single-word
         # marker -> emotion; (tokens, emotion) per phrase in matching
         # precedence (emotions in entry order; within one, longer phrases
         # first, then alphabetical, so no set order leaks in); and the
         # phrases' first tokens.
+        phrases = tuple(
+            (marker.split(" "), emotion)
+            for emotion, markers in merged.items()
+            for marker in sorted(markers, key=_precedence) if " " in marker
+        )
         self.__dict__.update(
-            entries=MappingProxyType(entries),
-            _single=single,
-            _phrases=tuple(phrases),
+            entries=MappingProxyType(merged),
+            _single={marker: emotion for marker, emotion in owners.items() if " " not in marker},
+            _phrases=phrases,
             _phrase_heads=frozenset(p[0] for p, _ in phrases),
         )
+
+
+def _precedence(marker: str) -> tuple[int, str]:
+    """Longer phrases first, then alphabetical."""
+    return -marker.count(" "), marker
 
 
 def load_lexicon(data: bytes | str) -> Lexicon:
@@ -99,22 +109,16 @@ def load_lexicon(data: bytes | str) -> Lexicon:
     ``#`` comments are skipped.  Markers are normalized through the same
     tokenizer used for matching.
     """
-    lexicon = Lexicon({})
 
-    def read_entry(line: str) -> None:
-        nonlocal lexicon
+    def read_entry(line: str) -> tuple[str, set[str]]:
         emotion, _, rest = line.partition(":")
         emotion = emotion.strip().lower()
         markers = {" ".join(tokens) for tokens in map(tokenize, rest.split(",")) if tokens}
         if not emotion or not markers:
             raise LexiconError("EMPTY_EMOTION", "emotion with no markers")
-        entries = lexicon.entries
-        lexicon = lexicon._replace(
-            entries={**entries, emotion: markers | entries.get(emotion, frozenset())}
-        )
+        return emotion, markers
 
-    read_lines(data, LexiconError, "BAD_LEXICON", read_entry)
-    return lexicon
+    return read_lines(data, LexiconError, "BAD_LEXICON", read_entry, Lexicon)
 
 
 @functools.cache
@@ -286,38 +290,25 @@ class RankedEmotion(_Record):
         self.__dict__.update(label=label, score=score, matched_features=matched_features)
 
 
-def _compile(patterns: dict[str, dict[str, str]], fields: tuple[str, ...]) -> tuple:
-    """Scoring table: per emotion, its label, pattern size and one rule
-    ``(field index, field name, expected value, opposed values)`` per
-    pattern field, in pattern order."""
-    return tuple(
-        (emotion, len(pattern), tuple(
-            (fields.index(name), name, expected, frozenset(_OPPOSED.get(expected, ())))
-            for name, expected in pattern.items()
-        ))
-        for emotion, pattern in patterns.items()
-    )
-
-
 @functools.cache
 def _ranked(label: str, score: float, matched_features: tuple[str, ...]) -> RankedEmotion:
     """The one shared record for these fields; records are immutable."""
     return RankedEmotion(label, score, matched_features)
 
 
-def _classify(values: tuple[str, ...], table: tuple) -> tuple[RankedEmotion, ...]:
+def _classify(observed: dict[str, str], patterns: dict[str, dict]) -> tuple[RankedEmotion, ...]:
     scored = []
-    for emotion, size, rules in table:
+    for emotion, pattern in patterns.items():
         matched = []
         net = 0
-        for index, name, expected, opposed in rules:
-            value = values[index]
+        for name, expected in pattern.items():
+            value = observed[name]
             if value == expected:
                 matched.append(name)
                 net += 1
-            elif value in opposed:
+            elif value in _OPPOSED.get(expected, ()):
                 net -= 1
-        score = min(1.0, max(0.0, net / size)) if size else 0.0
+        score = min(1.0, max(0.0, net / len(pattern))) if pattern else 0.0
         scored.append((-score, emotion, tuple(matched)))
     # Descending score, alphabetical among ties; labels are distinct, so
     # the plain tuples never compare their matched fields.
@@ -325,7 +316,6 @@ def _classify(values: tuple[str, ...], table: tuple) -> tuple[RankedEmotion, ...
     return tuple(_ranked(emotion, -negated, matched) for negated, emotion, matched in scored)
 
 
-_VOICE_TABLE = _compile(VOICE_PATTERNS, VOICE_FIELDS)
 _voice_values = attrgetter(*VOICE_FIELDS)
 
 
@@ -335,7 +325,7 @@ _voice_values = attrgetter(*VOICE_FIELDS)
 # would slow every CLI start.
 @functools.cache
 def _voice_ranking(values: tuple[str, ...]) -> tuple[RankedEmotion, ...]:
-    return _classify(values, _VOICE_TABLE)
+    return _classify(dict(zip(VOICE_FIELDS, values)), VOICE_PATTERNS)
 
 
 def classify_voice(v: VoiceFeatureDelta) -> list[RankedEmotion]:
@@ -421,13 +411,12 @@ MOVEMENT_PATTERNS: dict[str, dict[str, str]] = {
     },
 }
 
-_MOVEMENT_TABLE = _compile(MOVEMENT_PATTERNS, MOVEMENT_FIELDS)
 _movement_values = attrgetter(*MOVEMENT_FIELDS)
 
 
 @functools.cache
 def _movement_ranking(values: tuple[str, ...]) -> tuple[RankedEmotion, ...]:
-    return _classify(values, _MOVEMENT_TABLE)
+    return _classify(dict(zip(MOVEMENT_FIELDS, values)), MOVEMENT_PATTERNS)
 
 
 def classify_movement(m: MovementDescriptor) -> list[RankedEmotion]:

@@ -276,7 +276,10 @@ def _check_annotation(
     if a.category is None and not a.dimensions and not a.appraisals:
         message = "annotation carries no category, dimensions, or appraisals"
         _emit(out, index, "MISSING_DESCRIPTOR", message)
-    if a.category is not None and not profile.allows_category(a.category):
+    # No profile entry or rule can name an empty label.
+    if a.category == "":
+        _emit(out, index, "EMPTY_CATEGORY", "category is empty", ".category")
+    elif a.category is not None and not profile.allows_category(a.category):
         message = f"category {a.category!r} not in profile"
         _emit(out, index, "UNKNOWN_CATEGORY", message, ".category")
 

@@ -9,6 +9,7 @@ hammer.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import PolicyError, read_lines
@@ -45,19 +46,19 @@ class PolicyRule(_Record):
 
 
 class AccessPolicy(_Record):
-    def __init__(self, rules: tuple[PolicyRule, ...] = ()):
-        rules = tuple(rules)
-        # A second rule for one resource and behavior could never be the one named.
-        seen = set()
+    def __init__(self, rules: Iterable[PolicyRule] = ()):
+        # A second rule for one resource and behavior could never be the one
+        # named.  Checked as each rule is taken, so a reader knows its line.
+        taken = {}
         for rule in rules:
             key = (rule.resource, rule.behavior)
-            if key in seen:
+            if key in taken:
                 raise PolicyError(
                     "DUPLICATE_RULE",
                     f"second rule for {rule.resource!r} blocking {rule.behavior!r}",
                 )
-            seen.add(key)
-        self.__dict__.update(rules=rules)
+            taken[key] = rule
+        self.__dict__.update(rules=tuple(taken.values()))
 
 
 # Still a dataclass: perfbench/selfcheck.py builds variants with dataclasses.replace.
@@ -147,10 +148,8 @@ def load_policy(data: bytes | str) -> AccessPolicy:
     blank lines and ``#`` comments are skipped.  ``behavior`` must be one
     that some emotion motivates: a misspelt one would never match.
     """
-    policy = AccessPolicy()
 
-    def read_rule(line: str) -> None:
-        nonlocal policy
+    def read_rule(line: str) -> PolicyRule:
         parts = line.split()
         if len(parts) != 5 or parts[1] != "deny_when" or parts[3] != ">=":
             raise ValueError("expected 'resource deny_when behavior >= threshold'")
@@ -159,7 +158,6 @@ def load_policy(data: bytes | str) -> AccessPolicy:
             threshold = float(raw)
         except ValueError:
             raise ValueError(f"threshold {raw!r} is not a number") from None
-        policy = policy._replace(rules=(*policy.rules, PolicyRule(resource, behavior, threshold)))
+        return PolicyRule(resource, behavior, threshold)
 
-    read_lines(data, PolicyError, "BAD_RULE", read_rule)
-    return policy
+    return read_lines(data, PolicyError, "BAD_RULE", read_rule, AccessPolicy)

@@ -400,7 +400,9 @@ def _check(a, profile, where, out):
 
     if a.category is None and not a.dimensions and not a.appraisals:
         emit("MISSING_DESCRIPTOR", "annotation carries no category, dimensions, or appraisals")
-    if a.category is not None and profile.categories and a.category not in profile.categories:
+    if a.category == "":
+        emit("EMPTY_CATEGORY", "category is empty", ".category")
+    elif a.category is not None and profile.categories and a.category not in profile.categories:
         emit("UNKNOWN_CATEGORY", f"category {a.category!r} not in profile", ".category")
     for descriptors in (a.dimensions, a.appraisals):
         for name in sorted(FIELD_ATTRIBUTES & descriptors.keys()):

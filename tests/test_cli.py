@@ -56,6 +56,12 @@ class TestValidate:
         assert code == 2
         assert "UNKNOWN_CATEGORY" in err
 
+    def test_empty_category_exits_2(self, tmp_path):
+        (tmp_path / "empty.xml").write_bytes(b'<earl><emotion category=""/></earl>')
+        code, _, err = run_cli(["validate", tmp_path])
+        assert code == 2
+        assert "EMPTY_CATEGORY" in err
+
     def test_missing_path_exits_2(self, tmp_path):
         code, _, err = run_cli(["validate", tmp_path / "nowhere"])
         assert code == 2

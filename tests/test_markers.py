@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 import unicodedata
+from importlib import resources
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from earlkit import markers
@@ -138,6 +139,37 @@ class TestFeatureFile:
         assert exc.value.message.startswith("line 2: not UTF-8 text")
 
 
+@st.composite
+def lexicon_with_one_repeat(draw):
+    """A lexicon file in which one marker is listed under two emotions on two
+    lines, and the message that must refuse it: it names the later line and
+    the emotion of the earlier one.  Emotions repeat across lines, and
+    comment lines shift the numbering."""
+    emotions = draw(st.lists(st.sampled_from(["joy", "sadness", "fear"]), min_size=2, max_size=7))
+    pairs = [
+        (i, j) for i in range(len(emotions)) for j in range(i + 1, len(emotions))
+        if emotions[i] != emotions[j]
+    ]
+    assume(pairs)
+    i, j = draw(st.sampled_from(pairs))
+    words = draw(st.lists(
+        st.from_regex(r"[a-h]{1,4}( [a-h]{1,4})?", fullmatch=True),
+        min_size=len(emotions), max_size=3 * len(emotions), unique=True,
+    ))
+    groups = [words[k::len(emotions)] for k in range(len(emotions))]
+    marker = draw(st.sampled_from(groups[i]))
+    groups[j].insert(draw(st.integers(0, len(groups[j]))), marker)
+    lines, line_no = [], 0
+    for k, (emotion, group) in enumerate(zip(emotions, groups)):
+        if draw(st.booleans()):
+            lines.append("# note")
+        lines.append(f"{emotion}: {', '.join(group)}")
+        if k == j:
+            line_no = len(lines)
+    message = f"line {line_no}: {marker!r} already assigned to {emotions[i]!r}"
+    return "\n".join(lines), message
+
+
 class TestLexicon:
     def test_bundled_lexicon_has_seven_emotions(self):
         lex = default_lexicon()
@@ -183,6 +215,38 @@ class TestLexicon:
         with pytest.raises(LexiconError) as exc:
             load_lexicon(data)
         assert (exc.value.code, exc.value.message) == (code, message)
+
+    def test_repeated_marker_names_the_line_that_owns_it(self):
+        # Line 3 adds to joy, which comes first, but blue is sadness's.
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon("joy: glad\nsadness: blue\njoy: blue, zany")
+        assert (exc.value.code, exc.value.message) == (
+            "DUPLICATE_MARKER", "line 3: 'blue' already assigned to 'sadness'"
+        )
+
+    @given(lexicon_with_one_repeat())
+    @example(("b: z\na: y\nb: y", "line 3: 'y' already assigned to 'a'"))
+    def test_repeated_marker_names_its_earlier_owner(self, case):
+        data, message = case
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(data)
+        assert (exc.value.code, exc.value.message) == ("DUPLICATE_MARKER", message)
+
+    def test_bundled_table_tokenizes_each_marker_twice(self, monkeypatch):
+        # Once by the reader and once by Lexicon's form check.  Rebuilding the
+        # lexicon after each line would check every marker read so far again.
+        calls = []
+        tokenize = markers.tokenize
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(markers, "tokenize", counting)
+        data = resources.files("earlkit.data").joinpath("table2.lex").read_bytes()
+        lexicon = load_lexicon(data)
+        assert sum(map(len, lexicon.entries.values())) == 35
+        assert len(calls) == 70
 
     def test_emotion_on_two_lines_merges(self):
         lexicon = load_lexicon("joy: glad\nsadness: blue\n# more\nJoy: merry, glad\n")

@@ -68,6 +68,14 @@ class TestValidateAnnotation:
         a = EmotionAnnotation(category="smugness")
         assert validate_annotation(a).ok
 
+    @pytest.mark.parametrize("profile", [DEFAULT_PROFILE, PLEASURE_PROFILE], ids=["open", "listed"])
+    def test_empty_category_is_one_error(self, profile):
+        # No profile entry or rule can name "", so no profile allows it.
+        report = validate_annotation(EmotionAnnotation(category=""), profile)
+        assert [(f.severity, f.code, f.location) for f in report.findings] == [
+            ("error", "EMPTY_CATEGORY", "annotation.category")
+        ]
+
     def test_unknown_dimension_and_modality(self):
         profile = VocabularyProfile(
             dimension_names=frozenset({"arousal"}), modalities=frozenset({"face"})

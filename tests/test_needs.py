@@ -190,6 +190,21 @@ class TestPolicyFile:
         policy = load_policy("x deny_when aggressive >= 0.5\ny deny_when aggressive >= 0.7\n")
         assert [rule.resource for rule in policy.rules] == ["x", "y"]
 
+    def test_policy_is_built_once(self, monkeypatch):
+        # Rebuilding the policy after each line would check every rule read so
+        # far again.
+        built = []
+        init = AccessPolicy.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AccessPolicy, "__init__", counting)
+        policy = load_policy("".join(f"door{n} deny_when aggressive >= 0.5\n" for n in range(50)))
+        assert len(policy.rules) == 50
+        assert len(built) == 1
+
 
 class TestHandBuiltRecords:
     """A hand-built record rejects what the file readers reject: a rule or
