@@ -46,8 +46,9 @@ def _load(path: str, loader, *args):
 
 
 def _corpus(args):
-    """Yield ``(path, document, findings)`` for each EARL file under
-    ``args.path``, in name order.  ``findings`` holds the parser's warnings,
+    """Yield ``(path, document, findings)`` for each ``*.xml`` file under the
+    directory ``args.path``, in name order; any other path (a file, a pipe, a
+    device) is read as one document.  ``findings`` holds the parser's warnings,
     then each item's validator findings.  A file that does not parse gives
     ``(path, error, None)``."""
     from .earl_xml import load_profile, parse_document
@@ -57,7 +58,7 @@ def _corpus(args):
     root = Path(args.path)
     if not root.exists():
         raise FileNotFoundError(f"{args.command}: {root}: no such file or directory")
-    paths = [root] if root.is_file() else sorted(p for p in root.rglob("*.xml") if p.is_file())
+    paths = sorted(p for p in root.rglob("*.xml") if p.is_file()) if root.is_dir() else [root]
     for path in paths:
         try:
             doc = parse_document(path.read_bytes(), profile)

@@ -37,7 +37,6 @@ from .model import (
     CLASSIC_APPRAISAL_NAMES,
     CLASSIC_DIMENSION_NAMES,
     DEFAULT_PROFILE,
-    FIELD_ATTRIBUTES,
     REGULATION_TYPES,
     UNSCOPED,
     AnnotationItem,
@@ -58,7 +57,6 @@ ROOT_TAG = "earl"
 EMOTION_TAG = "emotion"
 COMPLEX_TAG = "complex-emotion"
 
-_HREF_ATTRS = ("xlink:href", "href")
 # "hide" appears in the wild as a regulation type; it is folded into
 # "suppress" (with a warning) rather than modelled separately.
 _REGULATION_ALIASES = {"hide": "suppress"}
@@ -87,7 +85,7 @@ _CATEGORY, _MODALITY, _URI, _INTENSITY, _PROBABILITY, _START, _END = range(7)
 _DIMENSION, _APPRAISAL, _REGULATION, _ALIAS = range(7, 11)
 # For the error that names both attributes giving one value.
 _SAME_SLOT = {"href": "xlink:href", "xlink:href": "href", "hide": "suppress", "suppress": "hide"}
-# The slot of each name in FIELD_ATTRIBUTES.
+# The slot of each name in model.FIELD_ATTRIBUTES.
 _FIELD_SLOTS = {
     "category": _CATEGORY, "modality": _MODALITY, "href": _URI, "xlink:href": _URI,
     "intensity": _INTENSITY, "probability": _PROBABILITY, "start": _START, "end": _END,
@@ -105,7 +103,7 @@ def _attribute_kinds(profile: VocabularyProfile) -> dict[str, int]:
     kinds.update(dict.fromkeys(CLASSIC_DIMENSION_NAMES, _DIMENSION))
     kinds.update(dict.fromkeys(profile.appraisal_names, _APPRAISAL))
     kinds.update(dict.fromkeys(profile.dimension_names, _DIMENSION))
-    kinds.update({name: _FIELD_SLOTS[name] for name in FIELD_ATTRIBUTES})
+    kinds.update(_FIELD_SLOTS)
     return kinds
 
 
@@ -228,13 +226,14 @@ def _complex(frame: list, text: str, warnings: list[Finding]) -> ComplexEmotion:
     uri = start = end = None
     it = iter(frame[1])
     for name, raw in zip(it, it):
-        if name in _HREF_ATTRS:
+        slot = _FIELD_SLOTS.get(name)
+        if slot == _URI:
             if uri is not None:
                 raise _duplicate(name)
             uri = raw
-        elif name == "start":
+        elif slot == _START:
             start = _number(name, raw)
-        elif name == "end":
+        elif slot == _END:
             end = _number(name, raw)
         else:
             message = f"attribute {name}={raw!r} not recognized on {COMPLEX_TAG}; dropped"
@@ -412,19 +411,11 @@ def _escaped_attr(value: str) -> str:
     return text
 
 
-def _attr(name: str, value: str) -> str:
-    return f' {name}="{_escaped_attr(value)}"'
-
-
-def _text(value: str) -> str:
-    return value.translate(_TEXT_TABLE)
-
-
 def _scope_attrs(scope: Scope) -> str:
     # Numbers never need escaping; only the URI goes through the table.
     out = ""
     if isinstance(scope, (Reference, ReferencedTimeSpan)):
-        out = _attr("xlink:href", scope.uri)
+        out = f' xlink:href="{_escaped_attr(scope.uri)}"'
     if isinstance(scope, (TimeSpan, ReferencedTimeSpan)):
         out += f' start="{format_number(scope.start)}" end="{format_number(scope.end)}"'
     return out
@@ -481,7 +472,7 @@ def _emotion_markup(a: EmotionAnnotation) -> str:
         parts.append(f' modality="{_escaped_attr(a.modality)}"')
     scope = a.scope
     if isinstance(scope, InlineText):
-        parts.append(f">{_text(scope.text)}</{EMOTION_TAG}>")
+        parts.append(f">{scope.text.translate(_TEXT_TABLE)}</{EMOTION_TAG}>")
     else:
         if not isinstance(scope, Unscoped):
             parts.append(_scope_attrs(scope))
@@ -492,7 +483,7 @@ def _emotion_markup(a: EmotionAnnotation) -> str:
 def _complex_markup(c: ComplexEmotion) -> str:
     parts = [f"<{COMPLEX_TAG}", _scope_attrs(c.scope), ">"]
     if isinstance(c.scope, InlineText):
-        parts.append(_text(c.scope.text))
+        parts.append(c.scope.text.translate(_TEXT_TABLE))
     # Constituents are kept on one line: any whitespace between them would
     # read back as inline-text scope.
     for constituent in c.constituents:

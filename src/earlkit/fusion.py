@@ -159,11 +159,9 @@ class FusedEstimate(_Record):
         self.__dict__.update(scores=scores, dominant=dominant, ambiguous=ambiguous)
 
 
-def _dominant(scores: dict[str, float], epsilon: float) -> tuple[str | None, bool]:
-    # One pass: the top category (the first name among equal scores) and
-    # the runner-up score, as sorting by (-score, name) would rank them.
-    if not scores:
-        return None, False
+def _dominant(scores: dict[str, float], epsilon: float) -> tuple[str, bool]:
+    # One pass over scores, never empty: the top category (the first name among
+    # equal scores) and the runner-up score, as sorting by (-score, name) would.
     entries = iter(scores.items())
     dominant, top = next(entries)
     second = None

@@ -73,16 +73,10 @@ def _mappable(category: str) -> bool:
     return EMOTION_ALIASES.get(category, category) in BEHAVIOR_FOR_EMOTION
 
 
-def _categories_by_behavior() -> dict[str, tuple[str, ...]]:
-    mapped = sorted(c for c in {*BEHAVIOR_FOR_EMOTION, *EMOTION_ALIASES} if _mappable(c))
-    return {
-        behavior: tuple(c for c in mapped if behavior_for_emotion(c) == behavior)
-        for behavior in BEHAVIOR_FOR_EMOTION.values()
-    }
-
-
 #: Every category that maps to each behavior, in name order.
-_CATEGORIES_FOR = _categories_by_behavior()
+_CATEGORIES_FOR = {behavior: () for behavior in BEHAVIOR_FOR_EMOTION.values()}
+for _category in sorted(filter(_mappable, {*BEHAVIOR_FOR_EMOTION, *EMOTION_ALIASES})):
+    _CATEGORIES_FOR[behavior_for_emotion(_category)] += (_category,)
 
 #: The allow decisions carry no rule; they are immutable, so two are shared.
 _ALLOW = Decision(verdict="allow", rationale="no rule matched")

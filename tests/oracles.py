@@ -22,8 +22,9 @@ from earlkit.needs import infer_needs
 
 # ---------------------------------------------------------------------------
 # EARL numbers and the writer.  The writer is restated without its checks of
-# names and characters: whether a name reads back is the reader's to say, and
-# the tests of the writer's refusals compare against these unchecked bytes.
+# names and characters: whether a name reads back is the reader's to say,
+# ``writable`` says which text XML can hold, and the tests of the writer's
+# refusals compare against these unchecked bytes.
 
 _ATTR_ENTITIES = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
 
@@ -41,6 +42,16 @@ def format_number(value):
 
 def _attr(name, value):
     return f' {name}="{escape(value, _ATTR_ENTITIES)}"'
+
+
+# XML 1.0, production [2] Char: the characters a document can hold at all,
+# as themselves or as character references.
+_XML_CHARS = re.compile("[\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]*")
+
+
+def writable(text):
+    """Whether an XML 1.0 document can hold ``text``."""
+    return _XML_CHARS.fullmatch(text) is not None
 
 
 def _scope_attrs(scope):
@@ -341,6 +352,19 @@ def tag_lexical(text, lexicon):
         for emotion in sorted(hits)
     ]
 
+
+# The values each descriptor field accepts.
+VOICE_ALLOWED = {
+    name: ("downward", "upward", "flat") if name == "f0_contour" else ("up", "down", "flat")
+    for name in VoiceFeatureDelta._fields
+}
+MOVEMENT_ALLOWED = {
+    "duration": ("short", "mid", "long"),
+    "tempo_changes": ("frequent", "few", "neutral"),
+    "stop_length": ("short", "mid", "long"),
+    "spatial_extent": ("outward_from_centre", "close_to_centre", "neutral"),
+    "tension": ("dynamic_high", "sustained_high", "continuously_low", "dynamic_varying", "neutral"),
+}
 
 _VOICE_OPPOSITES = {("up", "down"), ("downward", "upward")}
 _MOVEMENT_OPPOSITES = {

@@ -1,8 +1,11 @@
 """Exit-code and output-format contract for every subcommand."""
 
+import json
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -414,6 +417,53 @@ class TestCliEdges:
             2,
             f"{path}: error DUPLICATE_ATTRIBUTE attributes 'href' and 'xlink:href'"
             " give one value; neither is kept\n",
+        )
+
+
+# An annotation whose intensity is out of range: a RANGE error wherever it is read from.
+OUT_OF_RANGE = b'<emotion category="x" intensity="9"/>'
+
+
+def run_on_fifo(tmp_path, command, data):
+    """Run ``command`` on a FIFO that a writer thread feeds ``data``."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # A daemon: if the command never opens the pipe, the writer waits unseen.
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    result = run_cli([command, fifo])
+    writer.join(timeout=10)
+    assert not writer.is_alive()  # the command read the pipe to its end
+    return fifo, result
+
+
+class TestCorpusPath:
+    """validate and stats walk a directory and read any other path as one document."""
+
+    def test_validate_reads_dev_null_as_a_document(self):
+        code, _, err = run_cli(["validate", os.devnull])
+        assert code == 2
+        assert err == f"{os.devnull}: error MALFORMED_XML no element found: line 1, column 0\n"
+
+    def test_stats_counts_dev_null_as_a_broken_file(self):
+        code, out, _ = run_cli(["stats", os.devnull, "--json"])
+        counts = json.loads(out)
+        assert code == 0
+        assert (counts["files_scanned"], counts["error_count"]) == (1, 1)
+
+    def test_validate_reads_a_fifo(self, tmp_path):
+        fifo, (code, _, err) = run_on_fifo(tmp_path, "validate", OUT_OF_RANGE)
+        assert code == 2
+        assert err == (
+            f"{fifo}: error RANGE intensity=9.0 outside [0.0, 1.0] [annotation.intensity]\n"
+        )
+
+    def test_stats_reads_a_fifo(self, tmp_path):
+        _, (code, out, _) = run_on_fifo(tmp_path, "stats", OUT_OF_RANGE)
+        rows = dict(line.split("\t") for line in out.splitlines())
+        assert code == 0
+        assert (rows["files_scanned"], rows["error_count"], rows["annotations_count"]) == (
+            "1", "1", "1"
         )
 
 

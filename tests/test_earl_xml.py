@@ -3,7 +3,6 @@
 import math
 import random
 from xml.parsers import expat
-from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +10,6 @@ from hypothesis import strategies as st
 
 from earlkit import earl_xml
 from earlkit.earl_xml import (
-    _attr,
-    _text,
     AnnotationDocument,
     format_number,
     load_profile,
@@ -259,9 +256,14 @@ class TestSerialize:
 
     @given(st.text())
     def test_escaping_matches_saxutils(self, value):
-        attr_entities = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
-        assert _attr("a", value) == f' a="{escape(value, attr_entities)}"'
-        assert _text(value) == escape(value, {"\r": "&#13;"})
+        # oracles.serialize escapes through xml.sax.saxutils; the writer
+        # through its attribute memo and its text table.
+        a = EmotionAnnotation(category=value, scope=InlineText(value))
+        attr, text = earl_xml._escaped_attr(value), value.translate(earl_xml._TEXT_TABLE)
+        assert oracles.serialize(AnnotationDocument(items=(a,))).decode() == (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<earl>\n  <emotion category="{attr}">{text}</emotion>\n</earl>\n'
+        )
 
     @pytest.mark.parametrize(
         "category, text, point",
@@ -290,10 +292,7 @@ class TestSerialize:
     def test_output_always_reads_back(self, value):
         a = EmotionAnnotation(category=value, scope=InlineText(value))
         doc = AnnotationDocument(items=(a,))
-        unwritable = any(
-            (c < " " and c not in "\t\n\r") or "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff"
-            for c in value
-        )
+        unwritable = not oracles.writable(value)
         try:
             data = serialize_document(doc)
         except ParseError as exc:
@@ -659,6 +658,20 @@ class TestParseEdges:
         )
         doc = parse_document(data)
         assert [w.code for w in doc.warnings] == ["UNKNOWN_ATTRIBUTE"]
+
+    @pytest.mark.parametrize(
+        "name", sorted(FIELD_ATTRIBUTES - {"href", "xlink:href", "start", "end"})
+    )
+    def test_field_attribute_on_complex_warned_and_dropped(self, name):
+        # Only the scope attributes are fields of a complex emotion.
+        constituents = '<emotion category="a"/><emotion category="b"/>'
+        doc = parse_document(f'<complex-emotion {name}="0.5">{constituents}</complex-emotion>')
+        message = f"attribute {name}='0.5' not recognized on complex-emotion; dropped"
+        assert [(w.code, w.message, w.location) for w in doc.warnings] == [
+            ("UNKNOWN_ATTRIBUTE", message, "item[0]")
+        ]
+        plain = parse_document(f"<complex-emotion>{constituents}</complex-emotion>")
+        assert doc.items == plain.items
 
     def test_emotion_inside_emotion_ignored_with_warning(self):
         doc = parse_document(b'<emotion category="x"><emotion category="y"/></emotion>')

@@ -525,29 +525,21 @@ class TestTaggerMatchesReference:
         assert tag_lexical(text, lexicon) == oracles.tag_lexical(text, lexicon)
 
 
-# The values each descriptor field accepts, restated, and values no field
-# accepts; with the other fields' values these are the invalid ones.
-VOICE_ALLOWED = {
-    name: ("downward", "upward", "flat") if name == "f0_contour" else ("up", "down", "flat")
-    for name in VoiceFeatureDelta._fields
-}
-MOVEMENT_ALLOWED = {
-    "duration": ("short", "mid", "long"),
-    "tempo_changes": ("frequent", "few", "neutral"),
-    "stop_length": ("short", "mid", "long"),
-    "spatial_extent": ("outward_from_centre", "close_to_centre", "neutral"),
-    "tension": ("dynamic_high", "sustained_high", "continuously_low", "dynamic_varying", "neutral"),
-}
+# Values no descriptor field accepts; with the other fields' values (the
+# oracles' tables) these are the invalid ones.
 _JUNK = ["sideways", "", "UP", "flat ", None, 1, 0.0, ("up",)]
 DESCRIPTORS = pytest.mark.parametrize(
     "descriptor, allowed",
-    [(VoiceFeatureDelta, VOICE_ALLOWED), (MovementDescriptor, MOVEMENT_ALLOWED)],
+    [(VoiceFeatureDelta, oracles.VOICE_ALLOWED), (MovementDescriptor, oracles.MOVEMENT_ALLOWED)],
     ids=["voice", "movement"],
 )
 
 
 CANDIDATES = sorted(
-    {v for fields in (VOICE_ALLOWED, MOVEMENT_ALLOWED) for ok in fields.values() for v in ok}
+    {
+        v for fields in (oracles.VOICE_ALLOWED, oracles.MOVEMENT_ALLOWED)
+        for ok in fields.values() for v in ok
+    }
 ) + _JUNK
 
 

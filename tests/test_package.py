@@ -228,19 +228,61 @@ def test_only_read_lines_names_a_line():
 
 
 
+def _restatements(source: str) -> list[str]:
+    """The shapes a restatement of a layer has taken outside tests/oracles.py:
+    a ``reference_*`` function, an ``xml.sax.saxutils`` import (the writer's
+    escapes) and a module-level ``*_ALLOWED`` table (the descriptor check)."""
+    tree = ast.parse(source)
+    found = [
+        f"{node.lineno}: {target.id}" for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_ALLOWED")
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("reference_"):
+            found.append(f"{node.lineno}: {node.name}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            found += [
+                f"{node.lineno}: {prefix}{alias.name}" for alias in node.names
+                if f"{prefix}{alias.name}.".startswith("xml.sax.saxutils.")
+            ]
+    return found
+
+
 def test_only_oracles_restates_a_layer():
     # tests/oracles.py holds the one restatement of each layer that the tests
     # compare with; a second one elsewhere would drift from it.
     here = Path(__file__).parent
     found = [
-        f"{path.name}:{node.lineno}: {node.name}"
+        f"{path.name}:{where}"
         for path in sorted(here.glob("*.py")) if path.name != "oracles.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("reference_")
+        for where in _restatements(path.read_text(encoding="utf-8"))
     ]
     assert found == []
     body = ast.parse((here / "oracles.py").read_text(encoding="utf-8")).body
     assert {n.name for n in body if isinstance(n, ast.FunctionDef) and n.name[0] != "_"} == {
-        "format_number", "serialize", "parse", "tokenize", "tag_lexical", "rank", "validate",
-        "fill_missing", "fuse", "decision",
+        "format_number", "serialize", "writable", "parse", "tokenize", "tag_lexical", "rank",
+        "validate", "fill_missing", "fuse", "decision",
     }
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def reference_parse(data):\n    pass\n", ["1: reference_parse"]),
+        ("from xml.sax.saxutils import escape\n", ["1: xml.sax.saxutils.escape"]),
+        ("from xml.sax import saxutils\n", ["1: xml.sax.saxutils"]),
+        ("import xml.sax.saxutils as sx\n", ["1: xml.sax.saxutils"]),
+        ("VOICE_ALLOWED = {}\n", ["1: VOICE_ALLOWED"]),
+        ("MOVEMENT_ALLOWED: dict = {}\n", ["1: MOVEMENT_ALLOWED"]),
+        ("A = B_ALLOWED = ()\n", ["1: B_ALLOWED"]),
+        # Neither a module-level table nor saxutils: not a restatement.
+        ("def f():\n    LOCAL_ALLOWED = ()\n", []),
+        ("from xml.sax import handler\nimport xml.saxutils_like\n", []),
+        ('CODE = "DTD_NOT_ALLOWED"\n', []),
+    ],
+)
+def test_restatement_guard_matches_each_shape(source, found):
+    assert _restatements(source) == found
