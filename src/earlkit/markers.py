@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Mapping
+from itertools import compress
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -150,26 +151,22 @@ def tag_lexical(text: str, lexicon: Lexicon | None = None) -> list[tuple[Emotion
         lexicon = default_lexicon()
     tokens = tokenize(text)
     hits: dict[str, list[str]] = {}
-    free = tokens
+    free: Iterable[str] = tokens
     present = lexicon._phrase_heads.intersection(tokens)
     if present:
-        # Each present head's positions, found in C; the consumed mask is
-        # built at the first match and the free tokens only if one matched.
-        starts: dict[str, list[int]] = {}
-        for head in present:
-            i = -1
-            starts[head] = [i := tokens.index(head, i + 1) for _ in range(tokens.count(head))]
-        consumed: list[bool] | tuple[()] = ()
+        # One mask of free tokens.  A head's occurrences are found in C, and
+        # the free tokens are taken only if a phrase matched.
+        free_at = [True] * len(tokens)
         for parts, emotion in lexicon._phrases:
-            n = len(parts)
-            for i in starts.get(parts[0], ()):
-                if tokens[i : i + n] == parts and not any(consumed[i : i + n]):
-                    if not consumed:
-                        consumed = [False] * len(tokens)
-                    hits.setdefault(emotion, []).extend(parts)
-                    consumed[i : i + n] = [True] * n
-        if consumed:
-            free = [token for token, used in zip(tokens, consumed) if not used]
+            if parts[0] in present:
+                n, i = len(parts), -1
+                for _ in range(tokens.count(parts[0])):
+                    i = tokens.index(parts[0], i + 1)
+                    if tokens[i : i + n] == parts and all(free_at[i : i + n]):
+                        hits.setdefault(emotion, []).extend(parts)
+                        free_at[i : i + n] = [False] * n
+        if hits:
+            free = compress(tokens, free_at)
     single = lexicon._single
     for token in filter(single.__contains__, free):
         hits.setdefault(single[token], []).append(token)

@@ -152,8 +152,9 @@ def lexicon_with_one_repeat(draw):
     ]
     assume(pairs)
     i, j = draw(st.sampled_from(pairs))
+    word = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
     words = draw(st.lists(
-        st.from_regex(r"[a-h]{1,4}( [a-h]{1,4})?", fullmatch=True),
+        st.one_of(word, st.tuples(word, word).map(" ".join)),
         min_size=len(emotions), max_size=3 * len(emotions), unique=True,
     ))
     groups = [words[k::len(emotions)] for k in range(len(emotions))]
@@ -487,6 +488,7 @@ class TestTaggerMatchesReference:
         st.sampled_from([default_lexicon(), _OVERLAPPING]),
     )
     @example([("ahead goose bumps", "")], _OVERLAPPING)  # a free head, its tail taken
+    @example([("goose goose bumps", "")], _OVERLAPPING)  # the phrase at a later head
     def test_tag_lexical_matches_reference(self, words, lexicon):
         _tagger_matches_reference(words, lexicon)
 
