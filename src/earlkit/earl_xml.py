@@ -80,9 +80,10 @@ class AnnotationDocument(_Record):
 
 
 # Where an attribute's value goes.  Slots up to _END are fields of an
-# annotation, kept as text below _INTENSITY and as numbers from it on.
+# annotation, kept as text below _INTENSITY and as numbers from it on;
+# _UNKNOWN takes a name no table holds.
 _CATEGORY, _MODALITY, _URI, _INTENSITY, _PROBABILITY, _START, _END = range(7)
-_DIMENSION, _APPRAISAL, _REGULATION, _ALIAS = range(7, 11)
+_DIMENSION, _APPRAISAL, _REGULATION, _ALIAS, _UNKNOWN = range(7, 12)
 # For the error that names both attributes giving one value.
 _SAME_SLOT = {"href": "xlink:href", "xlink:href": "href", "hide": "suppress", "suppress": "hide"}
 # The slot of each name in model.FIELD_ATTRIBUTES.
@@ -118,23 +119,18 @@ _DOUBLE = (
 )
 
 
-def _double(raw: str) -> float:
-    """``float(raw)`` for an xs:double; ValueError for anything else."""
-    value = float(raw)
-    # Each text float() reads outside xs:double has an underscore, a
-    # non-ASCII character or a value that is not finite (inf - inf is NaN,
-    # and NaN is true); only such a value takes the second look.
-    if ("_" in raw or not raw.isascii() or value - value) and not re.fullmatch(_DOUBLE, raw):
-        raise ValueError(raw)
-    return value
-
-
 def _number(name: str, raw: str) -> float:
     try:
-        return _double(raw)
+        value = float(raw)
+        # Each text float() reads outside xs:double has an underscore, a
+        # non-ASCII character or a value that is not finite (inf - inf is NaN,
+        # and NaN is true); only such a value takes the second look.
+        if ("_" in raw or not raw.isascii() or value - value) and not re.fullmatch(_DOUBLE, raw):
+            raise ValueError(raw)
     except ValueError:
         message = f"attribute {name}={raw!r} is not a number"
         raise ParseError("UNPARSEABLE_NUMBER", message) from None
+    return value
 
 
 def _duplicate(name: str) -> ParseError:
@@ -179,26 +175,21 @@ def _annotation(frame: list, text: str, slot_of, warnings: list[Finding]) -> Emo
     regulation: dict[str, float] = {}
     it = iter(frame[1])
     for name, raw in zip(it, it):
-        slot = slot_of(name)
-        if slot is None:
-            try:
-                appraisals[name] = _double(raw)
-            except ValueError:
-                message = f"attribute {name}={raw!r} not recognized; dropped"
-            else:
-                message = f"attribute {name!r} not in profile; kept as appraisal"
-            _warn(warnings, "UNKNOWN_ATTRIBUTE", message, frame)
-            continue
+        slot = slot_of(name, _UNKNOWN)
         if slot < _INTENSITY:
             if slot == _URI and fields[_URI] is not None:
                 raise _duplicate(name)
             fields[slot] = raw
             continue
         try:
-            value = float(raw)  # _double, inlined
+            value = float(raw)  # _number, inlined
             if ("_" in raw or not raw.isascii() or value - value) and not re.fullmatch(_DOUBLE, raw):
                 raise ValueError(raw)
         except ValueError:
+            if slot == _UNKNOWN:
+                message = f"attribute {name}={raw!r} not recognized; dropped"
+                _warn(warnings, "UNKNOWN_ATTRIBUTE", message, frame)
+                continue
             message = f"attribute {name}={raw!r} is not a number"
             raise ParseError("UNPARSEABLE_NUMBER", message) from None
         if slot <= _END:
@@ -207,6 +198,10 @@ def _annotation(frame: list, text: str, slot_of, warnings: list[Finding]) -> Emo
             dimensions[name] = value
         elif slot == _APPRAISAL:
             appraisals[name] = value
+        elif slot == _UNKNOWN:
+            appraisals[name] = value
+            message = f"attribute {name!r} not in profile; kept as appraisal"
+            _warn(warnings, "UNKNOWN_ATTRIBUTE", message, frame)
         else:
             key = name
             if slot == _ALIAS:
@@ -313,8 +308,8 @@ def parse_document(
         stack.append(frame)
 
     def character_data(data: str) -> None:
-        if stack:
-            stack[-1][2].append(data)
+        # expat reports text only inside the root element.
+        stack[-1][2].append(data)
 
     def end_element(_name: str) -> None:
         frame = stack.pop()

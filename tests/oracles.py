@@ -6,17 +6,18 @@ raises what its layer raises, so a test can compare errors as well as results.
 import math
 import re
 import unicodedata
+from types import SimpleNamespace
 from xml.parsers import expat
 from xml.sax.saxutils import escape
 
 from earlkit.earl_xml import AnnotationDocument
-from earlkit.errors import FusionError, ParseError
-from earlkit.fusion import MarkerEvidence
+from earlkit.errors import EarlError, FusionError, ParseError
+from earlkit.fusion import FusedEstimate, MarkerEvidence
 from earlkit.markers import MOVEMENT_PATTERNS, VOICE_PATTERNS, RankedEmotion, VoiceFeatureDelta
 from earlkit.model import (
     CLASSIC_APPRAISAL_NAMES, CLASSIC_DIMENSION_NAMES, FIELD_ATTRIBUTES, REGULATION_TYPES,
-    SOURCE_WEIGHTS, UNSCOPED, ComplexEmotion, EmotionAnnotation, Finding, InlineText, Reference,
-    ReferencedTimeSpan, TimeSpan, Unscoped,
+    SOURCE_MODALITY, SOURCE_WEIGHTS, UNSCOPED, ComplexEmotion, EmotionAnnotation, Finding,
+    InlineText, Reference, ReferencedTimeSpan, TimeSpan, Unscoped,
 )
 from earlkit.needs import infer_needs
 
@@ -581,3 +582,66 @@ def decision(estimate, resource, policy):
             )
             return "deny", rationale, rule
     return "allow", f"no rule matched{note}", None
+
+
+# ---------------------------------------------------------------------------
+# What ``earlkit fuse`` and ``earlkit decide`` print, composed from the
+# oracles above and a plain reader of the stream file.  The config, profile
+# and policy come loaded; only the glue between the layers is restated.
+
+
+def _stream(data, profile):
+    """The evidence of a stream file in line order; ValueError for a bad line."""
+    evidence = []
+    for line in re.split("\r\n|\r|\n", data.decode("utf-8")):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != 5:
+            raise ValueError(line)
+        t, source, category, p, i = fields
+        if profile is not None and profile.categories and category not in profile.categories:
+            raise ValueError(category)
+        annotation = EmotionAnnotation(
+            category=category, intensity=float(i), probability=float(p),
+            modality=SOURCE_MODALITY.get(source),
+        )
+        evidence.append(MarkerEvidence(annotation=annotation, source=source, timestamp=float(t)))
+    return evidence
+
+
+def run_stream(stream_bytes, command, cfg, at, profile, policy, resource):
+    """``(exit code, stdout bytes)`` of ``command`` ("fuse" or "decide") on a
+    stream file: the last observation of each source, decayed to ``at`` (the
+    last timestamp when None) and fused; ``fuse`` writes the categories at or
+    above the constituent threshold, strongest first, and ``decide`` the
+    first rule for ``resource`` that fires.  Any input error exits 2 and
+    prints nothing."""
+    try:
+        evidence = _stream(stream_bytes, profile)
+        if not evidence:
+            return 2, b""
+        state = SimpleNamespace(last_evidence={}, clock=0.0)
+        for item in evidence:
+            if item.timestamp < state.clock:
+                return 2, b""
+            state.last_evidence[item.source] = item
+            state.clock = item.timestamp
+        now = state.clock if at is None else at
+        scores, dominant, ambiguous = fuse(fill_missing(state, now, cfg), cfg)
+    except (EarlError, ValueError):
+        return 2, b""
+    if command == "fuse":
+        threshold = cfg.constituent_threshold
+        qualifying = sorted((c for c in scores if scores[c] >= threshold),
+                            key=lambda c: (-scores[c], c))
+        if not qualifying or not all(writable(c) for c in qualifying):
+            return 2, b""
+        constituents = tuple(EmotionAnnotation(category=c, probability=scores[c])
+                             for c in qualifying)
+        item = constituents[0] if len(constituents) == 1 else ComplexEmotion(constituents)
+        return 0, serialize(AnnotationDocument(items=(item,)))
+    if all(rule.resource != resource for rule in policy.rules):
+        return 2, b""
+    verdict, rationale, _ = decision(FusedEstimate(scores, dominant, ambiguous), resource, policy)
+    return 3 if verdict == "deny" else 0, f"{verdict}\t{rationale}\n".encode()

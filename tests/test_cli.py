@@ -9,9 +9,10 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from earlkit.earl_xml import load_profile
 from earlkit.errors import EarlError, FusionError
 from earlkit.fusion import load_config, load_stream
 from earlkit.markers import (
@@ -19,6 +20,8 @@ from earlkit.markers import (
 )
 from earlkit.model import BEHAVIOR_FOR_EMOTION, SOURCE_WEIGHTS
 from earlkit.needs import load_policy
+
+import oracles
 from support import FIXTURES, golden, run_cli
 
 
@@ -688,18 +691,17 @@ def line_file(draw, line):
 SOURCES = st.sampled_from([*SOURCE_WEIGHTS, "telepathy"])
 CATEGORIES = st.sampled_from(["anger", "joy", "sadness", "fear", "surprise", "rage"])
 UNIT = st.floats(0, 1).map(repr)
+# Valid lines in time order, so fusion and the decision run too.
+VALID_STREAM_FILES = st.lists(
+    st.tuples(st.floats(0, 5), st.sampled_from(list(SOURCE_WEIGHTS)), CATEGORIES, UNIT, UNIT),
+    max_size=6,
+).map(
+    lambda items: "\n".join(f"{t!r} {s} {c} {p} {i}" for t, s, c, p, i in sorted(items)).encode()
+)
 STREAM_FILES = st.one_of(
     line_file(words(NUMBERS, SOURCES, CATEGORIES, NUMBERS, NUMBERS)),
     line_file(words(NUMBERS, SOURCES, CATEGORIES)),
-    # Valid lines in time order, so fusion and the decision run too.
-    st.lists(
-        st.tuples(st.floats(0, 5), st.sampled_from(list(SOURCE_WEIGHTS)), CATEGORIES, UNIT, UNIT),
-        max_size=6,
-    ).map(
-        lambda items: "\n".join(
-            f"{t!r} {s} {c} {p} {i}" for t, s, c, p, i in sorted(items)
-        ).encode()
-    ),
+    VALID_STREAM_FILES,
 )
 CONFIG_FILES = line_file(
     st.one_of(
@@ -713,6 +715,17 @@ CONFIG_FILES = line_file(
         st.just("decay_lambda 0.5"),
     )
 )
+# Every knob in range, so the file is read and each setting reaches fusion.
+VALID_CONFIG_FILES = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "ambiguity_epsilon", "constituent_threshold", "decay_lambda", "drop_floor",
+            *(f"weight.{s}" for s in SOURCE_WEIGHTS),
+        ]),
+        UNIT,
+    ).map(" = ".join),
+    max_size=4,
+).map(lambda lines: "\n".join(lines).encode())
 POLICY_FILES = line_file(
     words(
         st.sampled_from(["hazardous-tool", "door"]),
@@ -804,6 +817,64 @@ class TestGeneratedFiles:
                 code, out, err = run_cli(argv)
                 assert code in codes, (argv, err)
                 assert (out == "") == (code == 2), (argv, out, err)
+
+    # Both rules fire; the first one in the file names the verdict, as
+    # decide_access's docstring requires.
+    @example(
+        stream=b"0 face anger 1 1\n0 language_voice fear 1 1\n", config=b"",
+        policy=b"hazardous-tool deny_when aggressive >= 0.3\n"
+               b"hazardous-tool deny_when protective >= 0.3\n",
+        profile=None, at=None, resource="hazardous-tool",
+    )
+    # The profile is checked whatever other file is given.
+    @example(
+        stream=b"0 face rage 1 1\n", config=b"decay_lambda = 0.5\n", policy=POLICY.read_bytes(),
+        profile=profile_file({"anger"}), at=None, resource="hazardous-tool",
+    )
+    # Most generated files are refused; valid files and times let more runs
+    # reach fusion and the decision.
+    @settings(deadline=None)
+    @given(stream=VALID_STREAM_FILES.filter(bool) | STREAM_FILES,
+           config=VALID_CONFIG_FILES | CONFIG_FILES,
+           policy=st.just(POLICY.read_bytes()) | POLICY_FILES,
+           profile=st.none() | PROFILE_CATEGORIES.map(profile_file) | PROFILE_FILES,
+           at=st.none() | st.floats(0, 10) | st.floats(),
+           resource=st.sampled_from(["hazardous-tool", "door"]))
+    def test_fuse_and_decide_print_what_the_oracles_compose(
+        self, stream, config, policy, profile, at, resource
+    ):
+        loaded = {}
+        for name, data, load in [("cfg", config, load_config), ("policy", policy, load_policy),
+                                 ("profile", profile, load_profile)]:
+            try:
+                loaded[name] = None if data is None else load(data)
+            except EarlError:
+                loaded[name] = EarlError
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {}
+            for name, data in [("stream", stream), ("config", config), ("policy", policy),
+                               ("profile", profile)]:
+                if data is not None:
+                    files[name] = Path(tmp) / name
+                    files[name].write_bytes(data)
+            options = ["--config", files["config"]]
+            if profile is not None:
+                options += ["--profile", files["profile"]]
+            if at is not None:
+                options.append(f"--at={at!r}")
+            for command, extra in [("fuse", []), ("decide", ["--resource", resource,
+                                                             "--policy", files["policy"]])]:
+                code, out, err = run_cli([command, "--evidence", files["stream"], *extra,
+                                          *options])
+                needed = ("cfg", "profile") + (("policy",) if command == "decide" else ())
+                if any(loaded[name] is EarlError for name in needed):
+                    expected = (2, b"")
+                else:
+                    expected = oracles.run_stream(
+                        stream, command, loaded["cfg"], at, loaded["profile"],
+                        loaded["policy"], resource,
+                    )
+                assert (code, out.encode()) == expected, (command, err)
 
     @settings(deadline=None)
     @given(stream=STREAM_FILES, categories=PROFILE_CATEGORIES)

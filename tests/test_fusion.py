@@ -565,6 +565,10 @@ class TestEvidenceBoundary:
         with pytest.raises(ValueError, match=rf"{field}={value} outside \[0, 1\]"):
             MarkerEvidence(annotation=annotation, source="language_voice", timestamp=0.0)
 
+    def test_annotation_without_modality_rejected(self):
+        with pytest.raises(ValueError, match="^evidence annotation must carry a modality$"):
+            MarkerEvidence(EmotionAnnotation("anger"), "face", 0.0)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_timestamp_rejected(self, t):
         with pytest.raises(ValueError, match="timestamp="):

@@ -121,11 +121,20 @@ def test_benchmark_selfcheck_passes():
 
 
 def test_bare_import_loads_no_submodule():
-    script = "import sys, earlkit\nprint([m for m in sys.modules if m.startswith('earlkit.')])\n"
+    # A submodule loads on first access, with what it imports and nothing else.
+    script = (
+        "import sys, earlkit\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('earlkit.'))\n"
+        "print(loaded())\n"
+        "print(earlkit.fusion is sys.modules['earlkit.fusion'])\n"
+        "print(loaded())\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == [
+        "[]", "True", "['earlkit.errors', 'earlkit.fusion', 'earlkit.model']",
+    ]
 
 
 # Hooks through which a copy or an unpickled object could skip ``__init__``.
@@ -264,7 +273,7 @@ def test_only_oracles_restates_a_layer():
     body = ast.parse((here / "oracles.py").read_text(encoding="utf-8")).body
     assert {n.name for n in body if isinstance(n, ast.FunctionDef) and n.name[0] != "_"} == {
         "format_number", "serialize", "writable", "parse", "tokenize", "tag_lexical", "rank",
-        "validate", "fill_missing", "fuse", "decision",
+        "validate", "fill_missing", "fuse", "decision", "run_stream",
     }
 
 
