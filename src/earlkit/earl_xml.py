@@ -57,10 +57,6 @@ ROOT_TAG = "earl"
 EMOTION_TAG = "emotion"
 COMPLEX_TAG = "complex-emotion"
 
-# "hide" appears in the wild as a regulation type; it is folded into
-# "suppress" (with a warning) rather than modelled separately.
-_REGULATION_ALIASES = {"hide": "suppress"}
-
 
 class AnnotationDocument(_Record):
     """An ordered collection of parsed annotations.
@@ -84,7 +80,8 @@ class AnnotationDocument(_Record):
 # _UNKNOWN takes a name no table holds.
 _CATEGORY, _MODALITY, _URI, _INTENSITY, _PROBABILITY, _START, _END = range(7)
 _DIMENSION, _APPRAISAL, _REGULATION, _ALIAS, _UNKNOWN = range(7, 12)
-# For the error that names both attributes giving one value.
+# For the error that names both attributes giving one value.  "hide" appears
+# in the wild as a regulation type; it is read as "suppress", with a warning.
 _SAME_SLOT = {"href": "xlink:href", "xlink:href": "href", "hide": "suppress", "suppress": "hide"}
 # The slot of each name in model.FIELD_ATTRIBUTES.
 _FIELD_SLOTS = {
@@ -205,7 +202,7 @@ def _annotation(frame: list, text: str, slot_of, warnings: list[Finding]) -> Emo
         else:
             key = name
             if slot == _ALIAS:
-                key = _REGULATION_ALIASES[name]
+                key = _SAME_SLOT[name]
                 _warn(warnings, "REGULATION_ALIAS", f"regulation {name!r} read as {key!r}", frame)
             if key in regulation:
                 raise _duplicate(name)

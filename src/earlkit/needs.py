@@ -27,12 +27,6 @@ class NeedProfile(_Record):
     def __init__(self, orientations: tuple[tuple[str, float], ...], unmapped: tuple[str, ...] = ()):
         self.__dict__.update(orientations=orientations, unmapped=unmapped)
 
-    def strength(self, behavior: str) -> float:
-        for label, value in self.orientations:
-            if label == behavior:
-                return value
-        return 0.0
-
 
 class PolicyRule(_Record):
     def __init__(self, resource: str, behavior: str, threshold: float):
@@ -69,14 +63,13 @@ class Decision:
     rule: PolicyRule | None = None
 
 
-def _mappable(category: str) -> bool:
-    return EMOTION_ALIASES.get(category, category) in BEHAVIOR_FOR_EMOTION
-
+#: Each emotion and alias with its behavior, in name order.
+_BEHAVIOR_OF = {c: behavior_for_emotion(c) for c in sorted({*BEHAVIOR_FOR_EMOTION, *EMOTION_ALIASES})}
 
 #: Every category that maps to each behavior, in name order.
 _CATEGORIES_FOR = {behavior: () for behavior in BEHAVIOR_FOR_EMOTION.values()}
-for _category in sorted(filter(_mappable, {*BEHAVIOR_FOR_EMOTION, *EMOTION_ALIASES})):
-    _CATEGORIES_FOR[behavior_for_emotion(_category)] += (_category,)
+for _category, _behavior in _BEHAVIOR_OF.items():
+    _CATEGORIES_FOR[_behavior] += (_category,)
 
 #: The allow decisions carry no rule; they are immutable, so two are shared.
 _ALLOW = Decision(verdict="allow", rationale="no rule matched")
@@ -84,7 +77,7 @@ _ALLOW_AMBIGUOUS = Decision(verdict="allow", rationale="no rule matched; ambiguo
 
 
 def _strength(scores: dict[str, float], behavior: str) -> float:
-    """``infer_needs(estimate).strength(behavior)`` without building the profile.
+    """The strength ``infer_needs(estimate)`` gives ``behavior``, or 0.0, with no profile built.
 
     The profile lists a behavior's strongest category first and, on equal
     scores, the category first in name order, which is the one kept here.
@@ -107,8 +100,9 @@ def infer_needs(estimate: FusedEstimate) -> NeedProfile:
     orientations = []
     unmapped = []
     for category in sorted(estimate.scores):
-        if _mappable(category):
-            orientations.append((behavior_for_emotion(category), estimate.scores[category]))
+        behavior = _BEHAVIOR_OF.get(category)
+        if behavior is not None:
+            orientations.append((behavior, estimate.scores[category]))
         else:
             unmapped.append(category)
     orientations.sort(key=lambda pair: (-pair[1], pair[0]))

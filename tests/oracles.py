@@ -15,11 +15,11 @@ from earlkit.errors import EarlError, FusionError, ParseError
 from earlkit.fusion import FusedEstimate, MarkerEvidence
 from earlkit.markers import MOVEMENT_PATTERNS, VOICE_PATTERNS, RankedEmotion, VoiceFeatureDelta
 from earlkit.model import (
-    CLASSIC_APPRAISAL_NAMES, CLASSIC_DIMENSION_NAMES, FIELD_ATTRIBUTES, REGULATION_TYPES,
-    SOURCE_MODALITY, SOURCE_WEIGHTS, UNSCOPED, ComplexEmotion, EmotionAnnotation, Finding,
-    InlineText, Reference, ReferencedTimeSpan, TimeSpan, Unscoped,
+    BEHAVIOR_FOR_EMOTION, CLASSIC_APPRAISAL_NAMES, CLASSIC_DIMENSION_NAMES, EMOTION_ALIASES,
+    FIELD_ATTRIBUTES, REGULATION_TYPES, SOURCE_MODALITY, SOURCE_WEIGHTS, UNSCOPED,
+    ComplexEmotion, EmotionAnnotation, Finding, InlineText, Reference, ReferencedTimeSpan,
+    TimeSpan, Unscoped,
 )
-from earlkit.needs import infer_needs
 
 # ---------------------------------------------------------------------------
 # EARL numbers and the writer.  The writer is restated without its checks of
@@ -564,17 +564,31 @@ def fuse(items, cfg):
 
 
 # ---------------------------------------------------------------------------
-# The access decision, from the full NeedProfile.
+# The need profile, and the access decision read off it.
+
+
+def needs(scores):
+    """infer_needs as ``(orientations, unmapped)``: orientations by descending
+    score, then behavior, stably over categories in name order."""
+    orientations, unmapped = [], []
+    for category in sorted(scores):
+        behavior = BEHAVIOR_FOR_EMOTION.get(EMOTION_ALIASES.get(category, category))
+        if behavior is None:
+            unmapped.append(category)
+        else:
+            orientations.append((behavior, scores[category]))
+    orientations.sort(key=lambda pair: (-pair[1], pair[0]))
+    return tuple(orientations), tuple(unmapped)
 
 
 def decision(estimate, resource, policy):
     """(verdict, rationale, rule)."""
-    needs = infer_needs(estimate)
+    orientations, _ = needs(estimate.scores)
     note = "; ambiguous estimate" if estimate.ambiguous else ""
     for rule in policy.rules:
         if rule.resource != resource:
             continue
-        strength = needs.strength(rule.behavior)
+        strength = next((s for b, s in orientations if b == rule.behavior), 0.0)
         if strength >= rule.threshold:
             rationale = (
                 f"rule '{rule.resource} deny_when {rule.behavior} >= "

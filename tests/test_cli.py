@@ -691,9 +691,14 @@ def line_file(draw, line):
 SOURCES = st.sampled_from([*SOURCE_WEIGHTS, "telepathy"])
 CATEGORIES = st.sampled_from(["anger", "joy", "sadness", "fear", "surprise", "rage"])
 UNIT = st.floats(0, 1).map(repr)
+# Floats alone draw 0.0 and tiny values often, and their fused scores mostly
+# fall below the constituent threshold; round values let fuse print.
+STRENGTH = st.sampled_from(["0.5", "0.8", "1"]) | UNIT
 # Valid lines in time order, so fusion and the decision run too.
 VALID_STREAM_FILES = st.lists(
-    st.tuples(st.floats(0, 5), st.sampled_from(list(SOURCE_WEIGHTS)), CATEGORIES, UNIT, UNIT),
+    st.tuples(
+        st.floats(0, 5), st.sampled_from(list(SOURCE_WEIGHTS)), CATEGORIES, STRENGTH, STRENGTH
+    ),
     max_size=6,
 ).map(
     lambda items: "\n".join(f"{t!r} {s} {c} {p} {i}" for t, s, c, p, i in sorted(items)).encode()

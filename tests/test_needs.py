@@ -89,6 +89,11 @@ class TestInferNeeds:
         profile = infer_needs(estimate({"sensuality": 0.4}))
         assert profile.orientations == (("searching", 0.4),)
 
+    @given(scores=scores_st)
+    def test_same_profile_as_the_oracle(self, scores):
+        profile = infer_needs(estimate(scores))
+        assert (profile.orientations, profile.unmapped) == oracles.needs(scores)
+
 
 class TestDecideAccess:
     def test_angry_jack_is_denied(self):
@@ -250,7 +255,7 @@ class TestHandBuiltRecords:
 
 
 class TestDecideWithoutProfile:
-    """decide_access reads strengths off the scores; infer_needs is the reference."""
+    """decide_access reads strengths off the scores; oracles.needs is the reference."""
 
     @given(scores=scores_st, ambiguous=st.booleans(), rules=rules_st)
     @example(scores={"desire": 0.3, "sensuality": 0.7}, ambiguous=False,

@@ -273,7 +273,7 @@ def test_only_oracles_restates_a_layer():
     body = ast.parse((here / "oracles.py").read_text(encoding="utf-8")).body
     assert {n.name for n in body if isinstance(n, ast.FunctionDef) and n.name[0] != "_"} == {
         "format_number", "serialize", "writable", "parse", "tokenize", "tag_lexical", "rank",
-        "validate", "fill_missing", "fuse", "decision", "run_stream",
+        "validate", "fill_missing", "fuse", "needs", "decision", "run_stream",
     }
 
 
