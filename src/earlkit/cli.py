@@ -276,18 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except _UsageExit as exc:
         print(f"earlkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
-    except EarlError as exc:
-        print(f"earlkit: {exc.code}: {exc.message}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    # EarlError.__init__ makes str(exc) "CODE: message"; _load rebuilds errors through it.
+    except (EarlError, OSError) as exc:
         print(f"earlkit: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -8,7 +8,10 @@ with or without the ``xlink:`` prefix.
 
 The serializer emits one canonical form (fixed attribute order, minimal
 digits, two-space indent, UTF-8) so byte-level golden tests are possible;
-``parse_document(serialize_document(doc))`` equals ``doc``.
+``parse_document(serialize_document(doc))`` equals ``doc`` when no value is
+NaN, which equals nothing, and each descriptor has the kind the reading
+profile gives its name (an appraisal named ``arousal`` reads back as a
+dimension).  What would not read back at all, the writer refuses.
 
 The writer keeps three process-wide memos, each bounded at 4,096 entries
 (first come, first kept): the text of each finite float, the escaped form of
@@ -50,6 +53,7 @@ from .model import (
     TimeSpan,
     Unscoped,
     VocabularyProfile,
+    _NESTED_COMPLEX,
     _Record,
 )
 
@@ -295,9 +299,7 @@ def parse_document(
             frame = [_EMOTION, attrs, [], None, parent[4], len(parent[3])]
         elif name == COMPLEX_TAG and any(f[0] == _COMPLEX for f in stack[:2]):
             # A complex-emotion frame is only ever the root or a container's child.
-            raise ParseError(
-                "NESTED_COMPLEX", "complex-emotion may not contain another complex-emotion"
-            )
+            raise ParseError("NESTED_COMPLEX", _NESTED_COMPLEX)
         else:
             message = f"element <{name}> is not part of the annotation vocabulary here"
             _warn(warnings, "UNRECOGNIZED_ELEMENT", message, parent)
@@ -409,8 +411,18 @@ def _scope_attrs(scope: Scope) -> str:
     if isinstance(scope, (Reference, ReferencedTimeSpan)):
         out = f' xlink:href="{_escaped_attr(scope.uri)}"'
     if isinstance(scope, (TimeSpan, ReferencedTimeSpan)):
+        if not scope.end > scope.start:  # NaN too; the reader refuses START_AFTER_END
+            message = f"time span end {scope.end} must exceed start {scope.start}"
+            raise ParseError("UNSERIALIZABLE_SCOPE", message)
         out += f' start="{format_number(scope.start)}" end="{format_number(scope.end)}"'
     return out
+
+
+def _inline_text(scope: InlineText) -> str:
+    # The reader takes text of XML space alone for layout, and reads no scope.
+    if not scope.text.strip(" \t\n\r"):
+        raise ParseError("UNSERIALIZABLE_SCOPE", "inline text is blank")
+    return scope.text.translate(_TEXT_TABLE)
 
 
 # Descriptor names found to read back.
@@ -464,7 +476,7 @@ def _emotion_markup(a: EmotionAnnotation) -> str:
         parts.append(f' modality="{_escaped_attr(a.modality)}"')
     scope = a.scope
     if isinstance(scope, InlineText):
-        parts.append(f">{scope.text.translate(_TEXT_TABLE)}</{EMOTION_TAG}>")
+        parts.append(f">{_inline_text(scope)}</{EMOTION_TAG}>")
     else:
         if not isinstance(scope, Unscoped):
             parts.append(_scope_attrs(scope))
@@ -475,17 +487,20 @@ def _emotion_markup(a: EmotionAnnotation) -> str:
 def _complex_markup(c: ComplexEmotion) -> str:
     parts = [f"<{COMPLEX_TAG}", _scope_attrs(c.scope), ">"]
     if isinstance(c.scope, InlineText):
-        parts.append(c.scope.text.translate(_TEXT_TABLE))
+        parts.append(_inline_text(c.scope))
     # Constituents are kept on one line: any whitespace between them would
     # read back as inline-text scope.
     for constituent in c.constituents:
+        if isinstance(constituent, ComplexEmotion):
+            raise ParseError("NESTED_COMPLEX", _NESTED_COMPLEX)
         parts.append(_emotion_markup(constituent))
     parts.append(f"</{COMPLEX_TAG}>")
     return "".join(parts)
 
 
 def serialize_document(doc: AnnotationDocument) -> bytes:
-    """Emit canonical EARL XML bytes; UNSERIALIZABLE_CHAR or _NAME for what would not read back."""
+    """Emit canonical EARL XML bytes; refuse what would not read back: UNSERIALIZABLE_CHAR, _NAME,
+    _SCOPE (a time span not ending after its start, blank inline text) or NESTED_COMPLEX."""
     head = '<?xml version="1.0" encoding="UTF-8"?>\n'
     if not doc.items:
         return f"{head}<{ROOT_TAG}/>\n".encode()

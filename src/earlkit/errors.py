@@ -7,9 +7,6 @@ CLI) can branch on the failure kind without parsing messages.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from typing import TypeVar
-
-_T = TypeVar("_T")
 
 
 class EarlError(Exception):
@@ -43,8 +40,8 @@ class PolicyError(EarlError):
 
 def read_lines(
     data: bytes | str, error: type[EarlError], code: str, read_line: Callable[[str], object],
-    build: Callable[[Iterator], _T] = list,
-) -> _T:
+    build: Callable[[Iterator], object] = list,
+) -> object:
     """``build`` applied to ``read_line(line)`` for each line of a
     line-format file that says something, given as a generator in line order.
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Union
 
 from .errors import MarkerError
 
@@ -131,7 +130,7 @@ class Unscoped(_Record):
     """No scope of its own (e.g. a constituent inheriting the group scope)."""
 
 
-Scope = Union[InlineText, Reference, TimeSpan, ReferencedTimeSpan, Unscoped]
+Scope = InlineText | Reference | TimeSpan | ReferencedTimeSpan | Unscoped
 
 UNSCOPED = Unscoped()
 
@@ -174,7 +173,10 @@ class ComplexEmotion(_Record):
         self.__dict__.update(constituents=tuple(constituents), scope=scope)
 
 
-AnnotationItem = Union[EmotionAnnotation, ComplexEmotion]
+AnnotationItem = EmotionAnnotation | ComplexEmotion
+
+#: What the reader, the writer and the validator say of a complex emotion in another.
+_NESTED_COMPLEX = "complex-emotion may not contain another complex-emotion"
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +259,10 @@ def _emit(
 
 
 def _scope_problems(scope: Scope) -> tuple[str, ...]:
-    if isinstance(scope, (Unscoped, InlineText)):
+    if isinstance(scope, Unscoped):
         return ()
+    if isinstance(scope, InlineText):  # text of XML space alone reads back as no scope
+        return () if scope.text.strip(" \t\n\r") else ("inline text is blank",)
     problems = ()
     if isinstance(scope, (Reference, ReferencedTimeSpan)) and not scope.uri:
         problems += ("reference URI is empty",)
@@ -353,6 +357,9 @@ def validate_annotation(
                 )
             )
         for i, constituent in enumerate(item.constituents):
+            if isinstance(constituent, ComplexEmotion):
+                _emit(findings, i, "NESTED_COMPLEX", _NESTED_COMPLEX)
+                continue
             if isinstance(constituent.scope, (Reference, TimeSpan, ReferencedTimeSpan)):
                 message = "constituent carries its own stand-off scope; scope lives on the group"
                 _emit(findings, i, "CONSTITUENT_SCOPE", message, ".scope")

@@ -406,8 +406,11 @@ def rank(descriptor):
 
 
 def _scope_problems(scope):
-    if isinstance(scope, (Unscoped, InlineText)):
+    if isinstance(scope, Unscoped):
         return []
+    if isinstance(scope, InlineText):
+        # The reader takes text of XML space alone for layout: it reads back as no scope.
+        return [] if scope.text.strip(" \t\r\n") else ["inline text is blank"]
     problems = []
     if isinstance(scope, (Reference, ReferencedTimeSpan)) and not scope.uri:
         problems.append("reference URI is empty")
@@ -476,6 +479,10 @@ def validate(item, profile):
             out.append(("error", "TOO_FEW_CONSTITUENTS", message, "complex"))
         for i, constituent in enumerate(item.constituents):
             where = f"complex.constituent[{i}]"
+            if isinstance(constituent, ComplexEmotion):
+                message = "complex-emotion may not contain another complex-emotion"
+                out.append(("error", "NESTED_COMPLEX", message, where))
+                continue
             if isinstance(constituent.scope, (Reference, TimeSpan, ReferencedTimeSpan)):
                 message = "constituent carries its own stand-off scope; scope lives on the group"
                 out.append(("error", "CONSTITUENT_SCOPE", message, where + ".scope"))

@@ -693,7 +693,8 @@ CATEGORIES = st.sampled_from(["anger", "joy", "sadness", "fear", "surprise", "ra
 UNIT = st.floats(0, 1).map(repr)
 # Floats alone draw 0.0 and tiny values often, and their fused scores mostly
 # fall below the constituent threshold; round values let fuse print.
-STRENGTH = st.sampled_from(["0.5", "0.8", "1"]) | UNIT
+ROUND = st.sampled_from(["0.5", "0.8", "1"])
+STRENGTH = ROUND | UNIT
 # Valid lines in time order, so fusion and the decision run too.
 VALID_STREAM_FILES = st.lists(
     st.tuples(
@@ -720,17 +721,19 @@ CONFIG_FILES = line_file(
         st.just("decay_lambda 0.5"),
     )
 )
+def config_files(values):
+    """Config files of up to four knobs, each set to one of ``values``."""
+    knobs = st.sampled_from([
+        "ambiguity_epsilon", "constituent_threshold", "decay_lambda", "drop_floor",
+        *(f"weight.{s}" for s in SOURCE_WEIGHTS),
+    ])
+    lines = st.lists(st.tuples(knobs, values).map(" = ".join), max_size=4)
+    return lines.map(lambda lines: "\n".join(lines).encode())
+
+
 # Every knob in range, so the file is read and each setting reaches fusion.
-VALID_CONFIG_FILES = st.lists(
-    st.tuples(
-        st.sampled_from([
-            "ambiguity_epsilon", "constituent_threshold", "decay_lambda", "drop_floor",
-            *(f"weight.{s}" for s in SOURCE_WEIGHTS),
-        ]),
-        UNIT,
-    ).map(" = ".join),
-    max_size=4,
-).map(lambda lines: "\n".join(lines).encode())
+VALID_CONFIG_FILES = config_files(UNIT)
+ROUND_CONFIG_FILES = config_files(st.sampled_from(["0", "0.1", "0.2", "0.5"]))
 POLICY_FILES = line_file(
     words(
         st.sampled_from(["hazardous-tool", "door"]),
@@ -791,6 +794,44 @@ def bad_stream_line(draw):
     return line.replace(b"anger", b"ang\xffer") if kind == "bytes" else line
 
 
+def _run_as_the_oracles_compose(stream, config, policy, profile, at, resource):
+    """Run fuse and decide on these file bytes (a profile of None is not given);
+    each exits and prints as oracles.run_stream composes, or exits 2 silently
+    when a file other than the stream does not load."""
+    loaded = {}
+    for name, data, load in [("cfg", config, load_config), ("policy", policy, load_policy),
+                             ("profile", profile, load_profile)]:
+        try:
+            loaded[name] = None if data is None else load(data)
+        except EarlError:
+            loaded[name] = EarlError
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, data in [("stream", stream), ("config", config), ("policy", policy),
+                           ("profile", profile)]:
+            if data is not None:
+                files[name] = Path(tmp) / name
+                files[name].write_bytes(data)
+        options = ["--config", files["config"]]
+        if profile is not None:
+            options += ["--profile", files["profile"]]
+        if at is not None:
+            options.append(f"--at={at!r}")
+        for command, extra in [("fuse", []), ("decide", ["--resource", resource,
+                                                         "--policy", files["policy"]])]:
+            code, out, err = run_cli([command, "--evidence", files["stream"], *extra,
+                                      *options])
+            needed = ("cfg", "profile") + (("policy",) if command == "decide" else ())
+            if any(loaded[name] is EarlError for name in needed):
+                expected = (2, b"")
+            else:
+                expected = oracles.run_stream(
+                    stream, command, loaded["cfg"], at, loaded["profile"],
+                    loaded["policy"], resource,
+                )
+            assert (code, out.encode()) == expected, (command, err)
+
+
 class TestGeneratedFiles:
     @settings(deadline=None)
     @given(stream=STREAM_FILES, config=CONFIG_FILES, policy=POLICY_FILES,
@@ -848,38 +889,26 @@ class TestGeneratedFiles:
     def test_fuse_and_decide_print_what_the_oracles_compose(
         self, stream, config, policy, profile, at, resource
     ):
-        loaded = {}
-        for name, data, load in [("cfg", config, load_config), ("policy", policy, load_policy),
-                                 ("profile", profile, load_profile)]:
-            try:
-                loaded[name] = None if data is None else load(data)
-            except EarlError:
-                loaded[name] = EarlError
-        with tempfile.TemporaryDirectory() as tmp:
-            files = {}
-            for name, data in [("stream", stream), ("config", config), ("policy", policy),
-                               ("profile", profile)]:
-                if data is not None:
-                    files[name] = Path(tmp) / name
-                    files[name].write_bytes(data)
-            options = ["--config", files["config"]]
-            if profile is not None:
-                options += ["--profile", files["profile"]]
-            if at is not None:
-                options.append(f"--at={at!r}")
-            for command, extra in [("fuse", []), ("decide", ["--resource", resource,
-                                                             "--policy", files["policy"]])]:
-                code, out, err = run_cli([command, "--evidence", files["stream"], *extra,
-                                          *options])
-                needed = ("cfg", "profile") + (("policy",) if command == "decide" else ())
-                if any(loaded[name] is EarlError for name in needed):
-                    expected = (2, b"")
-                else:
-                    expected = oracles.run_stream(
-                        stream, command, loaded["cfg"], at, loaded["profile"],
-                        loaded["policy"], resource,
-                    )
-                assert (code, out.encode()) == expected, (command, err)
+        _run_as_the_oracles_compose(stream, config, policy, profile, at, resource)
+
+    # Only inputs that load, so that most runs reach fusion's output and the
+    # decision: two or three categories at round strengths, round knobs, the
+    # fixture policy's resource, and --at unset or at or after the last line.
+    @settings(deadline=None)
+    @given(data=st.data(), categories=st.lists(CATEGORIES, min_size=2, max_size=3, unique=True),
+           config=ROUND_CONFIG_FILES)
+    def test_loadable_inputs_print_what_the_oracles_compose(self, data, categories, config):
+        lines = data.draw(st.lists(
+            st.tuples(st.floats(0, 5), st.sampled_from(list(SOURCE_WEIGHTS)),
+                      st.sampled_from(categories), ROUND, ROUND),
+            min_size=1, max_size=6,
+        ).map(sorted))
+        stream = "\n".join(f"{t!r} {s} {c} {p} {i}" for t, s, c, p, i in lines).encode()
+        profile = data.draw(st.none() | st.just(profile_file(categories)))
+        at = data.draw(st.none() | st.sampled_from([0.0, 0.5, 1.0]).map(lines[-1][0].__add__))
+        _run_as_the_oracles_compose(
+            stream, config, POLICY.read_bytes(), profile, at, "hazardous-tool"
+        )
 
     @settings(deadline=None)
     @given(stream=STREAM_FILES, categories=PROFILE_CATEGORIES)

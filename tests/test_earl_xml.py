@@ -209,6 +209,28 @@ class TestParse:
         assert "custom" in warned and "note" in warned
 
 
+# Scopes the writer wrote although they do not read back: a span the reader
+# refuses (START_AFTER_END) and text the reader takes for layout.
+UNWRITABLE_SCOPES = {
+    "end-before-start": TimeSpan(2.0, 1.0),
+    "end-at-start": TimeSpan(1.0, 1.0),
+    "nan-start": TimeSpan(math.nan, 1.0),
+    "clip-end-before-start": ReferencedTimeSpan("a", 3.0, 1.0),
+    "empty-text": InlineText(""),
+    "space-text": InlineText("   "),
+    "newline-text": InlineText("\n"),
+}
+
+
+def _scoped(scope, where):
+    """An item with ``scope`` on an emotion, a complex emotion or its first constituent."""
+    if where == "emotion":
+        return EmotionAnnotation("joy", scope=scope)
+    if where == "complex":
+        return ComplexEmotion((EmotionAnnotation("joy"), EmotionAnnotation("fear")), scope)
+    return ComplexEmotion((EmotionAnnotation("joy", scope=scope), EmotionAnnotation("fear")))
+
+
 class TestSerialize:
     def test_dimension_values_preserved(self):
         doc = parse_document((FIXTURES / "earl" / "fig1.xml").read_bytes())
@@ -289,17 +311,57 @@ class TestSerialize:
     @example("\x00")
     @example("\udcff")
     @example("\uffff")
+    @example("")
+    @example(" \t\r\n")
+    @example(" a ")
     def test_output_always_reads_back(self, value):
         a = EmotionAnnotation(category=value, scope=InlineText(value))
         doc = AnnotationDocument(items=(a,))
         unwritable = not oracles.writable(value)
+        blank = not value.strip(" \t\r\n")  # read back as no scope
         try:
             data = serialize_document(doc)
         except ParseError as exc:
-            assert exc.code == "UNSERIALIZABLE_CHAR" and unwritable
+            assert exc.code == ("UNSERIALIZABLE_SCOPE" if blank else "UNSERIALIZABLE_CHAR")
+            assert blank or unwritable
         else:
-            assert not unwritable
-            assert parse_document(data).items[0].category == value
+            assert not (blank or unwritable)
+            assert parse_document(data).items == (a,)
+
+    @pytest.mark.parametrize("where", ["emotion", "complex", "constituent"])
+    @pytest.mark.parametrize("scope", UNWRITABLE_SCOPES.values(), ids=UNWRITABLE_SCOPES.keys())
+    def test_scope_that_would_not_read_back_is_refused(self, scope, where):
+        doc = AnnotationDocument(items=(_scoped(scope, where),))
+        with pytest.raises(ParseError) as exc:
+            serialize_document(doc)
+        assert exc.value.code == "UNSERIALIZABLE_SCOPE"
+        if isinstance(scope, InlineText):
+            assert exc.value.message == "inline text is blank"
+        else:
+            message = f"time span end {scope.end} must exceed start {scope.start}"
+            assert exc.value.message == message
+        # The bytes written unchecked do not read back.
+        try:
+            back = parse_document(oracles.serialize(doc))
+        except ParseError as refused:
+            assert refused.code == "START_AFTER_END"
+        else:
+            assert back != doc
+
+    @pytest.mark.parametrize("where", ["emotion", "complex", "constituent"])
+    def test_text_with_space_around_it_reads_back(self, where):
+        doc = AnnotationDocument(items=(_scoped(InlineText(" a "), where),))
+        assert parse_document(serialize_document(doc)) == doc
+
+    def test_nested_complex_is_refused_as_the_reader_refuses_it(self):
+        inner = ComplexEmotion((EmotionAnnotation("joy"), EmotionAnnotation("fear")))
+        doc = AnnotationDocument(items=(ComplexEmotion((inner, EmotionAnnotation("worry"))),))
+        with pytest.raises(ParseError) as written:
+            serialize_document(doc)
+        with pytest.raises(ParseError) as read:
+            parse_document(b"<complex-emotion><complex-emotion/></complex-emotion>")
+        assert (written.value.code, written.value.message) == (read.value.code, read.value.message)
+        assert written.value.code == "NESTED_COMPLEX"
 
     def test_format_number(self):
         assert format_number(1.0) == "1"
@@ -463,7 +525,63 @@ class TestNames:
             memo.clear()
 
 
+# Hand-built items for the writer's round trip.  Descriptor names are drawn as
+# generators.py draws them, for the reading profile decides a descriptor's
+# kind: dimensions from the classic ones, appraisals from outside those and the
+# field names (an appraisal named "arousal" reads back as a dimension).  No
+# written value is NaN, which equals nothing; a span may be, as no such span
+# is written.
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+SPAN_VALUES = st.sampled_from([0.0, 1.0, 2.0, -1.0, math.nan, math.inf]) | st.floats()
+# Half the spans in order, so that more items reach the reader.
+SPANS = st.tuples(SPAN_VALUES, SPAN_VALUES) | st.tuples(SPAN_VALUES, SPAN_VALUES).map(sorted)
+WRITTEN_VALUES = st.floats(allow_nan=False)
+FUZZ_SCOPES = st.one_of(
+    st.just(UNSCOPED),
+    st.builds(InlineText, st.sampled_from(["", " \t\r\n", " a "]) | ANY_TEXT),
+    st.builds(Reference, ANY_TEXT),
+    SPANS.map(lambda span: TimeSpan(*span)),
+    st.tuples(ANY_TEXT, SPANS).map(lambda drawn: ReferencedTimeSpan(drawn[0], *drawn[1])),
+)
+FUZZ_APPRAISAL_NAMES = (st.sampled_from(generators.APPRAISALS) | NAMES).filter(
+    lambda name: name not in CLASSIC_DIMENSION_NAMES and name not in FIELD_ATTRIBUTES
+)
+FUZZ_ANNOTATIONS = st.builds(
+    EmotionAnnotation,
+    category=st.none() | st.sampled_from(generators.CATEGORIES) | ANY_TEXT,
+    dimensions=st.dictionaries(st.sampled_from(sorted(CLASSIC_DIMENSION_NAMES)), WRITTEN_VALUES),
+    appraisals=st.dictionaries(FUZZ_APPRAISAL_NAMES, WRITTEN_VALUES, max_size=3),
+    intensity=st.none() | WRITTEN_VALUES,
+    probability=st.none() | WRITTEN_VALUES,
+    regulation=st.dictionaries(st.sampled_from(REGULATION_TYPES), WRITTEN_VALUES, max_size=2),
+    modality=st.none() | st.sampled_from(generators.MODALITIES) | ANY_TEXT,
+    scope=FUZZ_SCOPES,
+)
+FUZZ_COMPLEXES = st.builds(ComplexEmotion, st.lists(FUZZ_ANNOTATIONS, max_size=3), FUZZ_SCOPES)
+FUZZ_ITEMS = st.one_of(
+    FUZZ_ANNOTATIONS,
+    FUZZ_COMPLEXES,
+    # Sometimes a complex emotion given as a constituent.
+    st.builds(ComplexEmotion, st.lists(FUZZ_ANNOTATIONS | FUZZ_COMPLEXES, max_size=3),
+              FUZZ_SCOPES),
+)
+REFUSALS = {"UNSERIALIZABLE_CHAR", "UNSERIALIZABLE_NAME", "UNSERIALIZABLE_SCOPE", "NESTED_COMPLEX"}
+
+
 class TestRoundTrip:
+    @settings(max_examples=300)
+    @given(st.lists(FUZZ_ITEMS, max_size=2))
+    @example([_scoped(TimeSpan(2.0, 1.0), "constituent")])
+    @example([_scoped(InlineText("  "), "complex")])
+    def test_written_output_reads_back_or_is_refused(self, items):
+        doc = AnnotationDocument(items=tuple(items))
+        try:
+            data = serialize_document(doc)
+        except ParseError as exc:
+            assert exc.code in REFUSALS
+        else:
+            assert parse_document(data) == doc
+
     def test_random_documents_survive(self):
         rng = random.Random(7)
         for _ in range(200):

@@ -119,6 +119,21 @@ class TestValidateAnnotation:
         report = validate_annotation(c)
         assert "CONSTITUENT_SCOPE" in codes(report, "error")
 
+    def test_nested_complex_is_reported_not_raised(self):
+        # Its constituent checks used to raise AttributeError on .category.
+        inner = ComplexEmotion((EmotionAnnotation("joy"), EmotionAnnotation("fear")))
+        group = ComplexEmotion((inner, EmotionAnnotation("worry", scope=TimeSpan(2.0, 1.0))))
+        report = validate_annotation(group)
+        assert [(f.code, f.message, f.location) for f in report.findings] == [
+            ("NESTED_COMPLEX", "complex-emotion may not contain another complex-emotion",
+             "complex.constituent[0]"),
+            ("CONSTITUENT_SCOPE",
+             "constituent carries its own stand-off scope; scope lives on the group",
+             "complex.constituent[1].scope"),
+            ("MALFORMED_SCOPE", "time span end 1.0 must exceed start 2.0",
+             "complex.constituent[1].scope"),
+        ]
+
     def test_complex_needs_two_constituents(self):
         c = ComplexEmotion(constituents=(EmotionAnnotation(category="pleasure"),))
         report = validate_annotation(c)
@@ -176,12 +191,30 @@ class TestValidationEdges:
             (TimeSpan(float("nan"), 1.0), "time span end 1.0 must exceed start nan"),
             (TimeSpan(-1.0, 1.0), "time span start is negative"),
             (ReferencedTimeSpan("", 0.0, 1.0), "reference URI is empty"),
+            (InlineText(""), "inline text is blank"),
+            (InlineText(" \t\r\n"), "inline text is blank"),
         ],
-        ids=["empty-uri", "end-before-start", "nan-start", "negative-start", "empty-clip-uri"],
+        ids=["empty-uri", "end-before-start", "nan-start", "negative-start", "empty-clip-uri",
+             "empty-text", "space-text"],
     )
     def test_malformed_scope_messages(self, scope, problem):
         a = EmotionAnnotation(category="x", scope=scope)
         assert [f.message for f in validate_annotation(a).errors()] == [problem]
+
+    def test_blank_inline_text_on_a_group_or_a_constituent(self):
+        group = ComplexEmotion(
+            (EmotionAnnotation("joy", scope=InlineText("\n")), EmotionAnnotation("fear")),
+            InlineText("  "),
+        )
+        assert [(f.code, f.location) for f in validate_annotation(group).findings] == [
+            ("MALFORMED_SCOPE", "complex.constituent[0].scope"),
+            ("MALFORMED_SCOPE", "complex.scope"),
+        ]
+
+    def test_text_the_reader_keeps_is_no_finding(self):
+        # Only text of XML space alone reads back as no scope; U+3000 is no XML space.
+        for text in [" a ", "\u3000", "\xa0\n"]:
+            assert validate_annotation(EmotionAnnotation("x", scope=InlineText(text))).ok
 
 
 class TestUnwritableNames:
@@ -307,7 +340,7 @@ DESCRIPTOR_NAMES = st.sampled_from(
 LABELS = st.sampled_from(["pleasure", "worry", "joy", "face", "voice"])
 SCOPE_VARIANTS = st.one_of(
     st.just(UNSCOPED),
-    st.builds(InlineText, st.sampled_from(["", "hi"])),
+    st.builds(InlineText, st.sampled_from(["", " \r\n\t", "hi", " hi "])),
     st.builds(Reference, st.sampled_from(["", "clip.avi"])),
     st.builds(TimeSpan, NUMBERS, NUMBERS),
     st.builds(ReferencedTimeSpan, st.sampled_from(["", "clip.avi"]), NUMBERS, NUMBERS),
@@ -325,10 +358,12 @@ ANNOTATIONS = st.builds(
     modality=st.none() | LABELS,
     scope=SCOPE_VARIANTS,
 )
-ITEMS = st.one_of(
-    ANNOTATIONS,
-    st.builds(ComplexEmotion, st.lists(ANNOTATIONS, max_size=4), SCOPE_VARIANTS),
+COMPLEXES = st.builds(ComplexEmotion, st.lists(ANNOTATIONS, max_size=4), SCOPE_VARIANTS)
+# A complex emotion given as a constituent, which no document can hold.
+NESTED = st.builds(
+    ComplexEmotion, st.lists(ANNOTATIONS | COMPLEXES, min_size=1, max_size=3), SCOPE_VARIANTS
 )
+ITEMS = st.one_of(ANNOTATIONS, COMPLEXES, NESTED)
 NAME_SETS = st.frozensets(st.sampled_from(["arousal", "suddenness", "pleasure", "face"]))
 PROFILES = st.one_of(
     st.just(DEFAULT_PROFILE),
