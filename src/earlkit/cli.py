@@ -41,6 +41,16 @@ def _load(path: str, loader, *args):
         raise type(exc)(exc.code, f"{path}: {exc.message}") from None
 
 
+def _write_document(items) -> int:
+    """Write a document of ``items`` to stdout as the serializer's bytes."""
+    from .earl_xml import AnnotationDocument, serialize_document
+
+    # Not through the text layer, which would encode the text again in the
+    # locale's encoding, under the document's UTF-8 declaration.
+    sys.stdout.buffer.write(serialize_document(AnnotationDocument(items=tuple(items))))
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -92,14 +102,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_annotate(args) -> int:
-    from .earl_xml import AnnotationDocument, serialize_document
     from .markers import default_lexicon, load_lexicon, tag_lexical
 
     lexicon = default_lexicon() if args.lexicon is None else _load(args.lexicon, load_lexicon)
-    tagged = tag_lexical(args.text, lexicon)
-    doc = AnnotationDocument(items=tuple(annotation for annotation, _ in tagged))
-    sys.stdout.write(serialize_document(doc).decode("utf-8"))
-    return EXIT_OK
+    return _write_document(annotation for annotation, _ in tag_lexical(args.text, lexicon))
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +167,10 @@ def _fused_estimate(args):
 
 
 def _cmd_fuse(args) -> int:
-    from .earl_xml import AnnotationDocument, serialize_document
     from .fusion import to_complex_emotion
 
     estimate, cfg = _fused_estimate(args)
-    item = to_complex_emotion(estimate, cfg=cfg)
-    doc = AnnotationDocument(items=(item,))
-    sys.stdout.write(serialize_document(doc).decode("utf-8"))
-    return EXIT_OK
+    return _write_document([to_complex_emotion(estimate, cfg=cfg)])
 
 
 def _cmd_decide(args) -> int:

@@ -23,10 +23,11 @@ what the plain path writes.
 
 The reader is built afresh for each document: three expat handlers that
 are closures over the items, the warnings and a stack of open elements,
-each element a small list.  An element's attributes are read at its end,
-one lookup each in a per-profile table from name to slot, and a warning's
-location such as ``item[3].constituent[1]`` is formatted only when the
-warning is emitted.
+each element a small list.  An element's attributes are read at its end by
+one walk, one lookup each in a table from name to slot: per profile for an
+``emotion``, and for a ``complex-emotion`` a table of its scope attributes
+alone, which drops every other name with a warning.  A warning's location
+such as ``item[3].constituent[1]`` is formatted only when it is emitted.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ class AnnotationDocument(_Record):
 
 # Where an attribute's value goes.  Slots up to _END are fields of an
 # annotation, kept as text below _INTENSITY and as numbers from it on;
-# _UNKNOWN takes a name no table holds.
+# _UNKNOWN takes a name an emotion's table does not hold, and _DROPPED any
+# name but a scope attribute on a complex-emotion.
 _CATEGORY, _MODALITY, _URI, _INTENSITY, _PROBABILITY, _START, _END = range(7)
-_DIMENSION, _APPRAISAL, _REGULATION, _ALIAS, _UNKNOWN = range(7, 12)
+_DIMENSION, _APPRAISAL, _REGULATION, _ALIAS, _UNKNOWN, _DROPPED = range(7, 13)
 # For the error that names both attributes giving one value.  "hide" appears
 # in the wild as a regulation type; it is read as "suppress", with a warning.
 _SAME_SLOT = {"href": "xlink:href", "xlink:href": "href", "hide": "suppress", "suppress": "hide"}
@@ -93,6 +95,8 @@ _FIELD_SLOTS = {
     "intensity": _INTENSITY, "probability": _PROBABILITY, "start": _START, "end": _END,
     "hide": _ALIAS, **dict.fromkeys(REGULATION_TYPES, _REGULATION),
 }
+# A complex-emotion's fields are its scope alone.
+_SCOPE_SLOTS = {name: slot for name, slot in _FIELD_SLOTS.items() if slot in (_URI, _START, _END)}
 
 # An open element is a list: [kind, attrs, text parts, constituents, item, constituent].
 _CONTAINER, _EMOTION, _COMPLEX, _IGNORED = range(4)
@@ -118,20 +122,6 @@ _DOUBLE = (
     r"[ \t\n\r]*(?:[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[Ee][+-]?[0-9]+)?|[+-]?INF|NaN)"
     r"[ \t\n\r]*"
 )
-
-
-def _number(name: str, raw: str) -> float:
-    try:
-        value = float(raw)
-        # Each text float() reads outside xs:double has an underscore, a
-        # non-ASCII character or a value that is not finite (inf - inf is NaN,
-        # and NaN is true); only such a value takes the second look.
-        if ("_" in raw or not raw.isascii() or value - value) and not re.fullmatch(_DOUBLE, raw):
-            raise ValueError(raw)
-    except ValueError:
-        message = f"attribute {name}={raw!r} is not a number"
-        raise ParseError("UNPARSEABLE_NUMBER", message) from None
-    return value
 
 
 def _duplicate(name: str) -> ParseError:
@@ -169,21 +159,32 @@ def _scope(uri, start, end, text: str, frame: list, warnings: list[Finding]) -> 
     return InlineText(text) if text else UNSCOPED
 
 
-def _annotation(frame: list, text: str, slot_of, warnings: list[Finding]) -> EmotionAnnotation:
+def _annotation(
+    frame: list, text: str, slot_of, unknown: int, warnings: list[Finding]
+) -> AnnotationItem:
+    # The item a closed <emotion> or <complex-emotion> frame gives; a name
+    # that slot_of does not hold takes the slot ``unknown``.
     fields = [None] * (_END + 1)
     dimensions: dict[str, float] = {}
     appraisals: dict[str, float] = {}
     regulation: dict[str, float] = {}
     it = iter(frame[1])
     for name, raw in zip(it, it):
-        slot = slot_of(name, _UNKNOWN)
+        slot = slot_of(name, unknown)
         if slot < _INTENSITY:
             if slot == _URI and fields[_URI] is not None:
                 raise _duplicate(name)
             fields[slot] = raw
             continue
+        if slot == _DROPPED:
+            message = f"attribute {name}={raw!r} not recognized on {COMPLEX_TAG}; dropped"
+            _warn(warnings, "UNKNOWN_ATTRIBUTE", message, frame)
+            continue
         try:
-            value = float(raw)  # _number, inlined
+            value = float(raw)
+            # Each text float() reads outside xs:double has an underscore, a
+            # non-ASCII character or a value that is not finite (inf - inf is
+            # NaN, and NaN is true); only such a value takes the second look.
             if ("_" in raw or not raw.isascii() or value - value) and not re.fullmatch(_DOUBLE, raw):
                 raise ValueError(raw)
         except ValueError:
@@ -212,29 +213,12 @@ def _annotation(frame: list, text: str, slot_of, warnings: list[Finding]) -> Emo
                 raise _duplicate(name)
             regulation[key] = value
     category, modality, uri, intensity, probability, start, end = fields
+    scope = _scope(uri, start, end, text, frame, warnings)
+    if frame[0] == _COMPLEX:
+        return ComplexEmotion(frame[3], scope)
     return EmotionAnnotation(
-        category, dimensions, appraisals, intensity, probability, regulation, modality,
-        _scope(uri, start, end, text, frame, warnings),
+        category, dimensions, appraisals, intensity, probability, regulation, modality, scope
     )
-
-
-def _complex(frame: list, text: str, warnings: list[Finding]) -> ComplexEmotion:
-    uri = start = end = None
-    it = iter(frame[1])
-    for name, raw in zip(it, it):
-        slot = _FIELD_SLOTS.get(name)
-        if slot == _URI:
-            if uri is not None:
-                raise _duplicate(name)
-            uri = raw
-        elif slot == _START:
-            start = _number(name, raw)
-        elif slot == _END:
-            end = _number(name, raw)
-        else:
-            message = f"attribute {name}={raw!r} not recognized on {COMPLEX_TAG}; dropped"
-            _warn(warnings, "UNKNOWN_ATTRIBUTE", message, frame)
-    return ComplexEmotion(frame[3], _scope(uri, start, end, text, frame, warnings))
 
 
 def _expat_parse(data: bytes | str, start, end, text, context: str = "") -> None:
@@ -272,9 +256,10 @@ def parse_document(
     The root may be a container element holding any number of ``emotion``
     and ``complex-emotion`` elements, or a single annotation element on its
     own.  Which attributes count as dimensions versus appraisals is decided
-    by ``profile``; unknown numeric attributes are kept as appraisals with a
-    warning, so no input attribute is ever dropped silently; the container's
-    own attributes, ``xmlns`` and ``xmlns:*`` aside, are warned about too.
+    by ``profile``; an emotion's unknown numeric attributes are kept as
+    appraisals with a warning, so no input attribute is ever dropped silently;
+    a complex-emotion's attributes other than its scope, and the container's,
+    ``xmlns`` and ``xmlns:*`` aside, are dropped with a warning.
     Two attributes that give one value (``href`` and ``xlink:href``,
     ``suppress`` and ``hide``) raise ``DUPLICATE_ATTRIBUTE``, a number
     outside the lexical space of ``xs:double`` raises ``UNPARSEABLE_NUMBER``,
@@ -319,7 +304,7 @@ def parse_document(
         if text and not text.strip(" \t\n\r"):
             text = ""  # pretty-printer whitespace is not inline scope
         if kind == _COMPLEX:
-            items.append(_complex(frame, text, warnings))
+            items.append(_annotation(frame, text, _SCOPE_SLOTS.get, _DROPPED, warnings))
         elif kind == _CONTAINER:
             it = iter(frame[1])
             for name, raw in zip(it, it):
@@ -329,9 +314,9 @@ def parse_document(
             if text:
                 _warn(warnings, "STRAY_TEXT", f"text outside annotations: {text.strip()!r}", frame)
         elif frame[5] is None:
-            items.append(_annotation(frame, text, slot_of, warnings))
+            items.append(_annotation(frame, text, slot_of, _UNKNOWN, warnings))
         else:
-            stack[-1][3].append(_annotation(frame, text, slot_of, warnings))
+            stack[-1][3].append(_annotation(frame, text, slot_of, _UNKNOWN, warnings))
 
     _expat_parse(data, start_element, end_element, character_data)
     return AnnotationDocument(items, warnings)

@@ -14,11 +14,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(args: list[str]) -> tuple[int, str, str]:
-    """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
+    """Run the CLI in-process; returns (exit_code, stdout, stderr).
+
+    stdout has a byte layer, as a real one does: the commands that write a
+    document write its UTF-8 bytes there."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in args])
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 def golden(name: str) -> str:

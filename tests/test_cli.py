@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from earlkit.earl_xml import load_profile
+from earlkit.earl_xml import load_profile, parse_document
 from earlkit.errors import EarlError, FusionError
 from earlkit.fusion import load_config, load_stream
 from earlkit.markers import (
@@ -268,6 +268,25 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert 'category="joy"' in result.stdout
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_documents_are_utf8_whatever_the_stdout_encoding(self, tmp_path, encoding):
+        # The document declares UTF-8; text written through a latin-1 stdout
+        # would not parse, and through an ascii one would not be written.
+        stream = tmp_path / "tender.stream"
+        stream.write_bytes("0 face zärtlich 1 1\n".encode())
+        for argv in [["annotate", "--text", "happy café"], ["fuse", "--evidence", stream]]:
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-m", "earlkit.cli", *map(str, argv)], capture_output=True,
+                    env={**os.environ, "PYTHONIOENCODING": name},
+                )
+                for name in ("utf-8", encoding)
+            ]
+            assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+            assert runs[1].stdout == runs[0].stdout
+            assert b"\xc3" in runs[0].stdout  # the non-ASCII label or text
+            assert parse_document(runs[1].stdout).items
 
     def test_package_runs_as_a_module(self):
         result = subprocess.run(
@@ -893,11 +912,18 @@ class TestGeneratedFiles:
 
     # Only inputs that load, so that most runs reach fusion's output and the
     # decision: two or three categories at round strengths, round knobs, the
-    # fixture policy's resource, and --at unset or at or after the last line.
+    # fixture rule or the same rule at a lower threshold, which denies more
+    # often, and --at unset or at or after the last line.
     @settings(deadline=None)
     @given(data=st.data(), categories=st.lists(CATEGORIES, min_size=2, max_size=3, unique=True),
-           config=ROUND_CONFIG_FILES)
-    def test_loadable_inputs_print_what_the_oracles_compose(self, data, categories, config):
+           config=ROUND_CONFIG_FILES,
+           policy=st.sampled_from([POLICY.read_bytes(), *(
+               f"hazardous-tool deny_when aggressive >= {threshold}\n".encode()
+               for threshold in ("0.2", "0.3")
+           )]))
+    def test_loadable_inputs_print_what_the_oracles_compose(
+        self, data, categories, config, policy
+    ):
         lines = data.draw(st.lists(
             st.tuples(st.floats(0, 5), st.sampled_from(list(SOURCE_WEIGHTS)),
                       st.sampled_from(categories), ROUND, ROUND),
@@ -906,9 +932,7 @@ class TestGeneratedFiles:
         stream = "\n".join(f"{t!r} {s} {c} {p} {i}" for t, s, c, p, i in lines).encode()
         profile = data.draw(st.none() | st.just(profile_file(categories)))
         at = data.draw(st.none() | st.sampled_from([0.0, 0.5, 1.0]).map(lines[-1][0].__add__))
-        _run_as_the_oracles_compose(
-            stream, config, POLICY.read_bytes(), profile, at, "hazardous-tool"
-        )
+        _run_as_the_oracles_compose(stream, config, policy, profile, at, "hazardous-tool")
 
     @settings(deadline=None)
     @given(stream=STREAM_FILES, categories=PROFILE_CATEGORIES)

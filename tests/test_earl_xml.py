@@ -136,6 +136,22 @@ class TestParse:
             f"attributes {first!r} and {second!r} give one value; neither is kept",
         )
 
+    @pytest.mark.parametrize("first, second", [("suppress", "hide"), ("hide", "suppress")])
+    def test_regulation_pair_on_complex_is_two_drops(self, first, second):
+        # Regulation is no field of a complex emotion: each is dropped on its own.
+        data = (
+            f'<complex-emotion {first}="0.2" {second}="0.5">'
+            '<emotion category="a"/></complex-emotion>'
+        )
+        doc = parse_document(data)
+        assert [(w.code, w.message, w.location) for w in doc.warnings] == [
+            ("UNKNOWN_ATTRIBUTE",
+             f"attribute {name}={raw!r} not recognized on complex-emotion; dropped", "item[0]")
+            for name, raw in [(first, "0.2"), (second, "0.5")]
+        ]
+        plain = parse_document('<complex-emotion><emotion category="a"/></complex-emotion>')
+        assert doc.items == plain.items
+
     def test_unparseable_number(self):
         with pytest.raises(ParseError) as exc:
             parse_document(b'<emotion category="x" intensity="high"/>')

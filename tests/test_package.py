@@ -250,6 +250,18 @@ def test_only_read_lines_names_a_line():
     assert [where for where in found if not where.startswith("errors.py:")] == []
 
 
+def test_only_one_function_checks_xs_double():
+    # earl_xml._DOUBLE is the lexical space of xs:double; a second function
+    # that reads it would be a second statement of what a number is.
+    found = []
+    for path in sorted(Path(earlkit.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(name, ast.Name) and name.id == "_DOUBLE" for name in ast.walk(node)
+            ):
+                found.append(f"{path.name}:{node.name}")
+    assert len(found) == 1, found
+
 
 def _restatements(source: str) -> list[str]:
     """The shapes a restatement of a layer has taken outside tests/oracles.py:
