@@ -41,14 +41,11 @@ def _load(path: str, loader, *args):
         raise type(exc)(exc.code, f"{path}: {exc.message}") from None
 
 
-def _write_document(items) -> int:
-    """Write a document of ``items`` to stdout as the serializer's bytes."""
+def _document(items) -> bytes:
+    """The serializer's bytes for a document of ``items``."""
     from .earl_xml import AnnotationDocument, serialize_document
 
-    # Not through the text layer, which would encode the text again in the
-    # locale's encoding, under the document's UTF-8 declaration.
-    sys.stdout.buffer.write(serialize_document(AnnotationDocument(items=tuple(items))))
-    return EXIT_OK
+    return serialize_document(AnnotationDocument(items=tuple(items)))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +78,7 @@ def _corpus(args):
         yield path, doc, findings
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[int, bytes]:
     failed = False
     for path, result, findings in _corpus(args):
         if findings is None:
@@ -94,25 +91,25 @@ def _cmd_validate(args) -> int:
             print(f"{path}: {severity} {f.code} {f.message} [{f.location}]", file=sys.stderr)
             if severity == "error":
                 failed = True
-    return EXIT_INPUT if failed else EXIT_OK
+    return (EXIT_INPUT if failed else EXIT_OK), b""
 
 
 # ---------------------------------------------------------------------------
 # annotate
 
 
-def _cmd_annotate(args) -> int:
+def _cmd_annotate(args) -> tuple[int, bytes]:
     from .markers import default_lexicon, load_lexicon, tag_lexical
 
     lexicon = default_lexicon() if args.lexicon is None else _load(args.lexicon, load_lexicon)
-    return _write_document(annotation for annotation, _ in tag_lexical(args.text, lexicon))
+    return EXIT_OK, _document(annotation for annotation, _ in tag_lexical(args.text, lexicon))
 
 
 # ---------------------------------------------------------------------------
 # classify
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, bytes]:
     from .earl_xml import format_number
     from .markers import (
         MovementDescriptor,
@@ -126,10 +123,10 @@ def _cmd_classify(args) -> int:
         path, descriptor, classify = args.voice, VoiceFeatureDelta, classify_voice
     else:
         path, descriptor, classify = args.movement, MovementDescriptor, classify_movement
-    for entry in classify(_load(path, load_features, descriptor)):
-        features = ",".join(entry.matched_features)
-        print(f"{entry.label}\t{format_number(entry.score)}\t{features}")
-    return EXIT_OK
+    return EXIT_OK, "".join(
+        f"{entry.label}\t{format_number(entry.score)}\t{','.join(entry.matched_features)}\n"
+        for entry in classify(_load(path, load_features, descriptor))
+    ).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +163,14 @@ def _fused_estimate(args):
     return fuse_instant(fill_missing(state, at, cfg), cfg), cfg
 
 
-def _cmd_fuse(args) -> int:
+def _cmd_fuse(args) -> tuple[int, bytes]:
     from .fusion import to_complex_emotion
 
     estimate, cfg = _fused_estimate(args)
-    return _write_document([to_complex_emotion(estimate, cfg=cfg)])
+    return EXIT_OK, _document([to_complex_emotion(estimate, cfg=cfg)])
 
 
-def _cmd_decide(args) -> int:
+def _cmd_decide(args) -> tuple[int, bytes]:
     from .needs import decide_access, load_policy
 
     estimate, _ = _fused_estimate(args)
@@ -182,15 +179,15 @@ def _cmd_decide(args) -> int:
     if all(rule.resource != args.resource for rule in policy.rules):
         raise PolicyError("UNKNOWN_RESOURCE", f"{args.policy}: no rule names {args.resource!r}")
     decision = decide_access(estimate, args.resource, policy)
-    print(f"{decision.verdict}\t{decision.rationale}")
-    return EXIT_DENY if decision.verdict == "deny" else EXIT_OK
+    code = EXIT_DENY if decision.verdict == "deny" else EXIT_OK
+    return code, f"{decision.verdict}\t{decision.rationale}\n".encode()
 
 
 # ---------------------------------------------------------------------------
 # stats
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> tuple[int, bytes]:
     from .model import ComplexEmotion
 
     counts = dict.fromkeys(("files_scanned", "annotations_count", "complex_count", "error_count"), 0)
@@ -214,13 +211,11 @@ def _cmd_stats(args) -> int:
     if args.json:
         import json
 
-        print(json.dumps({**counts, "categories": dict(sorted(categories.items()))}))
+        text = json.dumps({**counts, "categories": dict(sorted(categories.items()))}) + "\n"
     else:
-        for key, value in counts.items():
-            print(f"{key}\t{value}")
-        for label in sorted(categories):
-            print(f"category.{label}\t{categories[label]}")
-    return EXIT_OK
+        rows = list(counts.items()) + [(f"category.{c}", categories[c]) for c in sorted(categories)]
+        text = "".join(f"{key}\t{value}\n" for key, value in rows)
+    return EXIT_OK, text.encode()
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # Every command returns its stdout as bytes, written here and only
+        # here: UTF-8 whatever the locale, nothing when stdout is closed.
+        code, out = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.buffer.write(out)
+        return code
     except _UsageExit as exc:
         print(f"earlkit: {exc}", file=sys.stderr)
         return EXIT_USAGE

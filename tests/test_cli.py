@@ -271,11 +271,24 @@ class TestUsage:
 
     @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
     def test_documents_are_utf8_whatever_the_stdout_encoding(self, tmp_path, encoding):
-        # The document declares UTF-8; text written through a latin-1 stdout
-        # would not parse, and through an ascii one would not be written.
+        # Every command writes UTF-8 bytes. A document declares UTF-8; text
+        # written through a latin-1 stdout would not parse, and through an
+        # ascii one a non-ASCII label, text or resource would not be written.
         stream = tmp_path / "tender.stream"
         stream.write_bytes("0 face zärtlich 1 1\n".encode())
-        for argv in [["annotate", "--text", "happy café"], ["fuse", "--evidence", stream]]:
+        policy = tmp_path / "saw.policy"
+        policy.write_bytes("säge deny_when aggressive >= 0.6\n".encode())
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "tender.xml").write_bytes('<emotion category="zärtlich"/>'.encode())
+        cases = [
+            (["annotate", "--text", "happy café"], 0),
+            (["fuse", "--evidence", stream], 0),
+            (["decide", "--policy", policy, "--resource", "säge", "--evidence", ANGRY], 3),
+            (["stats", corpus], 0),
+            (["classify", "--voice", FIXTURES / "features" / "voice_anger.features"], 0),
+        ]
+        for argv, code in cases:
             runs = [
                 subprocess.run(
                     [sys.executable, "-m", "earlkit.cli", *map(str, argv)], capture_output=True,
@@ -283,10 +296,35 @@ class TestUsage:
                 )
                 for name in ("utf-8", encoding)
             ]
-            assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+            assert [run.returncode for run in runs] == [code, code], runs[1].stderr
             assert runs[1].stdout == runs[0].stdout
-            assert b"\xc3" in runs[0].stdout  # the non-ASCII label or text
-            assert parse_document(runs[1].stdout).items
+            if argv[0] != "classify":
+                assert b"\xc3" in runs[0].stdout  # the non-ASCII label, text or resource
+            if argv[0] in ("annotate", "fuse"):
+                assert parse_document(runs[1].stdout).items
+            else:
+                assert runs[1].stdout.endswith(b"\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["annotate", "--text", "happy"],
+            ["fuse", "--evidence", FIXTURES / "streams" / "jack_angry.stream"],
+            ["decide", "--evidence", FIXTURES / "streams" / "jack_angry.stream", "--resource",
+             "hazardous-tool", "--policy", FIXTURES / "policies" / "hazardous_tool.policy"],
+            ["stats", FIXTURES / "earl"],
+            ["classify", "--voice", FIXTURES / "features" / "voice_anger.features"],
+        ],
+        ids=["annotate", "fuse", "decide", "stats", "classify"],
+    )
+    def test_closed_stdout_keeps_the_exit_code(self, argv):
+        # With fd 1 closed, sys.stdout is None: the command writes nothing,
+        # and its exit code is the one it gives with stdout open.
+        command = [sys.executable, "-m", "earlkit.cli", *map(str, argv)]
+        opened = subprocess.run(command, capture_output=True)
+        closed = subprocess.run(command, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert opened.stdout
+        assert (closed.returncode, closed.stderr) == (opened.returncode, b"")
 
     def test_package_runs_as_a_module(self):
         result = subprocess.run(

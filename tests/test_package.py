@@ -228,6 +228,30 @@ def test_only_the_cli_touches_the_filesystem():
     assert [line for line in found if not line.startswith("cli.py:")] == []
 
 
+def test_only_cli_main_writes_stdout():
+    # Each command returns its output as bytes and cli.main writes them, so
+    # stdout is UTF-8 whatever the locale and is skipped when closed; a print
+    # without file= would write through the locale's text layer.
+    named, bare_prints = set(), []
+    for path in sorted(Path(earlkit.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk is breadth-first, so an inner function overwrites its outer one.
+        owner = {}
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), scope.name) for node in ast.walk(scope))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "stdout" and (
+                isinstance(node.value, ast.Name) and node.value.id == "sys"
+            ):
+                named.add(f"{path.stem}.{owner.get(id(node), '<module>')}")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+                node.func.id == "print" and all(k.arg != "file" for k in node.keywords)
+            ):
+                bare_prints.append(f"{path.name}:{node.lineno}")
+    assert (sorted(named), bare_prints) == (["cli.main"], [])
+
+
 def test_no_module_imports_typing():
     # Every command loads errors and model, and where site has not already
     # imported typing it costs about 3 ms of a run; from Python 3.10, the
