@@ -76,21 +76,6 @@ _ALLOW = Decision(verdict="allow", rationale="no rule matched")
 _ALLOW_AMBIGUOUS = Decision(verdict="allow", rationale="no rule matched; ambiguous estimate")
 
 
-def _strength(scores: dict[str, float], behavior: str) -> float:
-    """The strength ``infer_needs(estimate)`` gives ``behavior``, or 0.0, with no profile built.
-
-    The profile lists a behavior's strongest category first and, on equal
-    scores, the category first in name order, which is the one kept here.
-    A plain loop: ``max`` over a generator costs several times as much.
-    """
-    strength = None
-    for category in _CATEGORIES_FOR[behavior]:
-        score = scores.get(category)
-        if score is not None and (strength is None or score > strength):
-            strength = score
-    return 0.0 if strength is None else strength
-
-
 def infer_needs(estimate: FusedEstimate) -> NeedProfile:
     """Project fused category scores onto motivated-behavior strengths.
 
@@ -112,13 +97,15 @@ def infer_needs(estimate: FusedEstimate) -> NeedProfile:
 def decide_access(
     estimate: FusedEstimate, resource: str, policy: AccessPolicy
 ) -> Decision:
-    """Deny iff a rule for the resource sees its blocking behavior at or
-    above threshold; the first such rule in policy order is named."""
+    """Deny iff a rule for the resource sees its blocking behavior, the summed
+    score of its categories, at or above threshold; the first such rule is named."""
     scores = estimate.scores
     for rule in policy.rules:
         if rule.resource != resource:
             continue
-        strength = _strength(scores, rule.behavior)
+        strength = 0.0
+        for category in _CATEGORIES_FOR[rule.behavior]:
+            strength += scores.get(category, 0.0)
         if strength >= rule.threshold:
             note = "; ambiguous estimate" if estimate.ambiguous else ""
             rationale = (

@@ -589,13 +589,14 @@ def needs(scores):
 
 
 def decision(estimate, resource, policy):
-    """(verdict, rationale, rule)."""
+    """(verdict, rationale, rule); a behavior's strength is the sum of its
+    entries in the need profile."""
     orientations, _ = needs(estimate.scores)
     note = "; ambiguous estimate" if estimate.ambiguous else ""
     for rule in policy.rules:
         if rule.resource != resource:
             continue
-        strength = next((s for b, s in orientations if b == rule.behavior), 0.0)
+        strength = sum((s for b, s in orientations if b == rule.behavior), 0.0)
         if strength >= rule.threshold:
             rationale = (
                 f"rule '{rule.resource} deny_when {rule.behavior} >= "

@@ -211,6 +211,22 @@ class TestDecide:
         assert code == 0
         assert out == golden("decide_jack_calm.txt")
 
+    @pytest.mark.parametrize("profile", [
+        (), ("--profile", FIXTURES / "profiles" / "behaviors.xml"),
+    ])
+    @pytest.mark.parametrize("second, note", [
+        ("desire", ""), ("sensuality", "; ambiguous estimate"),
+    ])
+    def test_two_names_of_one_emotion_add_up(self, tmp_path, profile, second, note):
+        # `sensuality` is the word list's name for `desire`: a face reading and
+        # a text reading of one emotion must not split its vote into allow.
+        stream, policy = tmp_path / "s.stream", tmp_path / "shop.policy"
+        stream.write_text(f"0 face desire 0.8 1.0\n0 language_voice {second} 0.8 1.0\n")
+        policy.write_text("shop deny_when searching >= 0.5\n")
+        argv = ["decide", "--evidence", stream, "--resource", "shop", "--policy", policy]
+        rationale = f"rule 'shop deny_when searching >= 0.5' triggered: searching=0.8000{note}"
+        assert run_cli([*argv, *profile]) == (3, f"deny\t{rationale}\n", "")
+
     def test_unlisted_resource_exits_2(self):
         # No rule names "library", so the resource is most likely misspelt:
         # answering allow would let a typo open any resource.
@@ -257,8 +273,16 @@ class TestUsage:
         assert code == 1
 
     def test_missing_required_flag_exits_1(self):
-        code, _, _ = run_cli(["annotate"])
-        assert code == 1
+        stream = ["--evidence", FIXTURES / "streams" / "jack_angry.stream"]
+        required = "the following arguments are required:"
+        for argv, message in [
+            (["annotate"], f"{required} --text"),
+            (["classify"], "one of the arguments --voice --movement is required"),
+            (["fuse"], f"{required} --evidence"),
+            (["decide", *stream, "--resource", "x"], f"{required} --policy"),
+        ]:
+            code, _, err = run_cli(argv)
+            assert (code, err.splitlines()[-1]) == (1, f"earlkit: {message}")
 
     def test_console_entry_point(self):
         result = subprocess.run(

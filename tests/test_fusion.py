@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from earlkit.earl_xml import AnnotationDocument, parse_document, serialize_document
 from earlkit.errors import EarlError, FusionError
 from earlkit.fusion import (
+    FusedEstimate,
     FusionConfig,
     MarkerEvidence,
     TemporalState,
@@ -337,6 +338,12 @@ class TestToComplexEmotion:
         assert isinstance(item, EmotionAnnotation)
         assert item.category == "anger"
         assert item.probability == pytest.approx(0.9)
+        assert to_complex_emotion(f, InlineText("scene")).scope == InlineText("scene")
+
+    def test_score_at_the_threshold_qualifies(self):
+        f = FusedEstimate({"anger": 0.8, "fear": 0.2}, "anger", False)
+        item = to_complex_emotion(f, cfg=FusionConfig(constituent_threshold=0.2))
+        assert [c.category for c in item.constituents] == ["anger", "fear"]
 
     def test_no_signal(self):
         f = fuse_instant(
@@ -380,9 +387,11 @@ class TestConfigFile:
 
 class TestFusionEdges:
     def test_config_missing_separator_rejected(self):
-        with pytest.raises(FusionError) as exc:
-            load_config("decay_lambda 0.5")
-        assert exc.value.code == "BAD_CONFIG"
+        for text in ("decay_lambda 0.5", "drop_floor 0.1", "= 0.5"):
+            with pytest.raises(FusionError) as exc:
+                load_config(text)
+            assert exc.value.code == "BAD_CONFIG"
+            assert exc.value.message == "line 1: expected key=value"
 
     def test_negative_decay_rejected(self):
         with pytest.raises(ValueError):

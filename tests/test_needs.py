@@ -1,5 +1,6 @@
 """Need inference and access decisions."""
 
+import dataclasses
 import math
 
 import pytest
@@ -272,11 +273,40 @@ class TestDecideWithoutProfile:
             want = oracles.decision(estimate(scores, ambiguous), resource, policy)
             assert (decision.verdict, decision.rationale, decision.rule) == want
 
-    def test_desire_and_sensuality_take_the_stronger(self):
-        policy = AccessPolicy(rules=(PolicyRule("door", "searching", 0.6),))
+    def test_desire_and_sensuality_add_up(self):
+        # Two names of one emotion split its fused mass; the stronger half
+        # alone (0.65) would answer allow.
+        policy = AccessPolicy(rules=(PolicyRule("door", "searching", 0.7),))
         decision = decide_access(estimate({"desire": 0.2, "sensuality": 0.65}), "door", policy)
         assert decision.verdict == "deny"
-        assert decision.rationale.endswith("searching=0.6500")
+        assert decision.rationale.endswith("searching=0.8500")
+
+    @given(scores=scores_st, ambiguous=st.booleans(), rules=rules_st)
+    @example(scores={"desire": 0.3, "sensuality": 0.3}, ambiguous=False,
+             rules=[PolicyRule("door", "searching", 0.5)])
+    def test_moving_desire_onto_sensuality_changes_nothing(self, scores, ambiguous, rules):
+        # Exact: decide_access sums desire, then sensuality, from 0.0.
+        policy = AccessPolicy(rules=tuple(rules))
+        others = {c: s for c, s in scores.items() if c not in ("desire", "sensuality")}
+        variants = [scores]
+        if "desire" in scores or "sensuality" in scores:
+            total = scores.get("desire", 0.0) + scores.get("sensuality", 0.0)
+            variants += [{**others, "sensuality": total}, {**others, "desire": total}]
+        for resource in ("door", "safe"):
+            decisions = {
+                (d.verdict, d.rationale, d.rule)
+                for d in (decide_access(estimate(v, ambiguous), resource, policy) for v in variants)
+            }
+            assert len(decisions) == 1, decisions
+
+    def test_decisions_refuse_assignment(self):
+        # The allow decisions are shared by every caller, so none may change.
+        deny = decide_access(estimate({"anger": 0.8}), "hazardous-tool", HAZARD_POLICY)
+        plain = decide_access(estimate({}), "x", AccessPolicy())
+        unsure = decide_access(estimate({}, ambiguous=True), "x", AccessPolicy())
+        for decision in (deny, plain, unsure):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                decision.verdict = "allow"
 
     def test_zero_threshold_denies_an_absent_behavior(self):
         policy = AccessPolicy(rules=(PolicyRule("door", "protective", 0.0),))
