@@ -384,18 +384,14 @@ BEHAVIOR_FOR_EMOTION = {
     "sadness": "dejected",
     "joy": "gratulant",
     "affection": "caressive",
+    "sensuality": "searching",  # the word list's "sensuality (desire)"
 }
-
-# The word-list vocabulary says "sensuality (desire)"; the alias lets both
-# vocabularies name the same behavior.
-EMOTION_ALIASES = {"sensuality": "desire"}
 
 
 def behavior_for_emotion(emotion: str) -> str:
     """Map a basic emotion to its motivated behavior label."""
-    canonical = EMOTION_ALIASES.get(emotion, emotion)
     try:
-        return BEHAVIOR_FOR_EMOTION[canonical]
+        return BEHAVIOR_FOR_EMOTION[emotion]
     except KeyError:
         raise MarkerError("UNKNOWN_EMOTION", f"{emotion!r} has no behavior mapping") from None
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import PolicyError, read_lines
 from .fusion import FusedEstimate
-from .model import BEHAVIOR_FOR_EMOTION, EMOTION_ALIASES, _Record, behavior_for_emotion
+from .model import BEHAVIOR_FOR_EMOTION, _Record
 
 
 class NeedProfile(_Record):
@@ -63,12 +63,9 @@ class Decision:
     rule: PolicyRule | None = None
 
 
-#: Each emotion and alias with its behavior, in name order.
-_BEHAVIOR_OF = {c: behavior_for_emotion(c) for c in sorted({*BEHAVIOR_FOR_EMOTION, *EMOTION_ALIASES})}
-
 #: Every category that maps to each behavior, in name order.
 _CATEGORIES_FOR = {behavior: () for behavior in BEHAVIOR_FOR_EMOTION.values()}
-for _category, _behavior in _BEHAVIOR_OF.items():
+for _category, _behavior in sorted(BEHAVIOR_FOR_EMOTION.items()):
     _CATEGORIES_FOR[_behavior] += (_category,)
 
 #: The allow decisions carry no rule; they are immutable, so two are shared.
@@ -85,7 +82,7 @@ def infer_needs(estimate: FusedEstimate) -> NeedProfile:
     orientations = []
     unmapped = []
     for category in sorted(estimate.scores):
-        behavior = _BEHAVIOR_OF.get(category)
+        behavior = BEHAVIOR_FOR_EMOTION.get(category)
         if behavior is not None:
             orientations.append((behavior, estimate.scores[category]))
         else:

@@ -15,7 +15,7 @@ from earlkit.errors import EarlError, FusionError, ParseError
 from earlkit.fusion import FusedEstimate, MarkerEvidence
 from earlkit.markers import MOVEMENT_PATTERNS, VOICE_PATTERNS, RankedEmotion, VoiceFeatureDelta
 from earlkit.model import (
-    BEHAVIOR_FOR_EMOTION, CLASSIC_APPRAISAL_NAMES, CLASSIC_DIMENSION_NAMES, EMOTION_ALIASES,
+    BEHAVIOR_FOR_EMOTION, CLASSIC_APPRAISAL_NAMES, CLASSIC_DIMENSION_NAMES,
     FIELD_ATTRIBUTES, REGULATION_TYPES, SOURCE_MODALITY, SOURCE_WEIGHTS, UNSCOPED,
     ComplexEmotion, EmotionAnnotation, Finding, InlineText, Reference, ReferencedTimeSpan,
     TimeSpan, Unscoped,
@@ -579,7 +579,7 @@ def needs(scores):
     score, then behavior, stably over categories in name order."""
     orientations, unmapped = [], []
     for category in sorted(scores):
-        behavior = BEHAVIOR_FOR_EMOTION.get(EMOTION_ALIASES.get(category, category))
+        behavior = BEHAVIOR_FOR_EMOTION.get(category)
         if behavior is None:
             unmapped.append(category)
         else:
