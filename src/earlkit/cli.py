@@ -160,7 +160,12 @@ def _fused_estimate(args):
     for evidence in stream:
         state = update_temporal(state, evidence)
     at = state.clock if args.at is None else args.at
-    return fuse_instant(fill_missing(state, at, cfg), cfg), cfg
+    # Evidence decayed below drop_floor is gone, not calm: an empty estimate
+    # would let decide allow.
+    live = fill_missing(state, at, cfg)
+    if not live:
+        raise FusionError("NO_SIGNAL", f"{args.evidence}: no evidence is live at t={at}")
+    return fuse_instant(live, cfg), cfg
 
 
 def _cmd_fuse(args) -> tuple[int, bytes]:

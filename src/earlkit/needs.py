@@ -95,14 +95,21 @@ def decide_access(
     estimate: FusedEstimate, resource: str, policy: AccessPolicy
 ) -> Decision:
     """Deny iff a rule for the resource sees its blocking behavior, the summed
-    score of its categories, at or above threshold; the first such rule is named."""
+    score of its categories, at or above threshold; the first such rule is named.
+
+    Raises ValueError when a score a rule reads is NaN or negative: either
+    would pull the sum below the threshold and answer allow.
+    """
     scores = estimate.scores
     for rule in policy.rules:
         if rule.resource != resource:
             continue
         strength = 0.0
         for category in _CATEGORIES_FOR[rule.behavior]:
-            strength += scores.get(category, 0.0)
+            score = scores.get(category, 0.0)
+            if not score >= 0.0:
+                raise ValueError(f"score {score} of {category!r} is not a number >= 0")
+            strength += score
         if strength >= rule.threshold:
             note = "; ambiguous estimate" if estimate.ambiguous else ""
             rationale = (

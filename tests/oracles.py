@@ -590,12 +590,16 @@ def needs(scores):
 
 def decision(estimate, resource, policy):
     """(verdict, rationale, rule); a behavior's strength is the sum of its
-    entries in the need profile."""
+    entries in the need profile.  ValueError when a category a rule reads
+    scores NaN or below 0."""
     orientations, _ = needs(estimate.scores)
     note = "; ambiguous estimate" if estimate.ambiguous else ""
     for rule in policy.rules:
         if rule.resource != resource:
             continue
+        for category, score in sorted(estimate.scores.items()):
+            if BEHAVIOR_FOR_EMOTION.get(category) == rule.behavior and not score >= 0.0:
+                raise ValueError(f"score {score} of {category!r} is not a number >= 0")
         strength = sum((s for b, s in orientations if b == rule.behavior), 0.0)
         if strength >= rule.threshold:
             rationale = (
@@ -637,8 +641,8 @@ def run_stream(stream_bytes, command, cfg, at, profile, policy, resource):
     stream file: the last observation of each source, decayed to ``at`` (the
     last timestamp when None) and fused; ``fuse`` writes the categories at or
     above the constituent threshold, strongest first, and ``decide`` the
-    first rule for ``resource`` that fires.  Any input error exits 2 and
-    prints nothing."""
+    first rule for ``resource`` that fires.  Any input error, or no evidence
+    live at ``at``, exits 2 and prints nothing."""
     try:
         evidence = _stream(stream_bytes, profile)
         if not evidence:
@@ -650,7 +654,10 @@ def run_stream(stream_bytes, command, cfg, at, profile, policy, resource):
             state.last_evidence[item.source] = item
             state.clock = item.timestamp
         now = state.clock if at is None else at
-        scores, dominant, ambiguous = fuse(fill_missing(state, now, cfg), cfg)
+        live = fill_missing(state, now, cfg)
+        if not live:
+            return 2, b""
+        scores, dominant, ambiguous = fuse(live, cfg)
     except (EarlError, ValueError):
         return 2, b""
     if command == "fuse":

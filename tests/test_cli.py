@@ -678,6 +678,23 @@ class TestFailClosedInputs:
         assert (code, out) == (2, "")
         assert err == f"earlkit: BAD_STREAM: {stream}: no evidence line\n"
 
+    @pytest.mark.parametrize("faint, at", [(True, ()), (False, ("--at", "60"))])
+    @pytest.mark.parametrize("command", ["fuse", "decide"])
+    def test_no_live_evidence_exits_2(self, tmp_path, command, faint, at):
+        # Every line decayed below drop_floor, or seen below it: an empty
+        # estimate used to make decide answer allow.
+        stream = ANGRY
+        if faint:
+            stream = tmp_path / "s.stream"
+            stream.write_text("0 face anger 0.04 1.0\n")
+        argv = [command, "--evidence", stream, *at]
+        if command == "decide":
+            argv += ["--resource", "hazardous-tool", "--policy", POLICY]
+        t = 0.0 if faint else 60.0
+        assert run_cli(argv) == (
+            2, "", f"earlkit: NO_SIGNAL: {stream}: no evidence is live at t={t}\n"
+        )
+
     @pytest.mark.parametrize(
         "kind, code_name",
         [

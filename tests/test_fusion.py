@@ -25,6 +25,7 @@ from earlkit.fusion import (
     update_temporal,
 )
 from earlkit.model import (
+    BEHAVIOR_FOR_EMOTION,
     SOURCE_WEIGHTS,
     UNSCOPED,
     ComplexEmotion,
@@ -33,6 +34,7 @@ from earlkit.model import (
     TimeSpan,
     validate_annotation,
 )
+from earlkit.needs import AccessPolicy, PolicyRule, decide_access
 
 import oracles
 
@@ -853,6 +855,24 @@ class TestEquivalentToConstructors:
         got = outcome(lambda: fused_fields(fill_missing(state, now, cfg), cfg))
         want = outcome(lambda: oracle_fields(oracles.fill_missing(state, now, cfg), cfg))
         assert got == want
+
+
+# One resource per behavior, so that each decision reads that behavior's scores.
+EVERY_BEHAVIOR = AccessPolicy(
+    tuple(PolicyRule(b, b, 0.0) for b in sorted(set(BEHAVIOR_FOR_EMOTION.values())))
+)
+
+
+class TestFusedEstimatesDecide:
+    @given(state=states(), dt=st.floats(min_value=0.0, max_value=5.0), cfg=configs | odd_configs)
+    def test_no_fused_score_trips_the_score_check(self, state, dt, cfg):
+        # decide_access raises on a NaN or negative score; fusion never makes one.
+        try:
+            estimate = fuse_instant(fill_missing(state, state.clock + dt, cfg), cfg)
+        except FusionError:
+            return
+        for rule in EVERY_BEHAVIOR.rules:
+            assert decide_access(estimate, rule.resource, EVERY_BEHAVIOR).rule == rule
 
 
 def stand_ins(fill, state, now, cfg):

@@ -246,6 +246,28 @@ class TestHandBuiltRecords:
         assert hash(policy) == hash(HAZARD_POLICY)
         assert {HAZARD_POLICY: "hazard"}[policy] == "hazard"
 
+    @pytest.mark.parametrize("rule, scores, category", [
+        (PolicyRule("shop", "searching", 0.5), {"desire": 0.9, "sensuality": math.nan},
+         "sensuality"),
+        (PolicyRule("shop", "searching", 0.5), {"desire": 0.6, "sensuality": -0.5},
+         "sensuality"),
+        (HAZARD_POLICY.rules[0], {"anger": math.nan}, "anger"),
+    ])
+    def test_nan_or_negative_score_raises(self, rule, scores, category):
+        # Summed into a behavior, either would answer allow.
+        policy = AccessPolicy((rule,))
+        for decide in (decide_access, oracles.decision):
+            with pytest.raises(ValueError) as exc:
+                decide(estimate(scores), rule.resource, policy)
+            assert str(exc.value) == (
+                f"score {scores[category]} of {category!r} is not a number >= 0"
+            )
+
+    def test_negative_zero_score_decides(self):
+        policy = AccessPolicy((PolicyRule("door", "aggressive", 0.0),))
+        decision = decide_access(estimate({"anger": -0.0}), "door", policy)
+        assert decision.rationale.endswith("aggressive=0.0000")
+
     def test_decayed_unknown_source_never_reaches_a_decision(self):
         # An unknown source used to raise in fuse_instant while fresh, but
         # decayed below drop_floor it was dropped unseen and the tool allowed.
