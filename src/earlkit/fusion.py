@@ -22,10 +22,8 @@ from .errors import FusionError, read_lines
 from .model import (
     SOURCE_MODALITY,
     SOURCE_WEIGHTS,
-    UNSCOPED,
     ComplexEmotion,
     EmotionAnnotation,
-    Scope,
     VocabularyProfile,
     _Record,
 )
@@ -313,12 +311,12 @@ def fill_missing(
 
 
 def to_complex_emotion(
-    estimate: FusedEstimate, scope: Scope = UNSCOPED, cfg: FusionConfig = FusionConfig()
+    estimate: FusedEstimate, cfg: FusionConfig = FusionConfig()
 ) -> EmotionAnnotation | ComplexEmotion:
-    """Render a fused estimate as EARL: categories at or above the
+    """Render a fused estimate as unscoped EARL: categories at or above the
     constituent threshold become constituents carrying their score as
     probability, strongest first.  One qualifying category collapses to a
-    simple annotation."""
+    simple annotation.  A scope is the caller's: ``item._replace(scope=...)``."""
     scores = estimate.scores
     qualifying = sorted(
         (c for c, s in scores.items() if s >= cfg.constituent_threshold),
@@ -328,8 +326,5 @@ def to_complex_emotion(
         raise FusionError(
             "NO_SIGNAL", f"no category reaches the {cfg.constituent_threshold} threshold"
         )
-    inner = UNSCOPED if len(qualifying) > 1 else scope
-    constituents = tuple(
-        EmotionAnnotation(c, None, None, None, scores[c], None, None, inner) for c in qualifying
-    )
-    return ComplexEmotion(constituents, scope) if len(constituents) > 1 else constituents[0]
+    constituents = tuple(EmotionAnnotation(c, None, None, None, scores[c]) for c in qualifying)
+    return ComplexEmotion(constituents) if len(constituents) > 1 else constituents[0]

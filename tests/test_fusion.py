@@ -327,11 +327,11 @@ class TestToComplexEmotion:
                 evidence("worry", "language_voice", p=0.5),
             ]
         )
-        item = to_complex_emotion(f, InlineText("scene"))
+        item = to_complex_emotion(f)
         assert isinstance(item, ComplexEmotion)
         assert [c.category for c in item.constituents] == ["pleasure", "worry"]
         assert item.constituents[0].probability > item.constituents[1].probability
-        assert item.scope == InlineText("scene")
+        assert item.scope == UNSCOPED
         assert validate_annotation(item).ok
 
     def test_single_category_stays_simple(self):
@@ -340,7 +340,6 @@ class TestToComplexEmotion:
         assert isinstance(item, EmotionAnnotation)
         assert item.category == "anger"
         assert item.probability == pytest.approx(0.9)
-        assert to_complex_emotion(f, InlineText("scene")).scope == InlineText("scene")
 
     def test_score_at_the_threshold_qualifies(self):
         f = FusedEstimate({"anger": 0.8, "fear": 0.2}, "anger", False)
@@ -965,15 +964,14 @@ class TestSourceOrder:
 
 
 class TestFusedOutputWrites:
-    @given(items=evidence_lists(remembered=True), scope=scopes)
+    @given(items=evidence_lists(remembered=True))
     @example(  # one name as a dimension of one source and an appraisal of another
         items=[evidence("joy", "face", p=0.9, dimensions={"x": 0.1}, regulation={"suppress": 0.5}),
                evidence("joy", "language_voice", p=0.8, appraisals={"x": 0.2})],
-        scope=UNSCOPED,
     )
-    def test_fused_output_reads_back(self, items, scope):
+    def test_fused_output_reads_back(self, items):
         try:
-            item = to_complex_emotion(fuse_instant(items), scope)
+            item = to_complex_emotion(fuse_instant(items))
         except FusionError as exc:
             assert exc.code == "NO_SIGNAL"
             return
