@@ -45,14 +45,15 @@ def read_lines(
     """``build`` applied to ``read_line(line)`` for each line of a
     line-format file that says something, given as a generator in line order.
 
-    Bytes are read as UTF-8.  ``#`` starts a comment; comments and
-    surrounding space are stripped and blank lines skipped.  Lines are
-    numbered from 1 and end at ``\n``, ``\r\n`` or ``\r``: a form feed or
-    U+2028 is space within its line.  This is the one place that names a
-    line, the one read last: a bad byte raises ``error(code, "line N:
-    ...")``, a ``ValueError`` from ``read_line`` or ``build`` comes back as
-    ``error(code, "line N: <message>")`` and an :class:`EarlError` as
-    ``error(<its code>, "line N: <message>")``.
+    Bytes are read as UTF-8.  One leading byte-order mark (U+FEFF) is
+    dropped, from bytes and str alike, as the XML readers drop it.  ``#``
+    starts a comment; comments and surrounding space are stripped and blank
+    lines skipped.  Lines are numbered from 1 and end at ``\n``, ``\r\n``
+    or ``\r``: a form feed or U+2028 is space within its line.  This is the
+    one place that names a line, the one read last: a bad byte raises
+    ``error(code, "line N: ...")``, a ``ValueError`` from ``read_line`` or
+    ``build`` comes back as ``error(code, "line N: <message>")`` and an
+    :class:`EarlError` as ``error(<its code>, "line N: <message>")``.
     """
     bad = None
     if not isinstance(data, str):
@@ -61,7 +62,7 @@ def read_lines(
         except UnicodeDecodeError as exc:
             # The bytes before the first bad one decode; it is on their last line.
             bad, data = exc, data[:exc.start].decode("utf-8")
-    lines = data.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = data.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if bad is not None:
         raise error(code, f"line {len(lines)}: not UTF-8 text ({bad.reason})")
     line_no = 0

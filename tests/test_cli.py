@@ -728,6 +728,37 @@ class TestFailClosedInputs:
         where = f"{bad}: line 2"
         assert err == f"earlkit: {code_name}: {where}: not UTF-8 text (invalid start byte)\n"
 
+    @pytest.mark.parametrize("kind", ["stream", "config", "policy", "features", "lexicon"])
+    def test_a_byte_order_mark_reads_as_nothing(self, tmp_path, kind):
+        data = {
+            "stream": b"0.0 language_voice anger 1.0 1.0\n0.5 face anger 0.9 0.7\n",
+            "config": b"decay_lambda = 0.1\nweight.face = 0.8\n",
+            # A mark read into the first rule's resource keeps that rule from
+            # matching, and the policy allows.
+            "policy": b"hazardous-tool deny_when aggressive >= 0.6\n"
+                      b"hazardous-tool deny_when protective >= 0.7\n",
+            "features": b"mean_f0=up\nmean_energy=up\n",
+            "lexicon": b"joy: happy\nfear: afraid\n",
+        }[kind]
+        outputs = []
+        for name, raw in (("plain", data), ("bom", b"\xef\xbb\xbf" + data)):
+            path = tmp_path / f"{name}.{kind}"
+            path.write_bytes(raw)
+            argv = {
+                "stream": ["fuse", "--evidence", path],
+                "config": ["fuse", "--evidence", ANGRY, "--config", path],
+                "policy": ["decide", "--evidence", ANGRY, "--resource", "hazardous-tool",
+                           "--policy", path],
+                "features": ["classify", "--voice", path],
+                "lexicon": ["annotate", "--text", "happy", "--lexicon", path],
+            }[kind]
+            outputs.append(run_cli(argv))
+        code, out, err = outputs[0]
+        assert outputs[1] == (code, out, err)
+        assert (code, err) == (3 if kind == "policy" else 0, "")
+        if kind == "lexicon":
+            assert 'category="joy"' in out
+
     def test_profile_of_unknown_elements_exits_2(self, tmp_path):
         (tmp_path / "rage.xml").write_bytes(b'<emotion category="rage"/>')
         profile = tmp_path / "typo.profile"

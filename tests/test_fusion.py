@@ -679,7 +679,9 @@ def evidence_lists(draw, remembered=False):
     items = []
     for source, t in zip(sources, sorted(times) if remembered else times):
         annotation = EmotionAnnotation(
-            category=draw(st.sampled_from(["anger", "joy", "fear", "grief"])),
+            category=draw(
+                st.sampled_from(["anger", "joy", "fear", "grief", "desire", "sensuality"])
+            ),
             dimensions=draw(descriptors),
             appraisals=draw(descriptors),
             intensity=draw(st.none() | unit),
@@ -864,6 +866,11 @@ EVERY_BEHAVIOR = AccessPolicy(
 
 class TestFusedEstimatesDecide:
     @given(state=states(), dt=st.floats(min_value=0.0, max_value=5.0), cfg=configs | odd_configs)
+    @example(  # searching sums its two categories, each from its own source
+        state=TemporalState({"face": evidence("desire", "face", p=0.9),
+                             "language_voice": evidence("sensuality", "language_voice", p=0.8)}),
+        dt=0.0, cfg=FusionConfig(),
+    )
     def test_no_fused_score_trips_the_score_check(self, state, dt, cfg):
         # decide_access raises on a NaN or negative score; fusion never makes one.
         try:

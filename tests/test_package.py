@@ -2,7 +2,7 @@
 
 import ast
 import dataclasses
-import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +118,20 @@ def test_benchmark_selfcheck_passes():
         [sys.executable, "perfbench/selfcheck.py"], cwd=REPO, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_mutation_runner_covers_every_module():
+    # tools/mutants.py mutates only the modules its table lists, so a new
+    # module left out of it would escape the runner.
+    spec = importlib.util.spec_from_file_location("mutants", REPO / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    modules = {
+        f"src/earlkit/{path.name}" for path in (REPO / "src" / "earlkit").glob("*.py")
+        if path.name not in ("__init__.py", "__main__.py")
+    }
+    assert sorted(mutants.TESTS) == sorted(modules)
+    assert all((REPO / test).is_file() for tests in mutants.TESTS.values() for test in tests)
 
 
 def test_bare_import_loads_no_submodule():

@@ -4,10 +4,11 @@
 
 Each mutant swaps one token of the module (see ``SWAPS``): a comparison,
 ``+``/``-``, ``*``/``/``, ``and``/``or``, ``True``/``False`` or
-``0.0``/``1.0``.  A swap that does not compile is skipped.  The tree is
+``0.0``/``1.0``, or it drops a ``not`` (``not in`` reads ``in``, ``is not``
+``is``).  A swap that does not compile is skipped.  The tree is
 copied to a scratch directory once, and each mutant in turn is written into
 the copy and run under ``pytest -x`` over the module's test files (see
-``TESTS``; a module not listed there is a usage error), with a fixed
+``TESTS``, which lists every module; any other is a usage error), with a fixed
 Hypothesis seed and no example database left from the run before.  One line
 per mutant:
 
@@ -47,11 +48,18 @@ TESTS = {
     "src/earlkit/cli.py": _STREAM_TESTS,
     "src/earlkit/model.py": _DOCUMENT_TESTS,
     "src/earlkit/earl_xml.py": _DOCUMENT_TESTS,
+    "src/earlkit/markers.py": [
+        "tests/test_markers.py", "tests/test_records.py", "tests/test_acceptance.py",
+    ],
+    "src/earlkit/errors.py": [
+        "tests/test_cli.py", "tests/test_markers.py", "tests/test_needs.py", "tests/test_fusion.py",
+    ],
 }
 SWAPS = {
     "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
     "+": "-", "-": "+", "+=": "-=", "-=": "+=", "*": "/", "/": "*",
     "and": "or", "or": "and", "True": "False", "False": "True", "0.0": "1.0", "1.0": "0.0",
+    "not": "",
 }
 #: Reviewed survivors, by (function, context, new token): why no input tells them apart.
 EQUIVALENT = {
