@@ -137,12 +137,10 @@ def _fused_estimate(args):
     from .fusion import (
         FusionConfig,
         FusionError,
-        TemporalState,
         fill_missing,
         fuse_instant,
         load_config,
         load_stream,
-        update_temporal,
     )
 
     cfg = FusionConfig() if args.config is None else _load(args.config, load_config)
@@ -151,14 +149,7 @@ def _fused_estimate(args):
         from .earl_xml import load_profile
 
         profile = _load(args.profile, load_profile)
-    stream = _load(args.evidence, load_stream, profile)
-    # An empty or truncated stream must not read as calm evidence: decide
-    # would allow where fuse already fails.
-    if not stream:
-        raise FusionError("BAD_STREAM", f"{args.evidence}: no evidence line")
-    state = TemporalState()
-    for evidence in stream:
-        state = update_temporal(state, evidence)
+    state = _load(args.evidence, load_stream, profile)
     at = state.clock if args.at is None else args.at
     # Evidence decayed below drop_floor is gone, not calm: an empty estimate
     # would let decide allow.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from functools import reduce
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -119,16 +120,16 @@ def load_config(data: bytes | str) -> FusionConfig:
 
 def load_stream(
     data: bytes | str, profile: VocabularyProfile | None = None
-) -> list[MarkerEvidence]:
-    """Read a recorded evidence stream, one item per line in file order.
-
-    Line format: ``t source category p i``, whitespace separated, where
-    ``source`` is a capture source (its modality is implied) and ``t``,
-    ``p`` and ``i`` are numbers that :class:`MarkerEvidence` accepts.
-    Given a ``profile``, a category outside it is an error too: a label
-    that no rule knows, such as ``Anger`` for ``anger``, would otherwise
-    be fused as a category of its own and could turn a deny into an allow.
-    """
+) -> TemporalState:
+    """The temporal state a recorded evidence stream leaves, its evidence
+    folded through :func:`update_temporal` in line order; a stream with no
+    evidence line is ``BAD_STREAM``.  Line format: ``t source category p i``,
+    whitespace separated, where ``source`` is a capture source (its modality
+    is implied) and ``t``, ``p`` and ``i`` are numbers that
+    :class:`MarkerEvidence` accepts.  Given a ``profile``, a category outside
+    it is an error too: a label no rule knows, such as ``Anger`` for
+    ``anger``, would otherwise be fused as a category of its own and could
+    turn a deny into an allow."""
 
     def read_item(line: str) -> MarkerEvidence:
         parts = line.split()
@@ -147,7 +148,13 @@ def load_stream(
         )
         return MarkerEvidence(annotation, source, timestamp)
 
-    return read_lines(data, FusionError, "BAD_STREAM", read_item)
+    state = read_lines(
+        data, FusionError, "BAD_STREAM", read_item,
+        lambda items: reduce(update_temporal, items, TemporalState()),
+    )
+    if not state.last_evidence:
+        raise FusionError("BAD_STREAM", "no evidence line")
+    return state
 
 
 class FusedEstimate(_Record):
@@ -229,7 +236,8 @@ def fuse_instant(
 
 class TemporalState(_Record):
     """Last evidence per source, in ascending source order, plus the stream
-    clock; updated functionally."""
+    clock; updated functionally.  Times count from 0, the clock an empty
+    state starts at, and never go back."""
 
     def __init__(self, last_evidence: dict[str, MarkerEvidence] | None = None, clock: float = 0.0):
         # Ascending sources are fuse_instant's processing order, so

@@ -678,6 +678,19 @@ class TestFailClosedInputs:
         assert (code, out) == (2, "")
         assert err == f"earlkit: BAD_STREAM: {stream}: no evidence line\n"
 
+    @pytest.mark.parametrize("command", ["fuse", "decide"])
+    def test_stream_time_regression_names_its_line(self, tmp_path, command):
+        # A line behind an earlier one is the stream file's fault, named
+        # with its file and line as every other bad line is.
+        stream = tmp_path / "s.stream"
+        stream.write_text("0 face anger 0.9 1\n2 face joy 0.5 1\n1 language_voice anger 0.8 1\n")
+        argv = [command, "--evidence", stream]
+        if command == "decide":
+            argv += ["--resource", "hazardous-tool", "--policy", POLICY]
+        assert run_cli(argv) == (2, "", (
+            f"earlkit: TIME_REGRESSION: {stream}: line 3: evidence at t=1.0 behind clock t=2.0\n"
+        ))
+
     @pytest.mark.parametrize("faint, at", [(True, ()), (False, ("--at", "60"))])
     @pytest.mark.parametrize("command", ["fuse", "decide"])
     def test_no_live_evidence_exits_2(self, tmp_path, command, faint, at):
@@ -1047,8 +1060,11 @@ class TestGeneratedFiles:
     @settings(deadline=None)
     @given(stream=STREAM_FILES, categories=PROFILE_CATEGORIES)
     def test_profile_only_rejects_categories_outside_it(self, stream, categories):
+        # The state load_stream returns keeps one line per source, so the
+        # categories come from every evidence line, read by the oracle.
         try:
-            streamed = {e.annotation.category for e in load_stream(stream)}
+            load_stream(stream)
+            streamed = {e.annotation.category for e in oracles._stream(stream, None)}
         except FusionError:
             streamed = None
         with tempfile.TemporaryDirectory() as tmp:
@@ -1102,15 +1118,18 @@ class TestGeneratedFiles:
 # The characters str.splitlines breaks at besides \n and \r; strip() and
 # split() read each as space.
 OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# Per line reader: its call, a valid line (the line's index given) and a line it rejects.
+# Per line reader: its call, a valid line (the line's index given) and lines it
+# rejects.  A stream's -1 is behind the clock wherever it stands, as no valid
+# line's time is below 0: its error comes from the fold, not from read_line.
 LINE_READERS = {
-    "config": (load_config, lambda i: f"decay_lambda = 0.{i % 10}", "drop_floor = 2"),
-    "stream": (load_stream, lambda i: f"{i} face anger 0.5 1", "1 face anger 2 1"),
+    "config": (load_config, lambda i: f"decay_lambda = 0.{i % 10}", ["drop_floor = 2"]),
+    "stream": (load_stream, lambda i: f"{i} face anger 0.5 1",
+               ["1 face anger 2 1", "-1 face anger 0.5 1"]),
     "policy": (load_policy, lambda i: f"door{i} deny_when aggressive >= 0.5",
-               "door deny_when agressive >= 0.5"),
-    "lexicon": (load_lexicon, lambda i: "joy: happy, glad", "joy:"),
+               ["door deny_when agressive >= 0.5"]),
+    "lexicon": (load_lexicon, lambda i: "joy: happy, glad", ["joy:"]),
     "features": (lambda data: load_features(data, VoiceFeatureDelta), lambda i: "mean_f0=up",
-                 "loudness=up"),
+                 ["loudness=up"]),
 }
 
 
@@ -1156,7 +1175,8 @@ class TestLineNumbers:
     @given(reader=st.sampled_from(sorted(LINE_READERS)), bad_byte=st.booleans(),
            as_text=st.booleans(), data=st.data())
     def test_both_error_paths_name_the_line(self, reader, bad_byte, as_text, data):
-        load, good, bad = LINE_READERS[reader]
+        load, good, bad_lines = LINE_READERS[reader]
+        bad = data.draw(st.sampled_from(bad_lines))
         # \x00 stands for the byte that is not UTF-8; no line holds it otherwise.
         text, line_no = data.draw(numbered_file(good, good(99) + " \x00" if bad_byte else bad))
         raw = text.encode().replace(b"\x00", b"\xff")

@@ -519,22 +519,23 @@ class TestFailClosed:
 
 class TestStreamFile:
     HEAD = "# t source category p i\n\n0.0 face joy 0.5 0.25  # first\n"
+    REGRESSING = b"0 face anger 0.9 1\n2 face joy 0.5 1\n1 language_voice anger 0.8 1\n"
 
     @pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
     def test_load(self, encode):
-        stream = load_stream(encode(self.HEAD + "  1.5\tlanguage_voice anger 1 0.75\n"))
-        assert stream == [
-            MarkerEvidence(
+        state = load_stream(encode(self.HEAD + "  1.5\tlanguage_voice anger 1 0.75\n"))
+        assert state == TemporalState({
+            "face": MarkerEvidence(
                 EmotionAnnotation(category="joy", modality="face", probability=0.5,
                                   intensity=0.25),
                 "face", 0.0,
             ),
-            MarkerEvidence(
+            "language_voice": MarkerEvidence(
                 EmotionAnnotation(category="anger", modality="voice", probability=1.0,
                                   intensity=0.75),
                 "language_voice", 1.5,
             ),
-        ]
+        }, 1.5)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -562,6 +563,34 @@ class TestStreamFile:
             load_stream(self.HEAD.encode() + b"1 face caf\xe9 0.5 0.5\n")
         assert exc.value.code == "BAD_STREAM"
         assert exc.value.message.startswith("line 4: not UTF-8 text")
+
+    # Times count from 0, the clock of an empty state, and never go back.
+    # Faults are found in line order: line 5's bad probability comes after
+    # line 3's regression.
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (REGRESSING, "line 3: evidence at t=1.0 behind clock t=2.0"),
+            (REGRESSING + b"\n4 face joy 2 1\n", "line 3: evidence at t=1.0 behind clock t=2.0"),
+            (b"-1 face anger 0.9 1\n", "line 1: evidence at t=-1.0 behind clock t=0.0"),
+        ],
+        ids=["behind_an_earlier_line", "before_a_later_bad_line", "below_zero"],
+    )
+    def test_time_regression_names_its_line(self, data, message):
+        with pytest.raises(FusionError) as exc:
+            load_stream(data)
+        assert (exc.value.code, exc.value.message) == ("TIME_REGRESSION", message)
+
+    @pytest.mark.parametrize(
+        "data", [b"", "", b"# nothing\n", "\n  # t source category p i\n\n"],
+        ids=["empty_bytes", "empty_str", "comment_bytes", "comments_str"],
+    )
+    def test_no_evidence_line_is_bad_stream(self, data):
+        # An empty or truncated stream must not read as calm evidence: fused
+        # and decided on, it would answer allow.
+        with pytest.raises(FusionError) as exc:
+            load_stream(data)
+        assert (exc.value.code, exc.value.message) == ("BAD_STREAM", "no evidence line")
 
 
 class TestEvidenceBoundary:

@@ -288,6 +288,29 @@ def test_only_read_lines_names_a_line():
     assert [where for where in found if not where.startswith("errors.py:")] == []
 
 
+def test_only_fusion_folds_a_stream():
+    # fusion.load_stream folds a stream file into its TemporalState through
+    # update_temporal, so no other module decides what a stream file means.
+    # __init__.py names both only as export strings, which are no names here.
+    found = []
+    for path in sorted(Path(earlkit.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}" for name in names
+                if name in ("TemporalState", "update_temporal")
+            ]
+    assert any(where.startswith("fusion.py:") for where in found)
+    assert [where for where in found if not where.startswith("fusion.py:")] == []
+
+
 def test_only_one_function_checks_xs_double():
     # earl_xml._DOUBLE is the lexical space of xs:double; a second function
     # that reads it would be a second statement of what a number is.
