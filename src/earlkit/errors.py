@@ -39,11 +39,10 @@ class PolicyError(EarlError):
 
 
 def read_lines(
-    data: bytes | str, error: type[EarlError], code: str, read_line: Callable[[str], object],
-    build: Callable[[Iterator], object] = list,
+    data: bytes | str, error: type[EarlError], code: str, build: Callable[[Iterator[str]], object]
 ) -> object:
-    """``build`` applied to ``read_line(line)`` for each line of a
-    line-format file that says something, given as a generator in line order.
+    """``build`` applied to the lines of a line-format file that say
+    something, given as a generator of stripped lines in line order.
 
     Bytes are read as UTF-8.  One leading byte-order mark (U+FEFF) is
     dropped, from bytes and str alike, as the XML readers drop it.  ``#``
@@ -51,9 +50,10 @@ def read_lines(
     lines skipped.  Lines are numbered from 1 and end at ``\n``, ``\r\n``
     or ``\r``: a form feed or U+2028 is space within its line.  This is the
     one place that names a line, the one read last: a bad byte raises
-    ``error(code, "line N: ...")``, a ``ValueError`` from ``read_line`` or
-    ``build`` comes back as ``error(code, "line N: <message>")`` and an
-    :class:`EarlError` as ``error(<its code>, "line N: <message>")``.
+    ``error(code, "line N: ...")``, a ``ValueError`` from ``build`` comes
+    back as ``error(code, "line N: <message>")`` and an :class:`EarlError`
+    as ``error(<its code>, "line N: <message>")``; ``build`` maps or folds
+    the lines lazily, so that the line read last is the one at fault.
     """
     bad = None
     if not isinstance(data, str):
@@ -67,15 +67,15 @@ def read_lines(
         raise error(code, f"line {len(lines)}: not UTF-8 text ({bad.reason})")
     line_no = 0
 
-    def results() -> Iterator:
+    def stripped() -> Iterator[str]:
         nonlocal line_no
         for line_no, line in enumerate(lines, 1):
             line = line.split("#", 1)[0].strip()
             if line:
-                yield read_line(line)
+                yield line
 
     try:
-        return build(results())
+        return build(stripped())
     except ValueError as exc:
         raise error(code, f"line {line_no}: {exc}") from None
     except EarlError as exc:

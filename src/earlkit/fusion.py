@@ -94,10 +94,8 @@ def load_config(data: bytes | str) -> FusionConfig:
     Source weight overrides use dotted keys, e.g. ``weight.face = 0.8``.
     Each value is checked on its own line, so every error names its line.
     """
-    cfg = FusionConfig()
 
-    def read_setting(line: str) -> None:
-        nonlocal cfg
+    def setting(cfg: FusionConfig, line: str) -> FusionConfig:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key:
@@ -112,10 +110,11 @@ def load_config(data: bytes | str) -> FusionConfig:
             change = {key: number}
         else:
             raise ValueError(f"unknown key {key!r}")
-        cfg = cfg._replace(**change)
+        return cfg._replace(**change)
 
-    read_lines(data, FusionError, "BAD_CONFIG", read_setting)
-    return cfg
+    return read_lines(
+        data, FusionError, "BAD_CONFIG", lambda lines: reduce(setting, lines, FusionConfig())
+    )
 
 
 def load_stream(
@@ -149,8 +148,8 @@ def load_stream(
         return MarkerEvidence(annotation, source, timestamp)
 
     state = read_lines(
-        data, FusionError, "BAD_STREAM", read_item,
-        lambda items: reduce(update_temporal, items, TemporalState()),
+        data, FusionError, "BAD_STREAM",
+        lambda lines: reduce(update_temporal, map(read_item, lines), TemporalState()),
     )
     if not state.last_evidence:
         raise FusionError("BAD_STREAM", "no evidence line")

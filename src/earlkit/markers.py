@@ -111,7 +111,7 @@ def load_lexicon(data: bytes | str) -> Lexicon:
     tokenizer used for matching.
     """
 
-    def read_entry(line: str) -> tuple[str, set[str]]:
+    def entry(line: str) -> tuple[str, set[str]]:
         emotion, _, rest = line.partition(":")
         emotion = emotion.strip().lower()
         markers = {" ".join(tokens) for tokens in map(tokenize, rest.split(",")) if tokens}
@@ -119,7 +119,7 @@ def load_lexicon(data: bytes | str) -> Lexicon:
             raise LexiconError("EMPTY_EMOTION", "emotion with no markers")
         return emotion, markers
 
-    return read_lines(data, LexiconError, "BAD_LEXICON", read_entry, Lexicon)
+    return read_lines(data, LexiconError, "BAD_LEXICON", lambda lines: Lexicon(map(entry, lines)))
 
 
 @functools.cache
@@ -436,17 +436,18 @@ def load_features(
     its line.
     """
     names = descriptor._fields
-    result = descriptor()
 
-    def read_field(line: str) -> None:
-        nonlocal result
+    def field(
+        result: VoiceFeatureDelta | MovementDescriptor, line: str
+    ) -> VoiceFeatureDelta | MovementDescriptor:
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep:
             raise ValueError("expected field=value")
         if key not in names:
             raise ValueError(f"{key!r} is not a {descriptor.__name__} field")
-        result = result._replace(**{key: value.strip()})
+        return result._replace(**{key: value.strip()})
 
-    read_lines(data, MarkerError, "BAD_FEATURE", read_field)
-    return result
+    return read_lines(
+        data, MarkerError, "BAD_FEATURE", lambda lines: functools.reduce(field, lines, descriptor())
+    )

@@ -128,7 +128,7 @@ def load_policy(data: bytes | str) -> AccessPolicy:
     that some emotion motivates: a misspelt one would never match.
     """
 
-    def read_rule(line: str) -> PolicyRule:
+    def rule(line: str) -> PolicyRule:
         parts = line.split()
         if len(parts) != 5 or parts[1] != "deny_when" or parts[3] != ">=":
             raise ValueError("expected 'resource deny_when behavior >= threshold'")
@@ -139,4 +139,4 @@ def load_policy(data: bytes | str) -> AccessPolicy:
             raise ValueError(f"threshold {raw!r} is not a number") from None
         return PolicyRule(resource, behavior, threshold)
 
-    return read_lines(data, PolicyError, "BAD_RULE", read_rule, AccessPolicy)
+    return read_lines(data, PolicyError, "BAD_RULE", lambda lines: AccessPolicy(map(rule, lines)))

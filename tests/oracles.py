@@ -617,9 +617,10 @@ def decision(estimate, resource, policy):
 
 
 def _stream(data, profile):
-    """The evidence of a stream file in line order; ValueError for a bad line."""
+    """The evidence of a stream file in line order, after one leading
+    byte-order mark; ValueError for a bad line."""
     evidence = []
-    for line in re.split("\r\n|\r|\n", data.decode("utf-8")):
+    for line in re.split("\r\n|\r|\n", data.decode("utf-8").removeprefix("\ufeff")):
         fields = line.split("#", 1)[0].split()
         if not fields:
             continue

@@ -1019,6 +1019,11 @@ class TestGeneratedFiles:
         stream=b"0 face rage 1 1\n", config=b"decay_lambda = 0.5\n", policy=POLICY.read_bytes(),
         profile=profile_file({"anger"}), at=None, resource="hazardous-tool",
     )
+    # A leading byte-order mark is nothing, as in every line format.
+    @example(
+        stream=b"\xef\xbb\xbf0 face anger 0.9 1\n", config=b"", policy=POLICY.read_bytes(),
+        profile=None, at=None, resource="hazardous-tool",
+    )
     # Most generated files are refused; valid files and times let more runs
     # reach fusion and the decision.
     @settings(deadline=None)
@@ -1120,7 +1125,8 @@ class TestGeneratedFiles:
 OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # Per line reader: its call, a valid line (the line's index given) and lines it
 # rejects.  A stream's -1 is behind the clock wherever it stands, as no valid
-# line's time is below 0: its error comes from the fold, not from read_line.
+# line's time is below 0: its error comes from update_temporal, not from the
+# line's own reader.
 LINE_READERS = {
     "config": (load_config, lambda i: f"decay_lambda = 0.{i % 10}", ["drop_floor = 2"]),
     "stream": (load_stream, lambda i: f"{i} face anger 0.5 1",

@@ -370,6 +370,17 @@ class TestConfigFile:
         assert cfg.constituent_threshold == 0.3
         assert cfg.decay_lambda == 0.2  # default kept
         assert cfg.weight_overrides == {"face": 0.8}
+        # A key or a source weight given twice keeps its last value; weights
+        # of other sources are all kept.
+        cfg = load_config(
+            "decay_lambda = 0.5\n"
+            "weight.face = 0.8\n"
+            "weight.language_voice = 0.4\n"
+            "decay_lambda = 0.1\n"
+            "weight.face = 0.6\n"
+        )
+        assert cfg.decay_lambda == 0.1
+        assert cfg.weight_overrides == {"face": 0.6, "language_voice": 0.4}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(FusionError) as exc:

@@ -311,6 +311,18 @@ def test_only_fusion_folds_a_stream():
     assert [where for where in found if not where.startswith("fusion.py:")] == []
 
 
+def test_no_line_reader_keeps_state_outside_its_fold():
+    # Each line reader maps or folds the lines read_lines hands its build, so
+    # no per-line function rebinds a record in an enclosing scope.  Only
+    # read_lines' line counter and load_profile's expat handlers do that.
+    found = []
+    for path in sorted(Path(earlkit.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Nonlocal):
+                found.append(f"{path.name}:{node.lineno}")
+    assert [where for where in found if not where.startswith(("errors.py:", "earl_xml.py:"))] == []
+
+
 def test_only_one_function_checks_xs_double():
     # earl_xml._DOUBLE is the lexical space of xs:double; a second function
     # that reads it would be a second statement of what a number is.
