@@ -31,10 +31,11 @@ _EXPORTS = {
         ),
         "fusion": (
             "FusedEstimate", "FusionConfig", "MarkerEvidence", "TemporalState", "fill_missing",
-            "fuse_instant", "load_config", "load_stream", "to_complex_emotion", "update_temporal",
+            "fuse_at", "fuse_instant", "load_config", "load_stream", "to_complex_emotion",
+            "update_temporal",
         ),
         "needs": (
-            "AccessPolicy", "Decision", "NeedProfile", "PolicyRule", "decide_access",
+            "AccessPolicy", "Decision", "NeedProfile", "PolicyRule", "decide", "decide_access",
             "infer_needs", "load_policy",
         ),
     }.items()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 # Each command imports the layers it runs, so a one-shot run does not pay
 # to load (and, without cached bytecode, compile) the others.
-from .errors import EarlError, PolicyError
+from .errors import EarlError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,15 +133,9 @@ def _cmd_classify(args) -> tuple[int, bytes]:
 # fuse / decide
 
 
-def _fused_estimate(args):
-    from .fusion import (
-        FusionConfig,
-        FusionError,
-        fill_missing,
-        fuse_instant,
-        load_config,
-        load_stream,
-    )
+def _stream_inputs(args):
+    """``(state, at, cfg)`` from ``--evidence`` under ``--profile``, ``--at`` and ``--config``."""
+    from .fusion import FusionConfig, load_config, load_stream
 
     cfg = FusionConfig() if args.config is None else _load(args.config, load_config)
     profile = None
@@ -150,31 +144,21 @@ def _fused_estimate(args):
 
         profile = _load(args.profile, load_profile)
     state = _load(args.evidence, load_stream, profile)
-    at = state.clock if args.at is None else args.at
-    # Evidence decayed below drop_floor is gone, not calm: an empty estimate
-    # would let decide allow.
-    live = fill_missing(state, at, cfg)
-    if not live:
-        raise FusionError("NO_SIGNAL", f"{args.evidence}: no evidence is live at t={at}")
-    return fuse_instant(live, cfg), cfg
+    return state, state.clock if args.at is None else args.at, cfg
 
 
 def _cmd_fuse(args) -> tuple[int, bytes]:
-    from .fusion import to_complex_emotion
+    from .fusion import fuse_at, to_complex_emotion
 
-    estimate, cfg = _fused_estimate(args)
-    return EXIT_OK, _document([to_complex_emotion(estimate, cfg=cfg)])
+    state, at, cfg = _stream_inputs(args)
+    return EXIT_OK, _document([to_complex_emotion(fuse_at(state, at, cfg), cfg=cfg)])
 
 
 def _cmd_decide(args) -> tuple[int, bytes]:
-    from .needs import decide_access, load_policy
+    from .needs import decide, load_policy
 
-    estimate, _ = _fused_estimate(args)
-    policy = _load(args.policy, load_policy)
-    # decide_access allows a resource no rule names; here that is most likely a typo.
-    if all(rule.resource != args.resource for rule in policy.rules):
-        raise PolicyError("UNKNOWN_RESOURCE", f"{args.policy}: no rule names {args.resource!r}")
-    decision = decide_access(estimate, args.resource, policy)
+    state, at, cfg = _stream_inputs(args)
+    decision = decide(state, at, cfg, args.resource, _load(args.policy, load_policy))
     code = EXIT_DENY if decision.verdict == "deny" else EXIT_OK
     return code, f"{decision.verdict}\t{decision.rationale}\n".encode()
 

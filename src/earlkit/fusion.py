@@ -313,6 +313,16 @@ def fill_missing(
     return synthetic
 
 
+def fuse_at(state: TemporalState, now: float, cfg: FusionConfig = FusionConfig()) -> FusedEstimate:
+    """:func:`fuse_instant` over :func:`fill_missing`'s stand-ins at ``now``.
+    Evidence decayed below ``drop_floor`` is gone, not calm: an empty estimate
+    would let a decision allow, so none live raises ``NO_SIGNAL``."""
+    live = fill_missing(state, now, cfg)
+    if not live:
+        raise FusionError("NO_SIGNAL", f"no evidence is live at t={now}")
+    return fuse_instant(live, cfg)
+
+
 # ---------------------------------------------------------------------------
 # EARL output
 

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import PolicyError, read_lines
-from .fusion import FusedEstimate
+from .fusion import FusedEstimate, FusionConfig, fuse_at
 from .model import BEHAVIOR_FOR_EMOTION, _Record
 
 
@@ -96,6 +96,8 @@ def decide_access(
 ) -> Decision:
     """Deny iff a rule for the resource sees its blocking behavior, the summed
     score of its categories, at or above threshold; the first such rule is named.
+    Otherwise allow, also on an empty estimate and for a resource no rule
+    names; :func:`decide` refuses both.
 
     Raises ValueError when a score a rule reads is NaN or negative: either
     would pull the sum below the threshold and answer allow.
@@ -118,6 +120,17 @@ def decide_access(
             )
             return Decision("deny", rationale, rule)
     return _ALLOW_AMBIGUOUS if estimate.ambiguous else _ALLOW
+
+
+def decide(state, now: float, cfg: FusionConfig, resource: str, policy: AccessPolicy) -> Decision:
+    """:func:`decide_access` on :func:`~earlkit.fusion.fuse_at`'s estimate of
+    ``state``, a ``fusion.TemporalState``, at ``now``, failing closed where
+    ``decide_access`` allows: ``NO_SIGNAL`` when no evidence is live, then
+    ``UNKNOWN_RESOURCE`` for a resource no rule names, most likely a typo."""
+    estimate = fuse_at(state, now, cfg)
+    if all(rule.resource != resource for rule in policy.rules):
+        raise PolicyError("UNKNOWN_RESOURCE", f"no rule names {resource!r}")
+    return decide_access(estimate, resource, policy)
 
 
 def load_policy(data: bytes | str) -> AccessPolicy:

@@ -240,7 +240,7 @@ class TestDecide:
             ]
         )
         assert (code, out) == (2, "")
-        assert err == f"earlkit: UNKNOWN_RESOURCE: {policy}: no rule names 'library'\n"
+        assert err == "earlkit: UNKNOWN_RESOURCE: no rule names 'library'\n"
 
 
 class TestStats:
@@ -705,7 +705,7 @@ class TestFailClosedInputs:
             argv += ["--resource", "hazardous-tool", "--policy", POLICY]
         t = 0.0 if faint else 60.0
         assert run_cli(argv) == (
-            2, "", f"earlkit: NO_SIGNAL: {stream}: no evidence is live at t={t}\n"
+            2, "", f"earlkit: NO_SIGNAL: no evidence is live at t={t}\n"
         )
 
     @pytest.mark.parametrize(
@@ -1102,7 +1102,7 @@ class TestGeneratedFiles:
             ["decide", "--evidence", ANGRY, f"--resource={resource}", "--policy", POLICY]
         )
         assert (code, out) == (2, ""), err
-        assert err.startswith(f"earlkit: UNKNOWN_RESOURCE: {POLICY}: no rule names "), err
+        assert err == f"earlkit: UNKNOWN_RESOURCE: no rule names {resource!r}\n"
 
     @settings(deadline=None)
     @given(bad=bad_stream_line(), at=st.integers(0, len(ANGRY.read_bytes().splitlines())))

@@ -11,13 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from earlkit.earl_xml import AnnotationDocument, parse_document, serialize_document
-from earlkit.errors import EarlError, FusionError
+from earlkit.errors import EarlError, FusionError, PolicyError
 from earlkit.fusion import (
     FusedEstimate,
     FusionConfig,
     MarkerEvidence,
     TemporalState,
     fill_missing,
+    fuse_at,
     fuse_instant,
     load_config,
     load_stream,
@@ -34,9 +35,10 @@ from earlkit.model import (
     TimeSpan,
     validate_annotation,
 )
-from earlkit.needs import AccessPolicy, PolicyRule, decide_access
+from earlkit.needs import AccessPolicy, PolicyRule, decide, decide_access
 
 import oracles
+from test_needs import rules_st
 
 SOURCES = sorted(SOURCE_WEIGHTS)
 
@@ -919,6 +921,79 @@ class TestFusedEstimatesDecide:
             return
         for rule in EVERY_BEHAVIOR.rules:
             assert decide_access(estimate, rule.resource, EVERY_BEHAVIOR).rule == rule
+
+
+class TestFuseAtAndDecide:
+    def test_nothing_live_is_no_signal(self):
+        # At t=60 anger 0.9 has decayed below drop_floor; the two calls fuse
+        # that to an empty estimate, on which decide_access allows.
+        state = load_stream(b"0 face anger 0.9 1\n")
+        assert fuse_instant(fill_missing(state, 60.0)) == FusedEstimate({}, None, False)
+        with pytest.raises(FusionError) as exc:
+            fuse_at(state, 60.0)
+        assert (exc.value.code, exc.value.message) == (
+            "NO_SIGNAL", "no evidence is live at t=60.0"
+        )
+
+    @settings(max_examples=300)
+    @given(
+        state=states(),
+        # None: dt after the state's clock.
+        now=st.none() | st.floats(0.0, 40.0) | st.sampled_from([math.nan, math.inf]),
+        dt=st.floats(min_value=0.0, max_value=20.0),
+        cfg=configs | odd_configs,
+    )
+    @example(  # nothing is live, and BAD_TIME comes before NO_SIGNAL
+        state=TemporalState(), now=math.nan, dt=0.0, cfg=FusionConfig(),
+    )
+    @example(  # nothing is live, and TIME_REGRESSION comes before NO_SIGNAL
+        state=TemporalState({}, 5.0), now=4.0, dt=0.0, cfg=FusionConfig(),
+    )
+    @example(  # seen below drop_floor
+        state=TemporalState({"face": evidence("anger", "face", p=0.04)}), now=None, dt=0.0,
+        cfg=FusionConfig(),
+    )
+    def test_fuses_the_live_stand_ins_or_refuses(self, state, now, dt, cfg):
+        now = state.clock + dt if now is None else now
+
+        def fields():
+            estimate = fuse_at(state, now, cfg)
+            return bits(estimate.scores), estimate.dominant, estimate.ambiguous
+
+        def oracle():
+            live = oracles.fill_missing(state, now, cfg)
+            if not live:
+                raise FusionError("NO_SIGNAL", f"no evidence is live at t={now}")
+            return oracle_fields(live, cfg)
+
+        assert outcome(fields) == outcome(oracle)
+
+    @given(
+        state=states(), dt=st.floats(min_value=0.0, max_value=20.0),
+        cfg=configs | odd_configs, rules=rules_st, resource=st.sampled_from(["door", "safe"]),
+    )
+    @example(  # nothing live and no rule for the resource: NO_SIGNAL comes first
+        state=load_stream(b"0 face anger 0.9 1\n"), dt=60.0, cfg=FusionConfig(), rules=[],
+        resource="door",
+    )
+    def test_decide_is_the_oracle_decision_or_refuses(self, state, dt, cfg, rules, resource):
+        policy = AccessPolicy(tuple(rules))
+        now = state.clock + dt
+
+        def fields():
+            decision = decide(state, now, cfg, resource, policy)
+            return decision.verdict, decision.rationale, decision.rule
+
+        def oracle():
+            live = oracles.fill_missing(state, now, cfg)
+            if not live:
+                raise FusionError("NO_SIGNAL", f"no evidence is live at t={now}")
+            scores, dominant, ambiguous = oracles.fuse(live, cfg)
+            if all(rule.resource != resource for rule in rules):
+                raise PolicyError("UNKNOWN_RESOURCE", f"no rule names {resource!r}")
+            return oracles.decision(FusedEstimate(scores, dominant, ambiguous), resource, policy)
+
+        assert outcome(fields) == outcome(oracle)
 
 
 def stand_ins(fill, state, now, cfg):

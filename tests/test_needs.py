@@ -7,19 +7,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from earlkit.errors import PolicyError
+from earlkit.errors import FusionError, PolicyError
 from earlkit.fusion import (
     FusedEstimate,
+    FusionConfig,
     MarkerEvidence,
     TemporalState,
     fill_missing,
     fuse_instant,
+    load_stream,
     update_temporal,
 )
 from earlkit.model import EmotionAnnotation
 from earlkit.needs import (
     AccessPolicy,
     PolicyRule,
+    decide,
     decide_access,
     infer_needs,
     load_policy,
@@ -343,3 +346,31 @@ class TestDecideWithoutProfile:
         assert unsure.rationale == "no rule matched; ambiguous estimate"
         assert decide_access(estimate({}), "x", AccessPolicy()) is plain
         assert decide_access(estimate({}, ambiguous=True), "x", AccessPolicy()) is unsure
+
+
+class TestDecide:
+    """decide fuses a temporal state and decides, failing closed where
+    decide_access allows."""
+
+    STATE = load_stream(b"0 face anger 0.9 1\n")
+
+    def test_nothing_live_is_no_signal(self):
+        # At t=60 the anger has decayed below drop_floor.
+        assert decide_access(
+            fuse_instant(fill_missing(self.STATE, 60.0)), "hazardous-tool", HAZARD_POLICY
+        ).verdict == "allow"
+        with pytest.raises(FusionError) as exc:
+            decide(self.STATE, 60.0, FusionConfig(), "hazardous-tool", HAZARD_POLICY)
+        assert (exc.value.code, exc.value.message) == (
+            "NO_SIGNAL", "no evidence is live at t=60.0"
+        )
+
+    def test_resource_no_rule_names_is_unknown(self):
+        # A misspelt resource would be allowed whatever the evidence.
+        estimate = fuse_instant(fill_missing(self.STATE, 0.0))
+        assert decide_access(estimate, "hazardous-tol", HAZARD_POLICY).verdict == "allow"
+        with pytest.raises(PolicyError) as exc:
+            decide(self.STATE, 0.0, FusionConfig(), "hazardous-tol", HAZARD_POLICY)
+        assert (exc.value.code, exc.value.message) == (
+            "UNKNOWN_RESOURCE", "no rule names 'hazardous-tol'"
+        )

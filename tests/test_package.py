@@ -29,9 +29,12 @@ EXPORTED = {
     ),
     "fusion": (
         "FusedEstimate FusionConfig MarkerEvidence TemporalState fill_missing fuse_instant"
-        " load_config to_complex_emotion update_temporal load_stream"
+        " load_config to_complex_emotion update_temporal load_stream fuse_at"
     ),
-    "needs": "AccessPolicy Decision NeedProfile PolicyRule decide_access infer_needs load_policy",
+    "needs": (
+        "AccessPolicy Decision NeedProfile PolicyRule decide_access infer_needs load_policy"
+        " decide"
+    ),
 }
 
 
@@ -309,6 +312,19 @@ def test_only_fusion_folds_a_stream():
             ]
     assert any(where.startswith("fusion.py:") for where in found)
     assert [where for where in found if not where.startswith("fusion.py:")] == []
+
+
+def test_the_cli_decides_through_the_library():
+    # fusion.fuse_at refuses a state with no live evidence and needs.decide a
+    # resource no rule names; the CLI calls them, so it names none of the
+    # calls they compose nor the error it used to raise itself.
+    path = Path(earlkit.__file__).parent / "cli.py"
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    named = {node.id for node in nodes if isinstance(node, ast.Name)}
+    named |= {a.name for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names}
+    named |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert named & {"fill_missing", "fuse_instant", "decide_access", "PolicyError"} == set()
+    assert {"decide", "fuse_at"} <= named
 
 
 def test_no_line_reader_keeps_state_outside_its_fold():
