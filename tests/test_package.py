@@ -2,12 +2,13 @@
 
 import ast
 import dataclasses
-import importlib.util
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import earlkit
 from support import FIXTURES, REPO
@@ -123,18 +124,54 @@ def test_benchmark_selfcheck_passes():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_mutation_runner_covers_every_module():
+@pytest.fixture
+def tools(monkeypatch):
+    """tools/mutants.py and tools/killmatrix.py, imported as the scripts import each other."""
+    monkeypatch.syspath_prepend(str(REPO / "tools"))
+    return importlib.import_module("mutants"), importlib.import_module("killmatrix")
+
+
+def test_mutation_runner_covers_every_module(tools):
     # tools/mutants.py mutates only the modules its table lists, so a new
-    # module left out of it would escape the runner.
-    spec = importlib.util.spec_from_file_location("mutants", REPO / "tools" / "mutants.py")
-    mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutants)
+    # module left out of it would escape the runner; the kill matrix runs the
+    # same table, and both skip shrinking under the profile conftest.py registers.
+    mutants, killmatrix = tools
     modules = {
         f"src/earlkit/{path.name}" for path in (REPO / "src" / "earlkit").glob("*.py")
         if path.name not in ("__init__.py", "__main__.py")
     }
     assert sorted(mutants.TESTS) == sorted(modules)
     assert all((REPO / test).is_file() for tests in mutants.TESTS.values() for test in tests)
+    assert killmatrix.TESTS is mutants.TESTS
+    assert killmatrix.EQUIVALENT is mutants.EQUIVALENT
+    assert killmatrix.run_pytest is mutants.run_pytest
+    profiles = [arg.split("=", 1)[1] for arg in mutants.PYTEST_ARGS
+                if arg.startswith("--hypothesis-profile=")]
+    assert len(profiles) == 1
+    assert Phase.shrink not in settings.get_profile(profiles[0]).phases
+
+
+_REPORT = """<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="pytest">
+<testcase classname="tests.test_x" name="test_passes" time="0.001" />
+<testcase classname="tests.test_x" name="test_fails" time="0.001"><failure message="assert 1 == 2">E</failure></testcase>
+<testcase classname="tests.test_x.TestY" name="test_z[a.b::c/d]" time="0.001"><failure message="x">E</failure></testcase>
+<testcase classname="tests.test_x.TestY" name="test_z[e]" time="0.001" />
+<testcase classname="tests.test_y.TestY" name="test_errs" time="0.001"><error message="fixture">E</error></testcase>
+<testcase classname="tests.test_y" name="test_skipped" time="0.0"><skipped message="s" /></testcase>
+<testcase classname="" name="tests.test_y" time="0.0"><error message="collection failure">E</error></testcase>
+<testcase classname="pytest" name="internal" time="0.0"><error message="internal error">E</error></testcase>
+</testsuite></testsuites>"""
+
+
+def test_kill_matrix_reads_failing_ids_from_a_junit_report(tools):
+    _, killmatrix = tools
+    assert killmatrix.killers(_REPORT, ["tests/test_x.py", "tests/test_y.py"]) == [
+        "tests/test_x.py::test_fails",
+        "tests/test_x.py::TestY::test_z[a.b::c/d]",
+        "tests/test_y.py::TestY::test_errs",
+        "tests/test_y.py",
+        "pytest.internal",
+    ]
 
 
 def test_bare_import_loads_no_submodule():

@@ -86,6 +86,10 @@ EQUIVALENT = {
     ("load_profile", "= False def", "True"):
         "expat reports text only inside the root, after start_element has set it",
 }
+#: pytest's options for every mutant run, ``tools/killmatrix.py``'s too.
+PYTEST_ARGS = (
+    "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--hypothesis-profile=mutants",
+)
 _SKIP = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_work",
 )
@@ -135,16 +139,22 @@ def mutants(source: str):
         yield function, row, tok.string, new, context, mutated
 
 
-def run_tests(copy: Path, tests: list[str], timeout: float | None) -> str | None:
-    """The first failing test's id, or None when every test passes."""
+def run_pytest(copy: Path, tests: list[str], timeout: float | None, *options: str):
+    """pytest's finished run over ``tests`` in the copy, or None when it times out."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-            "--hypothesis-seed=0", *tests]
+    argv = [sys.executable, "-m", "pytest", *options, *PYTEST_ARGS, *tests]
     try:
-        done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True,
+        return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True,
                               timeout=timeout)
     except subprocess.TimeoutExpired:
+        return None
+
+
+def run_tests(copy: Path, tests: list[str], timeout: float | None) -> str | None:
+    """The first failing test's id, or None when every test passes."""
+    done = run_pytest(copy, tests, timeout, "-x")
+    if done is None:
         return f"timeout after {timeout:.0f} s"
     if done.returncode == 0:
         return None
