@@ -31,7 +31,6 @@ from earlkit.markers import (
 from earlkit.model import (
     SOURCE_WEIGHTS,
     InlineText,
-    behavior_for_emotion,
 )
 
 import oracles
@@ -81,24 +80,6 @@ def assert_same_ranking(got, want, descriptor):
     assert got == want, descriptor
     # The repr shows the field types too (1 and 1.0 compare equal).
     assert repr(got) == repr(want), descriptor
-
-
-class TestBehaviorMap:
-    def test_all_six_rows(self):
-        assert behavior_for_emotion("desire") == "searching"
-        assert behavior_for_emotion("anger") == "aggressive"
-        assert behavior_for_emotion("fear") == "protective"
-        assert behavior_for_emotion("sadness") == "dejected"
-        assert behavior_for_emotion("joy") == "gratulant"
-        assert behavior_for_emotion("affection") == "caressive"
-
-    def test_sensuality_alias_bridges_to_searching(self):
-        assert behavior_for_emotion("sensuality") == "searching"
-
-    def test_unknown_emotion(self):
-        with pytest.raises(MarkerError) as exc:
-            behavior_for_emotion("surprise")
-        assert exc.value.code == "UNKNOWN_EMOTION"
 
 
 class TestFeatureFile:

@@ -1,4 +1,4 @@
-"""Domain types: construction, immutability and validation."""
+"""Domain types: construction, immutability, validation and the behavior map."""
 
 import math
 import random
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from earlkit.errors import MarkerError
 from earlkit.model import (
     DEFAULT_PROFILE,
     FIELD_ATTRIBUTES,
@@ -22,6 +23,7 @@ from earlkit.model import (
     TimeSpan,
     ValidationReport,
     VocabularyProfile,
+    behavior_for_emotion,
     validate_annotation,
 )
 
@@ -377,3 +379,21 @@ class TestValidatorMatchesReference:
         report = validate_annotation(item, profile)
         findings = [(f.severity, f.code, f.message, f.location) for f in report.findings]
         assert (findings, report.ok) == oracles.validate(item, profile)
+
+
+class TestBehaviorMap:
+    def test_all_six_rows(self):
+        assert behavior_for_emotion("desire") == "searching"
+        assert behavior_for_emotion("anger") == "aggressive"
+        assert behavior_for_emotion("fear") == "protective"
+        assert behavior_for_emotion("sadness") == "dejected"
+        assert behavior_for_emotion("joy") == "gratulant"
+        assert behavior_for_emotion("affection") == "caressive"
+
+    def test_sensuality_alias_bridges_to_searching(self):
+        assert behavior_for_emotion("sensuality") == "searching"
+
+    def test_unknown_emotion(self):
+        with pytest.raises(MarkerError) as exc:
+            behavior_for_emotion("surprise")
+        assert exc.value.code == "UNKNOWN_EMOTION"

@@ -1,6 +1,7 @@
 """The package surface: lazy exports, the modules each CLI command loads, one build path."""
 
 import ast
+import collections
 import dataclasses
 import importlib
 import subprocess
@@ -134,7 +135,8 @@ def tools(monkeypatch):
 def test_mutation_runner_covers_every_module(tools):
     # tools/mutants.py mutates only the modules its table lists, so a new
     # module left out of it would escape the runner; the kill matrix runs the
-    # same table, and both skip shrinking under the profile conftest.py registers.
+    # same loop over the same table, and both skip shrinking under the profile
+    # conftest.py registers.
     mutants, killmatrix = tools
     modules = {
         f"src/earlkit/{path.name}" for path in (REPO / "src" / "earlkit").glob("*.py")
@@ -142,9 +144,9 @@ def test_mutation_runner_covers_every_module(tools):
     }
     assert sorted(mutants.TESTS) == sorted(modules)
     assert all((REPO / test).is_file() for tests in mutants.TESTS.values() for test in tests)
-    assert killmatrix.TESTS is mutants.TESTS
+    assert killmatrix.runs is mutants.runs
+    assert killmatrix.module_arg is mutants.module_arg
     assert killmatrix.EQUIVALENT is mutants.EQUIVALENT
-    assert killmatrix.run_pytest is mutants.run_pytest
     profiles = [arg.split("=", 1)[1] for arg in mutants.PYTEST_ARGS
                 if arg.startswith("--hypothesis-profile=")]
     assert len(profiles) == 1
@@ -164,13 +166,81 @@ _REPORT = """<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="
 
 
 def test_kill_matrix_reads_failing_ids_from_a_junit_report(tools):
-    _, killmatrix = tools
-    assert killmatrix.killers(_REPORT, ["tests/test_x.py", "tests/test_y.py"]) == [
+    mutants, _ = tools
+    assert mutants.killers(_REPORT, ["tests/test_x.py", "tests/test_y.py"]) == [
         "tests/test_x.py::test_fails",
         "tests/test_x.py::TestY::test_z[a.b::c/d]",
         "tests/test_y.py::TestY::test_errs",
         "tests/test_y.py",
         "pytest.internal",
+    ]
+
+
+@pytest.mark.parametrize("tool", ["mutants", "killmatrix"])
+def test_mutation_tools_refuse_a_module_outside_the_table(tool, tools):
+    # The usage error comes before the scratch copy: no tree is copied and no
+    # pytest starts, as the audit events of the run show.
+    mutants, _ = tools
+    script = (
+        "import runpy, sys\n"
+        "sys.addaudithook(lambda event, args: event in ('shutil.copytree', 'subprocess.Popen')"
+        " and print('audit', event, file=sys.stderr))\n"
+        f"sys.path.insert(0, 'tools'); sys.argv = ['{tool}.py', 'src/earlkit/__init__.py']\n"
+        f"runpy.run_path('tools/{tool}.py', run_name='__main__')\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], cwd=REPO, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "src/earlkit/__init__.py is not one of " + ", ".join(mutants.TESTS) in result.stderr
+    assert "audit" not in result.stderr
+
+
+def test_a_timeout_kills_only_when_the_rerun_times_out_too(tools, monkeypatch):
+    # One stalled run is not the mutant's doing; two in a row are a kill.
+    mutants, _ = tools
+    results = iter([(["t"], []), None, (["t"], ["t"]), None, None])
+    monkeypatch.setattr(mutants, "run_tests", lambda *args: next(results))
+    monkeypatch.setattr(mutants, "mutants", lambda source: [("f", 1, "<", "<=", "a < b", source)] * 2)
+    run = mutants.runs("src/earlkit/errors.py", "-x")
+    assert next(run) == ["t"]
+    assert [killers for _, killers in run] == [["t"], ["timeout after 60 s"]]
+
+def test_every_reviewed_equivalent_names_one_mutant(tools):
+    # A key that names no mutant, or several, has gone stale after an edit
+    # and could excuse a different mutant that shares its context.
+    mutants, _ = tools
+    named = collections.Counter(
+        (function, context, new)
+        for module in mutants.TESTS
+        for function, _, _, new, context, _ in mutants.mutants((REPO / module).read_text())
+    )
+    assert {key: named[key] for key in mutants.EQUIVALENT} == dict.fromkeys(mutants.EQUIVALENT, 1)
+
+
+_SOURCE = """\
+def outer(a, *rest):
+    def inner(b):
+        return b < a
+    return inner(a) and not rest
+
+
+class Box:
+    def scaled(self, by=1.0):
+        return self.size * by
+"""
+
+
+def test_mutants_swap_one_token_that_compiles_and_name_its_function(tools):
+    mutants, _ = tools
+    assert [
+        (function, line, old, new, context, mutated.splitlines()[line - 1])
+        for function, line, old, new, context, mutated in mutants.mutants(_SOURCE)
+    ] == [
+        ("outer.inner", 3, "<", "<=", "b < a", "        return b <= a"),
+        ("outer", 4, "and", "or", ") and not", "    return inner(a) or not rest"),
+        ("outer", 4, "not", "", "and not rest", "    return inner(a) and  rest"),
+        ("Box.scaled", 8, "1.0", "0.0", "= 1.0 )", "    def scaled(self, by=0.0):"),
+        ("Box.scaled", 9, "*", "/", "size * by", "        return self.size / by"),
     ]
 
 

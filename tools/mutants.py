@@ -5,12 +5,15 @@
 Each mutant swaps one token of the module (see ``SWAPS``): a comparison,
 ``+``/``-``, ``*``/``/``, ``and``/``or``, ``True``/``False`` or
 ``0.0``/``1.0``, or it drops a ``not`` (``not in`` reads ``in``, ``is not``
-``is``).  A swap that does not compile is skipped.  The tree is
-copied to a scratch directory once, and each mutant in turn is written into
-the copy and run under ``pytest -x`` over the module's test files (see
-``TESTS``, which lists every module; any other is a usage error), with a fixed
-Hypothesis seed and no example database left from the run before.  One line
-per mutant:
+``is``).  A swap that does not compile is skipped.  ``runs`` copies the tree
+to a scratch directory once, checks that the unmutated copy passes, then
+writes each mutant in turn into the copy and runs pytest over the module's
+test files (see ``TESTS``, which lists every module; any other is a usage
+error), with a fixed Hypothesis seed, no example database left from the run
+before and a ``--junitxml`` report, whose failing and erroring tests are the
+mutant's killers.  A run that times out is run once more before the timeout
+counts as a kill.  This tool runs ``pytest -x`` and prints one line per
+mutant, with its first killer:
 
     function:line old -> new (context) killed-by TEST | survived
 
@@ -31,6 +34,7 @@ import sys
 import tempfile
 import time
 import tokenize
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,7 +90,7 @@ EQUIVALENT = {
     ("load_profile", "= False def", "True"):
         "expat reports text only inside the root, after start_element has set it",
 }
-#: pytest's options for every mutant run, ``tools/killmatrix.py``'s too.
+#: pytest's options for every run, with ``-x`` or without.
 PYTEST_ARGS = (
     "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--hypothesis-profile=mutants",
 )
@@ -139,64 +143,109 @@ def mutants(source: str):
         yield function, row, tok.string, new, context, mutated
 
 
-def run_pytest(copy: Path, tests: list[str], timeout: float | None, *options: str):
-    """pytest's finished run over ``tests`` in the copy, or None when it times out."""
+def outcomes(report: str, files: list[str]):
+    """(test id, whether it failed or errored) for each test case of a ``--junitxml`` report.
+
+    The report names a test by its dotted path and classes (``classname``) and
+    its name; ``files``, the test files run, tells the path from the classes.
+    """
+    dotted = {file.removesuffix(".py").replace("/", "."): file for file in files}
+    for case in ET.fromstring(report).iter("testcase"):
+        failed = case.find("failure") is not None or case.find("error") is not None
+        classname, name = case.get("classname"), case.get("name")
+        module = next((m for m in dotted if classname == m or classname.startswith(m + ".")), None)
+        if module is None:  # a file that failed to collect, or pytest's own error
+            yield dotted.get(name, f"{classname}.{name}".lstrip(".")), failed
+            continue
+        classes = classname[len(module) + 1 :].split(".") if classname != module else []
+        yield "::".join([dotted[module], *classes, name]), failed
+
+
+def killers(report: str, files: list[str]) -> list[str]:
+    """The ids of the tests that fail or error in a ``--junitxml`` report, in its order."""
+    return list(dict.fromkeys(test for test, failed in outcomes(report, files) if failed))
+
+
+def run_tests(copy: Path, tests: list[str], timeout: float | None, *options: str):
+    """(every test id, the ids that fail or error) of a pytest run over ``tests`` in the copy.
+
+    It gives None when the run times out, and the exit code as the failing id
+    when a run fails with no test failing, or writes no report.
+    """
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
+    report = copy / "report.xml"
+    report.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "pytest", *options, *PYTEST_ARGS, *tests]
+    argv = [sys.executable, "-m", "pytest", *options, *PYTEST_ARGS, f"--junitxml={report}", *tests]
     try:
-        return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True,
-                              timeout=timeout)
+        done = subprocess.run(argv, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=timeout)
     except subprocess.TimeoutExpired:
         return None
+    text = report.read_text(encoding="utf-8") if report.exists() else "<testsuites />"
+    failing = killers(text, tests)
+    if done.returncode and not failing:
+        failing = [f"pytest exit {done.returncode}"]
+    return list(dict.fromkeys(test for test, _ in outcomes(text, tests))), failing
 
 
-def run_tests(copy: Path, tests: list[str], timeout: float | None) -> str | None:
-    """The first failing test's id, or None when every test passes."""
-    done = run_pytest(copy, tests, timeout, "-x")
-    if done is None:
-        return f"timeout after {timeout:.0f} s"
-    if done.returncode == 0:
-        return None
-    for line in done.stdout.splitlines():
-        if line.startswith(("FAILED ", "ERROR ")):
-            kind, test = line.split()[:2]
-            return test if kind == "FAILED" else f"{test} (error)"
-    return f"pytest exit {done.returncode}"
+def runs(module: str, *options: str):
+    """Run pytest with ``options`` over ``module``'s test files, unmutated and then per mutant.
 
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("module", help="the module to mutate, e.g. src/earlkit/needs.py")
-    args = parser.parse_args()
-    relative = Path(os.path.relpath(Path(args.module).resolve(), ROOT))
-    tests = TESTS.get(relative.as_posix())
-    if tests is None:
-        parser.error(f"{args.module} is not one of {', '.join(TESTS)}")
-    source = (ROOT / relative).read_text(encoding="utf-8")
-    started = time.monotonic()
+    It first yields the ids of the tests the unmutated tree runs, and exits 2
+    if any fails.  Then it yields ``((function, line, old, new, context),
+    killers)`` for each mutant, in the order of ``mutants``.
+    """
+    tests = TESTS[module]
+    source = (ROOT / module).read_text(encoding="utf-8")
     with tempfile.TemporaryDirectory(prefix="earlkit-mutants-") as scratch:
         copy = Path(scratch) / "tree"
         shutil.copytree(ROOT, copy, ignore=_SKIP)
-        baseline = run_tests(copy, tests, None)
-        if baseline is not None:
-            print(f"the unmutated tree fails: {baseline}", file=sys.stderr)
-            return 2
+        started = time.monotonic()
+        every, failing = run_tests(copy, tests, None, *options)
+        if failing or not every:
+            print(f"{module}: the unmutated tree fails: {failing}", file=sys.stderr)
+            raise SystemExit(2)
         timeout = max(60.0, 5 * (time.monotonic() - started))
-        rows = []
+        yield every
         for function, line, old, new, context, mutated in mutants(source):
-            (copy / relative).write_text(mutated, encoding="utf-8")
-            killer = run_tests(copy, tests, timeout)
-            reason = EQUIVALENT.get((function, context, new))
-            verdict = f"killed-by {killer}" if killer else "survived"
-            if not killer and reason:
-                verdict += f" (equivalent: {reason})"
-            print(f"{function}:{line} {old} -> {new} ({context}) {verdict}", flush=True)
-            rows.append((killer, reason))
-    survived = [reason for killer, reason in rows if not killer]
+            (copy / module).write_text(mutated, encoding="utf-8")
+            # A stall that does not repeat is not the mutant's doing: run it again.
+            done = run_tests(copy, tests, timeout, *options) or run_tests(
+                copy, tests, timeout, *options
+            )
+            yield (function, line, old, new, context), (
+                done[1] if done else [f"timeout after {timeout:.0f} s"]
+            )
+
+
+def module_arg(doc: str) -> str:
+    """The one argument, a module of ``TESTS``; any other is a usage error (exit 2)."""
+    parser = argparse.ArgumentParser(description=doc.split("\n", 1)[0])
+    parser.add_argument("module", help="the module to mutate, e.g. src/earlkit/needs.py")
+    module = Path(os.path.relpath(Path(parser.parse_args().module).resolve(), ROOT)).as_posix()
+    if module not in TESTS:
+        parser.error(f"{module} is not one of {', '.join(TESTS)}")
+    return module
+
+
+def main() -> int:
+    module = module_arg(__doc__)
+    started = time.monotonic()
+    run = runs(module, "-x")
+    next(run)
+    rows = []
+    for (function, line, old, new, context), killed in run:
+        reason = EQUIVALENT.get((function, context, new))
+        verdict = f"killed-by {killed[0]}" if killed else "survived"
+        if not killed and reason:
+            verdict += f" (equivalent: {reason})"
+        print(f"{function}:{line} {old} -> {new} ({context}) {verdict}", flush=True)
+        rows.append((killed, reason))
+    survived = [reason for killed, reason in rows if not killed]
     gaps = sum(1 for reason in survived if not reason)
     print(
-        f"{relative}: {len(rows)} mutants, {len(rows) - len(survived)} killed, "
+        f"{module}: {len(rows)} mutants, {len(rows) - len(survived)} killed, "
         f"{len(survived) - gaps} equivalent, {gaps} unexplained, "
         f"{time.monotonic() - started:.0f} s"
     )
