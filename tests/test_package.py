@@ -205,6 +205,7 @@ def test_a_timeout_kills_only_when_the_rerun_times_out_too(tools, monkeypatch):
     assert next(run) == ["t"]
     assert [killers for _, killers in run] == [["t"], ["timeout after 60 s"]]
 
+
 def test_every_reviewed_equivalent_names_one_mutant(tools):
     # A key that names no mutant, or several, has gone stale after an edit
     # and could excuse a different mutant that shares its context.
